@@ -1,33 +1,16 @@
-"""Hot evaluation kernels for the floating-point quadrature oracle.
+"""Hot evaluation kernel for the floating-point quadrature oracle.
 
 Evaluating a sparse polynomial on hundreds of thousands of quadrature nodes
-dominates oracle runtime.  The default backend is a numba @njit kernel; set
-CUBEHARM_DISABLE_NUMBA=1 (or lose the numba import) to fall back to a pure
-numpy term loop.  The two backends may differ in the last couple of ulps
-because they accumulate in different orders; each is individually
-deterministic.  benchmarks/bench_kernels.py compares them.
+dominates oracle runtime.  The kernel is a numpy loop over terms; it
+accumulates in term order, so it is deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("CUBEHARM_DISABLE_NUMBA", "") not in ("", "0")
-
-
-def evaluate_terms_numpy(points: np.ndarray, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def evaluate_terms(points: np.ndarray, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Sum of coeff * prod_d points[:, d]^exp over terms; term-major loop."""
     out = np.zeros(points.shape[0])
     for t in range(exps.shape[0]):
@@ -38,57 +21,3 @@ def evaluate_terms_numpy(points: np.ndarray, exps: np.ndarray, coeffs: np.ndarra
                 term *= points[:, d] ** e
         out += term
     return out
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _evaluate_terms_jit(points, exps, coeffs):  # pragma: no cover - jit body
-        npts, ndim = points.shape
-        nterms = exps.shape[0]
-        out = np.zeros(npts)
-        for p in range(npts):
-            acc = 0.0
-            for t in range(nterms):
-                v = coeffs[t]
-                for d in range(ndim):
-                    e = exps[t, d]
-                    if e:
-                        x = points[p, d]
-                        w = x
-                        for _ in range(e - 1):
-                            w *= x
-                        v *= w
-                acc += v
-            out[p] = acc
-        return out
-
-    def evaluate_terms_numba(points: np.ndarray, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        return _evaluate_terms_jit(points, exps, coeffs)
-
-else:
-    evaluate_terms_numba = None
-
-
-def active_backend() -> str:
-    if _HAVE_NUMBA and not numba_disabled_by_env():
-        return "numba"
-    return "numpy"
-
-
-def evaluate_terms(
-    points: np.ndarray,
-    exps: np.ndarray,
-    coeffs: np.ndarray,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Dispatch to the selected backend ("numba", "numpy", or None = auto)."""
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        if evaluate_terms_numba is None:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return evaluate_terms_numba(points, exps, coeffs)
-    if backend == "numpy":
-        return evaluate_terms_numpy(points, exps, coeffs)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -114,7 +114,27 @@ def _float17(x: float) -> str:
     return format(x, ".17g")
 
 
-_JOB_FIELDS = {"n", "r", "deg", "k", "m", "identities", "phi", "poly", "format", "out"}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# job file field -> (what its JSON value must be, check)
+_JOB_FIELDS = {
+    "n": ("an integer", _is_int),
+    "r": ("a rational string or a number", lambda v: isinstance(v, (str, float)) or _is_int(v)),
+    "deg": ("an integer", _is_int),
+    "k": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "m": ("an integer", _is_int),
+    "identities": ("a list of strings", _is_str_list),
+    "phi": ("a list of strings", _is_str_list),
+    "poly": ("a string", lambda v: isinstance(v, str)),
+    "format": ('"json" or "csv"', lambda v: v in ("json", "csv")),
+    "out": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 def _load_job(args) -> None:
@@ -123,7 +143,8 @@ def _load_job(args) -> None:
     The file is the whole configuration: {"n": 2, "r": "1/1", "deg": 8,
     "k": [0, 1], "m": 1, "identities": ["surface"], "phi": ["t^2/2"],
     "poly": "x1^2", "format": "json", "out": "report.json"}.  Unknown keys
-    are rejected so typos fail loudly.
+    are rejected so typos fail loudly, and so is a value of the wrong JSON
+    type.
     """
     try:
         with open(args.job) as fh:
@@ -132,29 +153,18 @@ def _load_job(args) -> None:
         raise UsageError(f"cannot read job file {args.job!r}: {exc}")
     if not isinstance(payload, dict):
         raise UsageError("job file must hold a JSON object")
-    unknown = set(payload) - _JOB_FIELDS
+    unknown = set(payload) - set(_JOB_FIELDS)
     if unknown:
         raise UsageError(f"unknown job file fields: {sorted(unknown)}")
-    if "n" in payload:
-        args.n = int(payload["n"])
-    if "r" in payload:
-        args.r = str(payload["r"])
-    if "deg" in payload:
-        args.deg = int(payload["deg"])
-    if "k" in payload:
-        args.k = ",".join(str(v) for v in payload["k"])
-    if "m" in payload:
-        args.m = int(payload["m"])
-    if "identities" in payload:
-        args.identities = ",".join(payload["identities"])
-    if "phi" in payload:
-        args.phi = list(payload["phi"])
-    if "poly" in payload:
-        args.poly = payload["poly"]
-    if "format" in payload:
-        args.format = payload["format"]
-    if "out" in payload:
-        args.out = payload["out"]
+    for name, value in payload.items():
+        expected, valid = _JOB_FIELDS[name]
+        if not valid(value):
+            raise UsageError(f"job file field {name!r} must be {expected}, got {json.dumps(value)}")
+        if name in ("k", "identities"):
+            value = ",".join(str(v) for v in value)
+        elif name == "r":
+            value = str(value)
+        setattr(args, name, value)
 
 
 def cmd_verify(args) -> int:

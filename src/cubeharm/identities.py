@@ -26,8 +26,6 @@ import csv
 import enum
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -224,60 +222,27 @@ def _labelled_elements(
     return list(basis)
 
 
-def _suite_jobs(
-    elements: list[tuple[str, Poly]],
-    d: CubeDomain,
-    identities: Sequence[Identity],
-    config: SuiteConfig,
-) -> list[tuple[Identity, str, str, Poly, Callable[[], Fraction]]]:
-    jobs = []
-    for identity in identities:
-        if identity is Identity.SURFACE_MEAN:
-            for label, p in elements:
-                jobs.append(
-                    (identity, "", label, p, lambda p=p: residual_surface_mean(p, d))
-                )
-        elif identity is Identity.VOLUME_MEAN:
-            for k in config.ks:
-                for label, p in elements:
-                    jobs.append(
-                        (
-                            identity,
-                            str(k),
-                            label,
-                            p,
-                            lambda p=p, k=k: residual_volume_mean(p, d, k),
-                        )
-                    )
-        elif identity is Identity.WEIGHTED_QUADRATURE:
-            phis = config.phis or default_quadrature_profiles()
-            for phi in phis:
-                for label, p in elements:
-                    jobs.append(
-                        (
-                            identity,
-                            uni_to_text(phi),
-                            label,
-                            p,
-                            lambda p=p, phi=phi: residual_weighted_quadrature(p, d, phi),
-                        )
-                    )
-        elif identity is Identity.PIZZETTI:
-            phis = config.phis or default_pizzetti_profiles(config.m)
-            for phi in phis:
-                for label, p in elements:
-                    jobs.append(
-                        (
-                            identity,
-                            uni_to_text(phi),
-                            label,
-                            p,
-                            lambda p=p, phi=phi: residual_pizzetti(p, d, config.m, phi),
-                        )
-                    )
-        else:
-            raise ValueError(f"unknown identity {identity!r}")
-    return jobs
+def _parameters(
+    identity: Identity, d: CubeDomain, config: SuiteConfig
+) -> list[tuple[str, Callable[[Poly], Fraction]]]:
+    """(k_or_phi label, residual of one element) for each parameter, in order."""
+    if identity is Identity.SURFACE_MEAN:
+        return [("", lambda p: residual_surface_mean(p, d))]
+    if identity is Identity.VOLUME_MEAN:
+        return [(str(k), lambda p, k=k: residual_volume_mean(p, d, k)) for k in config.ks]
+    if identity is Identity.WEIGHTED_QUADRATURE:
+        phis = config.phis or default_quadrature_profiles()
+        return [
+            (uni_to_text(phi), lambda p, phi=phi: residual_weighted_quadrature(p, d, phi))
+            for phi in phis
+        ]
+    if identity is Identity.PIZZETTI:
+        phis = config.phis or default_pizzetti_profiles(config.m)
+        return [
+            (uni_to_text(phi), lambda p, phi=phi: residual_pizzetti(p, d, config.m, phi))
+            for phi in phis
+        ]
+    raise ValueError(f"unknown identity {identity!r}")
 
 
 def run_suite(
@@ -291,41 +256,35 @@ def run_suite(
     Elements may be a generated basis, a request for one, or explicit
     (label, polynomial) pairs.  Evaluation order, and therefore report
     order, is fixed: identities in the order given, then parameter, then
-    element.  Set CUBEHARM_THREADS to fan the (pure, exact) residual
-    evaluations out over a thread pool; results are collected in submission
-    order so the report is identical either way.
+    element.
     """
     if isinstance(basis, BasisRequest):
         basis = graded_basis(basis)
     elements = _labelled_elements(basis)
-    jobs = _suite_jobs(elements, d, identities, config)
-
-    def evaluate(job) -> Fraction:
-        identity, _k_or_phi, label, _p, fn = job
-        try:
-            return fn()
-        except ValueError as exc:
-            raise type(exc)(f"{identity.value} on {label}: {exc}") from exc
-
-    workers = int(os.environ.get("CUBEHARM_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            residuals = list(pool.map(evaluate, jobs))
-    else:
-        residuals = [evaluate(job) for job in jobs]
+    cases = [
+        (identity, k_or_phi, residual)
+        for identity in identities
+        for k_or_phi, residual in _parameters(identity, d, config)
+    ]
+    r = rational_to_text(d.r)
     entries = []
-    for (identity, k_or_phi, label, _p, _fn), value in zip(jobs, residuals):
+    for identity, k_or_phi, residual in cases:
         m = config.m if identity is Identity.PIZZETTI else 1
-        entries.append(
-            ReportEntry(
-                identity=identity.value,
-                n=d.n,
-                r=rational_to_text(d.r),
-                k_or_phi=k_or_phi,
-                m=m,
-                element_label=label,
-                residual=rational_to_text(value),
-                passed=(value == 0),
+        for label, p in elements:
+            try:
+                value = residual(p)
+            except ValueError as exc:
+                raise type(exc)(f"{identity.value} on {label}: {exc}") from exc
+            entries.append(
+                ReportEntry(
+                    identity=identity.value,
+                    n=d.n,
+                    r=r,
+                    k_or_phi=k_or_phi,
+                    m=m,
+                    element_label=label,
+                    residual=rational_to_text(value),
+                    passed=(value == 0),
+                )
             )
-        )
     return IdentityReport(tuple(entries))

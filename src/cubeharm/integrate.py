@@ -4,12 +4,27 @@ diagonal set where two coordinates tie for the maximum absolute value.
 Geometry.  Write M(x) = max_i |x_i| for x in the cube [-r, r]^n.  The cube
 splits into 2n cells on which a fixed signed coordinate attains M; on such a
 cell the substitution t = |x_i| leaves a box [-t, t]^(n-1) in the remaining
-coordinates, and every weighted monomial integral reduces to the closed form
+coordinates.  The diagonal sheets split the same way with two tied
+coordinates, and the boundary faces are the cells' outer ends t = r.  So
+every region reduces to one moment functional.  For a monomial x^alpha with
+all exponents even (odd ones integrate to zero by symmetry), a profile phi
+and
 
-    int_0^r t^a (r - t)^b dt = a! b! r^(a+b+1) / (a+b+1)!
+    C_s(alpha) = 2^s * sum_{|S|=s} prod_{k not in S} 2 / (alpha_k + 1),
+    R_phi(a, r) = int_0^r t^a phi(r - t) dt,
 
-after expanding the weight profile in powers of (r - t).  Tie sets are lower
-dimensional and carry no mass.
+the moments are
+
+    cube      C_1(alpha) * R_phi(|alpha| + n - 1, r)
+    diagonal  C_2(alpha) * R_phi(|alpha| + n - 2, r)
+    boundary  C_1(alpha) * r^(|alpha| + n - 1)
+
+and R_phi follows from expanding phi in powers of (r - t) and
+
+    int_0^r t^a (r - t)^b dt = a! b! r^(a+b+1) / (a+b+1)!.
+
+C_s and R_phi are memoized.  Tie sets are lower dimensional and carry no
+mass.
 
 Diagonal measure convention.  The diagonal set is the union over pairs
 i < j of the sheets {|x_k| <= |x_i| = |x_j|}.  Each pair contributes four
@@ -35,6 +50,8 @@ Everything here is exact rational arithmetic; no floats.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +59,8 @@ from fractions import Fraction
 from .poly import DimensionMismatchError, Exponent, Poly, UniPoly, uni_to_text
 
 RationalLike = Fraction | int | str
+
+_CACHE_SIZE = 4096  # entries per moment-factor cache
 
 
 @dataclass(frozen=True)
@@ -94,32 +113,41 @@ def _beta_moment(a: int, b: int, r: Fraction) -> Fraction:
     )
 
 
-def _radial_factor(profile: UniPoly, a: int, r: Fraction) -> Fraction:
-    return sum(
-        (c * _beta_moment(a, b, r) for b, c in enumerate(profile.coeffs) if c),
-        Fraction(0),
-    )
-
-
-def _box_weighted_monomial(alpha: Exponent, dim: int, r: Fraction, profile: UniPoly) -> Fraction:
-    """Weighted integral of x^alpha over [-r, r]^dim via argmax cells.
-
-    Valid for any dim >= 1; used directly by integrate_cube and, in dimension
-    n - 1, by the face-local boundary masses.
-    """
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cell_factor(alpha: Exponent, s: int) -> Fraction:
+    """C_s(alpha): the box factors summed over every choice of s tied axes;
+    zero when an exponent is odd."""
     if any(e % 2 for e in alpha):
         return Fraction(0)
-    radial = _radial_factor(profile, sum(alpha) + dim - 1, r)
-    if radial == 0:
-        return Fraction(0)
-    cells = Fraction(0)
-    for i in range(dim):
+    total = Fraction(0)
+    for tied in itertools.combinations(range(len(alpha)), s):
         box = Fraction(1)
         for k, e in enumerate(alpha):
-            if k != i:
+            if k not in tied:
                 box *= Fraction(2, e + 1)
-        cells += 2 * box  # both signs of the argmax coordinate
-    return cells * radial
+        total += box
+    return 2**s * total
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _radial(a: int, r: Fraction, coeffs: tuple[Fraction, ...]) -> Fraction:
+    """R_phi(a, r) for the profile phi with the given coefficients."""
+    return sum((c * _beta_moment(a, b, r) for b, c in enumerate(coeffs) if c), Fraction(0))
+
+
+def _moment(region: Region, alpha: Exponent, r: Fraction, coeffs: tuple[Fraction, ...]) -> Fraction:
+    """Integral of x^alpha phi(r - M) over region; the dimension is len(alpha).
+
+    The boundary moment is unweighted and ignores coeffs.
+    """
+    s = 2 if region is Region.DIAGONAL else 1
+    cells = _cell_factor(alpha, s)
+    if cells == 0:
+        return cells
+    a = sum(alpha) + len(alpha) - s
+    if region is Region.BOUNDARY:
+        return cells * r**a
+    return cells * _radial(a, r, coeffs)
 
 
 def _check_dim(p: Poly, d: CubeDomain) -> None:
@@ -129,13 +157,17 @@ def _check_dim(p: Poly, d: CubeDomain) -> None:
         )
 
 
-def integrate_cube(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
-    """Exact weighted integral of p over the solid cube."""
+def _integrate(p: Poly, d: CubeDomain, region: Region, coeffs: tuple[Fraction, ...]) -> Fraction:
     _check_dim(p, d)
     total = Fraction(0)
-    for alpha, coeff in p.sorted_terms():
-        total += coeff * _box_weighted_monomial(alpha, d.n, d.r, w.profile)
+    for alpha, coeff in p.terms.items():
+        total += coeff * _moment(region, alpha, d.r, coeffs)
     return total
+
+
+def integrate_cube(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
+    """Exact weighted integral of p over the solid cube."""
+    return _integrate(p, d, Region.CUBE, w.profile.coeffs)
 
 
 def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
@@ -144,21 +176,7 @@ def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
     Sums plain (n-1)-dimensional integrals over the 2n faces; edge and
     corner overlaps have zero surface measure.
     """
-    _check_dim(p, d)
-    n, r = d.n, d.r
-    total = Fraction(0)
-    for alpha, coeff in p.sorted_terms():
-        if any(e % 2 for e in alpha):
-            continue
-        faces = Fraction(0)
-        for i in range(n):
-            face = 2 * r ** alpha[i]
-            for k, e in enumerate(alpha):
-                if k != i:
-                    face *= Fraction(2, e + 1) * r ** (e + 1)
-            faces += face
-        total += coeff * faces
-    return total
+    return _integrate(p, d, Region.BOUNDARY, ())
 
 
 def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
@@ -168,46 +186,23 @@ def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
     t in [0, r] and the free box [-t, t]^(n-2); three-way ties are shared
     sheet boundaries of zero measure.
     """
-    _check_dim(p, d)
-    n, r = d.n, d.r
-    total = Fraction(0)
-    for alpha, coeff in p.sorted_terms():
-        if any(e % 2 for e in alpha):
-            continue
-        radial = _radial_factor(w.profile, sum(alpha) + n - 2, r)
-        if radial == 0:
-            continue
-        pairs = Fraction(0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                box = Fraction(1)
-                for k, e in enumerate(alpha):
-                    if k != i and k != j:
-                        box *= Fraction(2, e + 1)
-                pairs += 4 * box  # four sign patterns of the tied pair
-        total += coeff * pairs * radial
-    return total
+    return _integrate(p, d, Region.DIAGONAL, w.profile.coeffs)
 
 
 def measure(d: CubeDomain, region: Region, k: int = 0) -> Fraction:
     """Weighted mass of a region under the power weight of exponent k.
 
-    Cube and diagonal masses integrate the constant 1 through the engine.
-    Boundary masses use the face-local weight convention described in the
-    module docstring; at k = 0 this is the ordinary surface area, and the
-    restriction of the global weight to the boundary would be identically
-    zero for k >= 1.
+    Cube and diagonal masses are the moments of the constant 1.  Boundary
+    masses use the face-local weight convention described in the module
+    docstring: each face is the cube moment of 1 in dimension n - 1.  At
+    k = 0 this is the ordinary surface area, and the restriction of the
+    global weight to the boundary would be identically zero for k >= 1.
     """
     if k < 0:
         raise ValueError(f"weight exponent must be >= 0, got {k}")
-    one = Poly.const(d.n, 1)
-    if region is Region.CUBE:
-        return integrate_cube(one, d, Weight.power(k))
-    if region is Region.DIAGONAL:
-        return integrate_diagonal(one, d, Weight.power(k))
+    coeffs = Weight.power(k).profile.coeffs
+    if region is Region.CUBE or region is Region.DIAGONAL:
+        return _moment(region, (0,) * d.n, d.r, coeffs)
     if region is Region.BOUNDARY:
-        face = _box_weighted_monomial(
-            (0,) * (d.n - 1), d.n - 1, d.r, Weight.power(k).profile
-        )
-        return 2 * d.n * face
+        return 2 * d.n * _moment(Region.CUBE, (0,) * (d.n - 1), d.r, coeffs)
     raise ValueError(f"unknown region {region!r}")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cubeharm.cli import main
 
 
@@ -122,6 +124,30 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--job", str(job))
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n": None}, "n"),
+            ({"n": 2, "k": 5}, "k"),
+            ({"n": 2, "identities": 3}, "identities"),
+            ({"n": 2, "phi": 4}, "phi"),
+            ({"n": 2, "poly": 7}, "poly"),
+            ({"deg": 1.5}, "deg"),
+            ({"m": True}, "m"),
+            ({"n": 2, "k": [0, "1"]}, "k"),
+            ({"n": 2, "format": "xml"}, "format"),
+            ({"n": 2, "out": 5}, "out"),
+        ],
+    )
+    def test_job_file_field_of_wrong_type(self, capsys, tmp_path, payload, field):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", "--job", str(job))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: job file field {field!r} must be")
 
     def test_missing_dimension_without_job(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--deg", "2")

@@ -215,10 +215,3 @@ class TestRunSuite:
                 [Identity.PIZZETTI],
                 SuiteConfig(m=2),
             )
-
-    def test_threaded_run_matches_serial(self, monkeypatch):
-        args = (BasisRequest(2, 4, 1), D21, [Identity.VOLUME_MEAN], SuiteConfig(ks=(0, 1)))
-        serial = run_suite(*args).to_json()
-        monkeypatch.setenv("CUBEHARM_THREADS", "4")
-        threaded = run_suite(*args).to_json()
-        assert serial == threaded

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import pp, seeded_random_polys
-from cubeharm._kernels import evaluate_terms, evaluate_terms_numba
+from cubeharm._kernels import evaluate_terms
 from cubeharm.integrate import (
     CubeDomain,
     Weight,
@@ -54,24 +54,14 @@ class TestKernelBackends:
         points = rng.uniform(-1, 1, size=(500, 3))
         exps = np.array([[2, 0, 1], [0, 4, 0], [1, 1, 1], [0, 0, 0]], dtype=np.int64)
         coeffs = np.array([0.5, -2.0, 3.25, 1.0])
-        via_numpy = evaluate_terms(points, exps, coeffs, backend="numpy")
+        values = evaluate_terms(points, exps, coeffs)
         direct = (
             0.5 * points[:, 0] ** 2 * points[:, 2]
             - 2.0 * points[:, 1] ** 4
             + 3.25 * points[:, 0] * points[:, 1] * points[:, 2]
             + 1.0
         )
-        assert np.abs(via_numpy - direct).max() < 1e-14
-        if evaluate_terms_numba is not None:
-            via_numba = evaluate_terms(points, exps, coeffs, backend="numba")
-            assert np.abs(via_numba - via_numpy).max() < 1e-12
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        from cubeharm import _kernels
-
-        monkeypatch.setenv("CUBEHARM_DISABLE_NUMBA", "1")
-        assert _kernels.active_backend() == "numpy"
-        monkeypatch.setenv("CUBEHARM_DISABLE_NUMBA", "0")
+        assert np.abs(values - direct).max() < 1e-14
 
 
 class TestNumericIntegrals:

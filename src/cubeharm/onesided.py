@@ -15,13 +15,19 @@ so it is reported at one of three strengths:
   certified   f - h factors exactly as g * prod_{i<j} (x_i^2 - x_j^2)^2 with
               g certified nonnegative (even powers with nonnegative
               coefficients, or an exact polynomial square); sound proof
-  heuristic   f - h was nonnegative on a uniform rational grid; no proof
+  heuristic   f - h was nonnegative on a uniform rational grid; no proof.
+              The grid is walked exactly as an integer lattice: scaling
+              x = r/(N-1) * m with integer m turns f - h into an integer
+              polynomial over one common denominator, evaluated in Python
+              ints one axis at a time
   failed      a grid point with a negative value was found (with witness)
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,11 +37,11 @@ from .poly import (
     Poly,
     UniPoly,
     divide_exact,
-    evaluate,
     partial,
     poly_sqrt,
     poly_to_text,
     rational_to_text,
+    uni_negative_point,
 )
 
 CERTIFIED = "certified"
@@ -79,15 +85,58 @@ def _certified_nonnegative(g: Poly) -> bool:
     return poly_sqrt(g) is not None
 
 
-def _grid_values(dim: int, r: Fraction, points_per_axis: int):
-    if points_per_axis == 1:
-        coords = [Fraction(0)]
-    else:
-        coords = [
-            Fraction(2 * i, points_per_axis - 1) * r - r
-            for i in range(points_per_axis)
-        ]
-    return coords
+def _lattice_walk(p: Poly, r: Fraction, npts: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact values of p on the uniform grid of npts points per axis over
+    [-r, r]^n, walked in C order: the first negative value and its point, or
+    else the first minimum and its point.
+
+    Grid coordinates are step * m with step = r/(npts-1) and integer
+    m = 2i - (npts-1), so p(step * m) = P(m) / D for the integer polynomial
+    P with coefficients c_alpha * step^|alpha| * D, where D > 0 is their
+    common denominator.  The walk fixes one axis at a time, substituting m
+    into the remaining integer coefficients, and adds up the last axis from
+    the power table powers[e][i] = m_i^e; everything inside the loop is a
+    Python int, so nothing can overflow or round.
+    """
+    step = r / (npts - 1)
+    scaled = {exps: coeff * step ** sum(exps) for exps, coeff in p.terms.items()}
+    denom = math.lcm(*(c.denominator for c in scaled.values()))
+    ints = {exps: c.numerator * (denom // c.denominator) for exps, c in scaled.items()}
+    top = max((max(exps) for exps in ints), default=0)
+    ms = range(1 - npts, npts, 2)
+    powers = [[m**e for m in ms] for e in range(top + 1)]
+    last = p.dim - 1
+    best: int | None = None
+    best_at: tuple[int, ...] = ()
+
+    def walk(terms: dict[tuple[int, ...], int], at: tuple[int, ...]) -> bool:
+        # True once a negative value has been found, which ends the walk
+        nonlocal best, best_at
+        if len(at) == last:
+            row = [0] * npts
+            for (e,), c in terms.items():
+                if c:
+                    row = list(map(operator.add, row, map(c.__mul__, powers[e])))
+            low = min(row)
+            if low < 0:
+                i = next(i for i, v in enumerate(row) if v < 0)
+                best, best_at = row[i], at + (i,)
+                return True
+            if best is None or low < best:
+                best, best_at = low, at + (row.index(low),)
+            return False
+        for i in range(npts):
+            sub: dict[tuple[int, ...], int] = {}
+            for exps, c in terms.items():
+                rest = exps[1:]
+                sub[rest] = sub.get(rest, 0) + c * powers[exps[0]][i]
+            if walk(sub, at + (i,)):
+                return True
+        return False
+
+    walk(ints, ())
+    assert best is not None
+    return Fraction(best, denom), tuple(step * ms[i] for i in best_at)
 
 
 @dataclass(frozen=True)
@@ -122,9 +171,11 @@ def check_onesided(
     """Decide (or sample) nonnegativity of f - h on the cube.
 
     The certified path divides out the squared pairwise factor shared by all
-    diagonal-vanishing squares; the heuristic path evaluates exactly on a
-    uniform rational grid, shrunk if its total size would exceed
-    max_grid_points.
+    diagonal-vanishing squares; the heuristic path is an exact integer walk
+    over the scaled lattice of a uniform rational grid, shrunk if its total
+    size would exceed max_grid_points.  The walk stops at the first negative
+    value in C order (reported with its point); otherwise grid_min is the
+    first minimum.
     """
     if f_minus_h.dim != d.n:
         raise ValueError(
@@ -137,25 +188,7 @@ def check_onesided(
     npts = max(2, grid_points_per_axis)
     while npts > 2 and npts**d.n > max_grid_points:
         npts -= 1
-    coords = _grid_values(d.n, d.r, npts)
-    best: Fraction | None = None
-    witness: tuple[Fraction, ...] | None = None
-
-    def walk(point: list[Fraction], axis: int):
-        nonlocal best, witness
-        if axis == d.n:
-            value = evaluate(f_minus_h, point)
-            if best is None or value < best:
-                best = value
-                witness = tuple(point)
-            return
-        for c in coords:
-            if witness is not None and best is not None and best < 0:
-                return  # a single negative sample already settles it
-            walk(point + [c], axis + 1)
-
-    walk([], 0)
-    assert best is not None
+    best, witness = _lattice_walk(f_minus_h, d.r, npts)
     if best < 0:
         return OneSidedness(
             kind=FAILED,
@@ -237,26 +270,22 @@ def weighted_l1_error(
     h: Poly,
     d: CubeDomain,
     phi: UniPoly,
-    check_points: int = 101,
 ) -> Fraction:
     """Exact weighted error int (f - h) phi''(r - M) over the cube.
 
     Requires phi(0) = phi'(0) = 0 (symbolic check) and phi', phi'' >= 0 on
-    [0, r]; the sign conditions are sampled on a uniform rational grid of
-    check_points values, which is a heuristic, not a proof.  f - h must not
-    be negative anywhere on the sampling grid of check_onesided.
+    [0, r], decided exactly by Sturm-sequence root isolation; a violation is
+    reported with a rational witness u.  f - h must not be negative anywhere
+    on the grid of check_onesided.
     """
     from .identities import WeightConditionError, _require_vanishing
 
     _require_vanishing(phi, 2)
-    d1 = phi.derivative(1)
     d2 = phi.derivative(2)
-    for j in range(check_points):
-        u = d.r * Fraction(j, max(1, check_points - 1))
-        if d1(u) < 0:
-            raise WeightConditionError(f"phi' is negative at u = {u}: {d1(u)}")
-        if d2(u) < 0:
-            raise WeightConditionError(f"phi'' is negative at u = {u}: {d2(u)}")
+    for name, g in (("phi'", phi.derivative(1)), ("phi''", d2)):
+        u = uni_negative_point(g, Fraction(0), d.r)
+        if u is not None:
+            raise WeightConditionError(f"{name} is negative at u = {u}: {g(u)}")
     diff = f - h
     onesided = check_onesided(diff, d)
     if onesided.kind == FAILED:

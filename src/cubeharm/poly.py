@@ -335,6 +335,62 @@ class UniPoly:
         return f"UniPoly({uni_to_text(self)!r})"
 
 
+def _uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Long division over Q: a = quotient * b + remainder, b nonzero."""
+    rem = list(a.coeffs)
+    quot = [Fraction(0)] * max(0, len(rem) - b.degree)
+    while len(rem) > b.degree:
+        shift = len(rem) - 1 - b.degree
+        c = rem[-1] / b.coeffs[-1]
+        quot[shift] = c
+        for i, bc in enumerate(b.coeffs):
+            rem[shift + i] -= c * bc
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return UniPoly(quot), UniPoly(rem)
+
+
+def uni_negative_point(g: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """A rational u in [lo, hi] with g(u) < 0, or None if g >= 0 on [lo, hi].
+
+    Exact, with no sampling.  g keeps one sign between consecutive distinct
+    real roots, which are the roots of its square-free part s.  The Sturm
+    sequence of s counts them: V(a) - V(b) is the number of roots in (a, b].
+    Bisection at points that are not roots of s splits (lo, hi] until every
+    piece holds at most one root, and a piece with a root starts at a
+    non-root.  Then every root-free stretch of [lo, hi] contains lo, hi or a
+    split point, so testing those decides the sign.
+    """
+    if g.is_zero:
+        return None
+    common = g
+    other = g.derivative()
+    while not other.is_zero:
+        common, other = other, _uni_divmod(common, other)[1]
+    s = _uni_divmod(g, common)[0]
+    sturm = [s, s.derivative()]
+    while not sturm[-1].is_zero:
+        sturm.append(UniPoly(-c for c in _uni_divmod(sturm[-2], sturm[-1])[1].coeffs))
+    sturm.pop()
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (p(x) for p in sturm) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    points = [lo, hi]
+    pieces = [(lo, hi)]
+    while pieces:
+        a, b = pieces.pop()
+        roots = variations(a) - variations(b)
+        if roots >= 2 or (roots == 1 and s(a) == 0):
+            c = (a + b) / 2
+            while s(c) == 0:
+                c = (a + c) / 2
+            points.append(c)
+            pieces += [(a, c), (c, b)]
+    return next((u for u in sorted(points) if g(u) < 0), None)
+
+
 # -- text forms ---------------------------------------------------------------
 
 

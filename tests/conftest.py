@@ -39,10 +39,15 @@ fractions_st = st.fractions(
 )
 
 
-def exponents_st(dim: int, max_degree: int = 5):
-    return st.lists(
-        st.integers(min_value=0, max_value=max_degree), min_size=dim, max_size=dim
-    ).filter(lambda e: sum(e) <= max_degree)
+@st.composite
+def exponents_st(draw, dim: int, max_degree: int = 5):
+    # each exponent is drawn from the degree budget the earlier ones left,
+    # which reaches every exponent list of total degree <= max_degree
+    # without rejecting draws
+    exps = []
+    for _ in range(dim):
+        exps.append(draw(st.integers(min_value=0, max_value=max_degree - sum(exps))))
+    return exps
 
 
 def polys_st(dim: int, max_degree: int = 5, max_terms: int = 6):

@@ -237,6 +237,19 @@ class TestApprox:
         assert code == 0
         assert json.loads(out)["weighted_l1_error"] == "8/315"
 
+    def test_profile_with_negative_second_derivative_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "approx", "--n", "2", "--r", "1",
+            "--f", "x1^2*x2^2",
+            "--h", "-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4",
+            "--phi", "t^4/12 - t^3/600 + 3/250000*t^2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: phi'' is negative at u = ")
+
 
 class TestCrosscheck:
     def test_single_poly_within_tolerance(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from cubeharm.onesided import (
     weighted_l1_error,
 )
 from cubeharm.parser import parse_unipoly
-from cubeharm.poly import Poly, evaluate
+from cubeharm.poly import Poly, evaluate, rational_to_text
 from cubeharm.sampling import random_poly
 
 D21 = CubeDomain(2, Fraction(1))
@@ -121,6 +122,60 @@ class TestCheckOnesided:
                     assert evaluate(p, (a, b)) >= 0
 
 
+def grid_coords(d: CubeDomain, npts: int) -> list[Fraction]:
+    return [Fraction(2 * i, npts - 1) * d.r - d.r for i in range(npts)]
+
+
+def brute_force_grid(p: Poly, d: CubeDomain, npts: int) -> dict:
+    """Fraction walk over the grid in C order: the first negative value and
+    its point, else the first minimum, as OneSidedness.to_dict() reports it."""
+    best = None
+    for point in itertools.product(grid_coords(d, npts), repeat=d.n):
+        value = evaluate(p, point)
+        if best is None or value < best:
+            best, witness = value, point
+        if best < 0:
+            return {
+                "status": FAILED,
+                "grid_points_per_axis": npts,
+                "grid_min": rational_to_text(best),
+                "negative_witness": [rational_to_text(v) for v in witness],
+            }
+    return {
+        "status": HEURISTIC,
+        "grid_points_per_axis": npts,
+        "grid_min": rational_to_text(best),
+    }
+
+
+def walk_case(seed: int) -> tuple[Poly, CubeDomain, int]:
+    """A random polynomial shifted by its grid minimum, so the verdicts split
+    between failed, heuristic with grid_min exactly 0, and heuristic above 0."""
+    rng = random.Random(seed)
+    n = 2 + seed % 3
+    d = CubeDomain(n, rng.choice([Fraction(1), Fraction(3, 2), Fraction(1, 3)]))
+    npts = rng.randint(2, 9 if n < 4 else 6)
+    p = random_poly(rng, n, max_degree=6, max_terms=6)
+    low = min(evaluate(p, x) for x in itertools.product(grid_coords(d, npts), repeat=n))
+    shift = rng.choice([Fraction(-1, 7), Fraction(0), Fraction(1, 3)])
+    return p + Poly.const(n, shift - low), d, npts
+
+
+class TestLatticeWalk:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_fraction_walk(self, seed):
+        p, d, npts = walk_case(seed)
+        result = check_onesided(p, d, grid_points_per_axis=npts)
+        assert result.to_dict() == brute_force_grid(p, d, npts)
+
+    def test_cases_cover_every_verdict(self):
+        grid_mins = {
+            (ref["status"], Fraction(ref["grid_min"]) > 0)
+            for ref in (brute_force_grid(*walk_case(seed)) for seed in range(30))
+        }
+        assert grid_mins == {(FAILED, False), (HEURISTIC, False), (HEURISTIC, True)}
+
+
 class TestCertifyBestApprox:
     def test_example1(self, example1):
         f, h = example1
@@ -207,6 +262,17 @@ class TestWeightedError:
         f, h = example1
         with pytest.raises(WeightConditionError):
             weighted_l1_error(f, h, D21, parse_unipoly("t^2 - t^3"))
+
+    def test_concave_dip_in_second_derivative_rejected(self, example1):
+        # phi'' = t^2 - t/100 + 3/125000 < 0 on (1/250, 3/500), between any
+        # two of 101 uniform samples of [0, 1]
+        f, h = example1
+        phi = parse_unipoly("t^4/12 - t^3/600 + 3/250000*t^2")
+        with pytest.raises(WeightConditionError, match=r"phi'' is negative at u = ") as info:
+            weighted_l1_error(f, h, D21, phi)
+        u = Fraction(str(info.value).split("u = ")[1].split(":")[0])
+        assert Fraction(1, 250) < u < Fraction(3, 500)
+        assert phi.derivative(2)(u) < 0
 
     def test_wrong_side_rejected(self):
         with pytest.raises(ValueError):

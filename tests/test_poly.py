@@ -15,6 +15,7 @@ from cubeharm.poly import (
     partial,
     poly_sqrt,
     poly_to_text,
+    uni_negative_point,
 )
 
 x1 = Poly.variable(2, 1)
@@ -117,6 +118,39 @@ class TestUniPoly:
     def test_trailing_zeros_trimmed(self):
         assert UniPoly([1, 2, 0, 0]) == UniPoly([1, 2])
         assert UniPoly([0, 0]).is_zero
+
+
+class TestUniNegativePoint:
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi",
+        [
+            ([0, -1, 1], 0, 1),  # t^2 - t: roots at both ends, negative between
+            ([0, 0, -1, 1], 0, 1),  # t^2 (t - 1): double root at 0, simple one at 1
+            ([Fraction(6, 250000), Fraction(-1, 100), 1], 0, 1),  # dip on (1/250, 3/500)
+            ([Fraction(1, 4) - Fraction(1, 10**6), -1, 1], 0, 1),  # dip around 1/2
+            ([-1], 0, Fraction(1, 3)),
+        ],
+    )
+    def test_finds_a_negative_point(self, coeffs, lo, hi):
+        g = UniPoly(coeffs)
+        u = uni_negative_point(g, Fraction(lo), Fraction(hi))
+        assert u is not None
+        assert lo <= u <= hi
+        assert g(u) < 0
+
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi",
+        [
+            ([], 0, 1),
+            ([3], 0, 1),
+            ([Fraction(1, 4), -1, 1], 0, 1),  # (t - 1/2)^2, double root inside
+            ([0, 0, 1], 0, 1),  # t^2, double root at the left end
+            ([1, -2, 1], 0, 1),  # (t - 1)^2, double root at the right end
+            ([0, -1, 1], 1, 2),  # t^2 - t, simple root at the left end
+        ],
+    )
+    def test_nonnegative_has_no_point(self, coeffs, lo, hi):
+        assert uni_negative_point(UniPoly(coeffs), Fraction(lo), Fraction(hi)) is None
 
 
 class TestAlgebraProperties:

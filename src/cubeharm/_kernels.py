@@ -1,8 +1,9 @@
-"""Hot evaluation kernel for the floating-point quadrature oracle.
+"""Pointwise evaluation kernel for the floating-point quadrature oracle.
 
-Evaluating a sparse polynomial on hundreds of thousands of quadrature nodes
-dominates oracle runtime.  The kernel is a numpy loop over terms; it
-accumulates in term order, so it is deterministic.
+The oracle sums its integrals by factorization and needs point values only
+in `numeric_l1`, whose integrand |f - h| does not separate; this kernel
+evaluates f - h on that function's cell grids.  It is a numpy loop over
+terms and accumulates in term order, so it is deterministic.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .identities import Identity, SuiteConfig, run_suite
 from .integrate import CubeDomain, Weight, integrate_boundary, integrate_cube, integrate_diagonal
 from .kernel import BasisRequest, graded_basis
-from .onesided import certify_best_approx, weighted_l1_error
+from .onesided import MAX_GRID_POINTS, certify_best_approx
 from .oracle import (
     QuadratureSpec,
     numeric_integrate_boundary,
@@ -246,7 +246,7 @@ def cmd_approx(args) -> int:
     if args.phi is not None:
         phi = parse_unipoly(args.phi)
         payload["phi"] = args.phi
-        payload["weighted_l1_error"] = rational_to_text(weighted_l1_error(f, h, d, phi))
+        payload["weighted_l1_error"] = rational_to_text(cert.weighted_l1_error(phi))
     data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     _emit(args, data)
     return 0
@@ -293,6 +293,10 @@ def cmd_grid(args) -> int:
     res = args.res
     if res < 1:
         raise UsageError(f"grid resolution must be >= 1, got {res}")
+    if res * res > MAX_GRID_POINTS:
+        raise UsageError(
+            f"grid resolution {res} gives {res * res} points, above the limit of {MAX_GRID_POINTS}"
+        )
     coords = (
         [Fraction(0)]
         if res == 1

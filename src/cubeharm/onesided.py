@@ -238,6 +238,11 @@ class ApproxCertificate:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
+    def weighted_l1_error(self, phi: UniPoly) -> Fraction:
+        """The module's weighted_l1_error for this f, h and domain, decided
+        by this certificate's one-sided verdict instead of a second walk."""
+        return _weighted_error(self.f - self.h, self.domain, phi, self.onesided)
+
 
 def certify_best_approx(
     f: Poly,
@@ -270,14 +275,27 @@ def weighted_l1_error(
     h: Poly,
     d: CubeDomain,
     phi: UniPoly,
+    grid_points_per_axis: int = DEFAULT_GRID,
 ) -> Fraction:
     """Exact weighted error int (f - h) phi''(r - M) over the cube.
 
     Requires phi(0) = phi'(0) = 0 (symbolic check) and phi', phi'' >= 0 on
     [0, r], decided exactly by Sturm-sequence root isolation; a violation is
     reported with a rational witness u.  f - h must not be negative anywhere
-    on the grid of check_onesided.
+    on the grid of check_onesided, walked at grid_points_per_axis.
     """
+    return _weighted_error(f - h, d, phi, None, grid_points_per_axis)
+
+
+def _weighted_error(
+    diff: Poly,
+    d: CubeDomain,
+    phi: UniPoly,
+    onesided: OneSidedness | None,
+    grid_points_per_axis: int = DEFAULT_GRID,
+) -> Fraction:
+    """weighted_l1_error of diff = f - h, given check_onesided's verdict on
+    diff, or None to walk the grid once the weight conditions hold."""
     from .identities import WeightConditionError, _require_vanishing
 
     _require_vanishing(phi, 2)
@@ -286,8 +304,8 @@ def weighted_l1_error(
         u = uni_negative_point(g, Fraction(0), d.r)
         if u is not None:
             raise WeightConditionError(f"{name} is negative at u = {u}: {g(u)}")
-    diff = f - h
-    onesided = check_onesided(diff, d)
+    if onesided is None:
+        onesided = check_onesided(diff, d, grid_points_per_axis)
     if onesided.kind == FAILED:
         raise ValueError(
             f"f - h is negative at {tuple(map(str, onesided.negative_witness or ()))}"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -251,6 +252,63 @@ class TestApprox:
         assert err.startswith("error: phi'' is negative at u = ")
 
 
+    HEURISTIC_ARGS = (
+        "approx", "--n", "3", "--r", "1",
+        "--f", "x1^4 + x2^2 + x3^2 + 1", "--h", "x1^2 - x2^2",
+    )
+
+    def _count_walks(self, monkeypatch):
+        import cubeharm.onesided as onesided
+
+        grids = []
+        walk = onesided.check_onesided
+
+        def counted(diff, d, grid_points_per_axis=onesided.DEFAULT_GRID, **kwargs):
+            grids.append(grid_points_per_axis)
+            return walk(diff, d, grid_points_per_axis, **kwargs)
+
+        monkeypatch.setattr(onesided, "check_onesided", counted)
+        return grids
+
+    def test_phi_walks_the_grid_once_at_grid(self, capsys, monkeypatch):
+        grids = self._count_walks(monkeypatch)
+        code, out, _ = run_cli(capsys, *self.HEURISTIC_ARGS, "--grid", "5", "--phi", "t^2/2")
+        assert code == 0
+        assert grids == [5]
+        payload = json.loads(out)
+        assert payload["onesided"]["grid_points_per_axis"] == 5
+        assert payload["weighted_l1_error"] == payload["l1_error"]
+
+    def test_phi_report_at_default_grid(self, capsys, monkeypatch):
+        # the bytes the report had when weighted_l1_error walked its own grid
+        from fractions import Fraction
+
+        from cubeharm.integrate import CubeDomain
+        from cubeharm.onesided import certify_best_approx, weighted_l1_error
+        from cubeharm.parser import ExprSource, parse_poly, parse_unipoly
+        from cubeharm.poly import rational_to_text
+
+        f = parse_poly(ExprSource("x1^4 + x2^2 + x3^2 + 1", expected_dim=3))
+        h = parse_poly(ExprSource("x1^2 - x2^2", expected_dim=3))
+        d, phi = CubeDomain(3, Fraction(1)), parse_unipoly("t^3/6")
+        expected = certify_best_approx(f, h, d).to_dict()
+        expected["phi"] = "t^3/6"
+        expected["weighted_l1_error"] = rational_to_text(weighted_l1_error(f, h, d, phi))
+        grids = self._count_walks(monkeypatch)
+        code, out, _ = run_cli(capsys, *self.HEURISTIC_ARGS, "--phi", "t^3/6")
+        assert code == 0
+        assert grids == [41]
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_phi_on_negative_gap_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "approx", "--n", "2", "--f", "x1^2 - 1/2", "--h", "0", "--phi", "t^2/2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: f - h is negative at ")
+
+
 class TestCrosscheck:
     def test_single_poly_within_tolerance(self, capsys):
         code, out, _ = run_cli(
@@ -267,6 +325,18 @@ class TestCrosscheck:
             "crosscheck", "--n", "3", "--count", "3", "--seed", "7", "--tol", "1e-9",
         )
         assert code == 0
+
+    def test_points_per_axis_above_cap_refused(self, capsys):
+        from cubeharm.oracle import MAX_POINTS_PER_AXIS
+
+        code, out, err = run_cli(
+            capsys, "crosscheck", "--n", "2", "--poly", "x1^2",
+            "--points-per-axis", str(MAX_POINTS_PER_AXIS + 1),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "points_per_axis" in err
 
 
 class TestGrid:
@@ -321,6 +391,21 @@ class TestGrid:
     def test_requires_dimension_two(self, capsys):
         code, _, err = run_cli(capsys, "grid", "--n", "3", "--f", "x1")
         assert code == 1
+
+    def test_resolution_above_point_budget_refused(self, capsys, monkeypatch):
+        import cubeharm.cli as cli
+        from cubeharm.onesided import MAX_GRID_POINTS
+
+        def refuse(*args):
+            raise AssertionError("grid built before the budget check")
+
+        monkeypatch.setattr(cli, "evaluate", refuse)
+        res = math.isqrt(MAX_GRID_POINTS) + 1
+        code, out, err = run_cli(capsys, "grid", "--n", "2", "--f", "x1", "--res", str(res))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: grid resolution {res} gives ")
 
 
 class TestDeterminism:

@@ -1,8 +1,16 @@
+import ast
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cubeharm.oracle as oracle
 from conftest import pp, seeded_random_polys
 from cubeharm._kernels import evaluate_terms
 from cubeharm.integrate import (
@@ -13,6 +21,8 @@ from cubeharm.integrate import (
     integrate_diagonal,
 )
 from cubeharm.oracle import (
+    MAX_POINTS_PER_AXIS,
+    QuadratureSpec,
     gauss_legendre,
     numeric_integrate_boundary,
     numeric_integrate_cube,
@@ -21,7 +31,7 @@ from cubeharm.oracle import (
     numeric_integrate_diagonal_many,
     numeric_l1,
 )
-from cubeharm.poly import Poly
+from cubeharm.poly import Poly, UniPoly
 
 D21 = CubeDomain(2, Fraction(1))
 
@@ -160,3 +170,159 @@ class TestOracleAgreement:
         w = Weight.power(2)
         assert rel_dev(integrate_cube(p, d, w), numeric_integrate_cube(p, d, w)) < 1e-10
         assert rel_dev(integrate_diagonal(p, d, w), numeric_integrate_diagonal(p, d, w)) < 1e-10
+
+
+# -- pointwise tensor reference ------------------------------------------------
+# The oracle sums its rule by factorization.  These integrators evaluate the
+# same rule node by node on the full cell grids, so the cell geometry (cell
+# and sheet placement, signs, Jacobians, profile argument) is checked point
+# by point.
+
+
+def _tensor_cells(p, d, tied, jacobian, weight, q):
+    n, r = d.n, float(d.r)
+    exps, coeffs = oracle._poly_arrays(p)
+    nodes, t_weights = gauss_legendre(q)
+    t = r * (nodes + 1.0) / 2.0
+    wt = t_weights * r / 2.0
+    box_pts, box_w = oracle._box_grid(n - tied, q)
+    nbox = box_pts.shape[0]
+    if weight is None:  # a face: t = r only, no radial weight
+        t, wt = np.array([r]), np.array([1.0])
+    phi = [float(weight.profile(d.r - Fraction(x))) for x in t] if weight else None
+    cells = []
+    for axes in combinations(range(n), tied):
+        free = [k for k in range(n) if k not in axes]
+        for signs in product((1.0, -1.0), repeat=tied):
+            pts = np.empty((len(t) * nbox, n))
+            wvec = np.empty(len(t) * nbox)
+            for ti in range(len(t)):
+                block = slice(ti * nbox, (ti + 1) * nbox)
+                for axis, sign in zip(axes, signs):
+                    pts[block, axis] = sign * t[ti]
+                for pos, k in enumerate(free):
+                    pts[block, k] = t[ti] * box_pts[:, pos]
+                wvec[block] = wt[ti] * t[ti] ** jacobian * box_w * (phi[ti] if phi else 1.0)
+            cells.append(float(np.dot(evaluate_terms(pts, exps, coeffs), wvec)))
+    return math.fsum(cells)
+
+
+def tensor_cube(p, d, w, q=24):
+    return _tensor_cells(p, d, 1, d.n - 1, w, q)
+
+
+def tensor_diagonal(p, d, w, q=24):
+    return _tensor_cells(p, d, 2, d.n - 2, w, q)
+
+
+def tensor_boundary(p, d, q=24):
+    return _tensor_cells(p, d, 1, d.n - 1, None, q)
+
+
+REFERENCE_CASES = [
+    ("x1^4*x2^2 - 3*x2^2 + 1/2", 2),
+    ("x1^3*x2 + x1*x2^5 - 2*x1", 2),  # odd in every cell pair: cancels to 0
+    ("x1^2*x2^2*x3^2 - x3^6 + x1*x2^2", 3),
+    ("x1^5*x2^2*x3 + 7/3*x1^2*x3^4 - x2^3", 3),
+]
+REFERENCE_WEIGHTS = [Weight.power(k) for k in (0, 1, 2)] + [
+    Weight.from_profile(UniPoly([0, Fraction(1, 2), 0, 3]))
+]
+
+
+def close(value, reference):
+    return abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+
+
+class TestTensorReference:
+    @pytest.mark.parametrize("text,n", REFERENCE_CASES)
+    def test_factorized_matches_pointwise(self, text, n):
+        p = pp(text, n)
+        d = CubeDomain(n, Fraction(3, 2))
+        cube = numeric_integrate_cube_many(p, d, REFERENCE_WEIGHTS)
+        diag = numeric_integrate_diagonal_many(p, d, REFERENCE_WEIGHTS)
+        for w, c, g in zip(REFERENCE_WEIGHTS, cube, diag):
+            assert close(c, tensor_cube(p, d, w))
+            assert close(g, tensor_diagonal(p, d, w))
+        assert close(numeric_integrate_boundary(p, d), tensor_boundary(p, d))
+
+    def test_odd_case_cancels(self):
+        p = pp(REFERENCE_CASES[1][0], 2)
+        d = CubeDomain(2, Fraction(3, 2))
+        for w in REFERENCE_WEIGHTS:
+            assert abs(numeric_integrate_cube(p, d, w)) < 1e-13
+            assert abs(numeric_integrate_diagonal(p, d, w)) < 1e-13
+            assert abs(tensor_cube(p, d, w)) < 1e-13
+        assert abs(numeric_integrate_boundary(p, d)) < 1e-13
+
+    def test_reference_agrees_with_exact(self):
+        # the reference itself is the rule it claims to be
+        p = pp(REFERENCE_CASES[2][0], 3)
+        d = CubeDomain(3, Fraction(3, 2))
+        w = REFERENCE_WEIGHTS[-1]
+        assert rel_dev(integrate_cube(p, d, w), tensor_cube(p, d, w)) < 1e-12
+        assert rel_dev(integrate_diagonal(p, d, w), tensor_diagonal(p, d, w)) < 1e-12
+        assert rel_dev(integrate_boundary(p, d), tensor_boundary(p, d)) < 1e-12
+
+
+class TestFactorizedPath:
+    def test_no_point_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointwise path used")
+
+        monkeypatch.setattr(oracle, "_box_grid", refuse)
+        monkeypatch.setattr("cubeharm._kernels.evaluate_terms", refuse)
+        p = pp("x1^4*x2^2*x3 - x3^2", 3)
+        d = CubeDomain(3, Fraction(1))
+        numeric_integrate_cube_many(p, d, [Weight.power(1)])
+        numeric_integrate_diagonal_many(p, d, [Weight.power(1)])
+        numeric_integrate_boundary(p, d)
+
+    def test_imports_from_integrate(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "integrate"
+            for alias in node.names
+        }
+        assert names == {"CubeDomain", "Weight"}
+
+    def test_zero_polynomial(self):
+        d = CubeDomain(3, Fraction(1))
+        assert numeric_integrate_cube_many(Poly.zero(3), d, [Weight.power(0)]) == [0.0]
+        assert numeric_integrate_boundary(Poly.zero(3), d) == 0.0
+
+
+def test_package_import_does_not_load_numpy():
+    code = "import sys, cubeharm, cubeharm.cli; print('numpy' in sys.modules)"
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout == "False\n"
+
+
+class TestBudgets:
+    def test_points_per_axis_capped(self):
+        QuadratureSpec(points_per_axis=MAX_POINTS_PER_AXIS)
+        with pytest.raises(ValueError, match="points_per_axis"):
+            QuadratureSpec(points_per_axis=MAX_POINTS_PER_AXIS + 1)
+        with pytest.raises(ValueError, match="points_per_axis"):
+            QuadratureSpec(points_per_axis=1)
+
+    def test_l1_refuses_oversized_cell(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(oracle, "_box_grid", refuse)
+        monkeypatch.setattr(oracle, "gauss_legendre", refuse)
+        d = CubeDomain(5, Fraction(1))
+        with pytest.raises(ValueError, match="nodes on a cell"):
+            numeric_l1(pp("x1^2", 5), Poly.zero(5), d)  # 24^5 nodes
+        with pytest.raises(ValueError, match="nodes on a cell"):
+            numeric_l1(pp("x1^2", 3), Poly.zero(3), CubeDomain(3, 1), QuadratureSpec(101))

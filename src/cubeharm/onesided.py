@@ -275,16 +275,15 @@ def weighted_l1_error(
     h: Poly,
     d: CubeDomain,
     phi: UniPoly,
-    grid_points_per_axis: int = DEFAULT_GRID,
 ) -> Fraction:
     """Exact weighted error int (f - h) phi''(r - M) over the cube.
 
     Requires phi(0) = phi'(0) = 0 (symbolic check) and phi', phi'' >= 0 on
     [0, r], decided exactly by Sturm-sequence root isolation; a violation is
     reported with a rational witness u.  f - h must not be negative anywhere
-    on the grid of check_onesided, walked at grid_points_per_axis.
+    on the grid of check_onesided.
     """
-    return _weighted_error(f - h, d, phi, None, grid_points_per_axis)
+    return _weighted_error(f - h, d, phi, None)
 
 
 def _weighted_error(
@@ -292,7 +291,6 @@ def _weighted_error(
     d: CubeDomain,
     phi: UniPoly,
     onesided: OneSidedness | None,
-    grid_points_per_axis: int = DEFAULT_GRID,
 ) -> Fraction:
     """weighted_l1_error of diff = f - h, given check_onesided's verdict on
     diff, or None to walk the grid once the weight conditions hold."""
@@ -305,7 +303,7 @@ def _weighted_error(
         if u is not None:
             raise WeightConditionError(f"{name} is negative at u = {u}: {g(u)}")
     if onesided is None:
-        onesided = check_onesided(diff, d, grid_points_per_axis)
+        onesided = check_onesided(diff, d)
     if onesided.kind == FAILED:
         raise ValueError(
             f"f - h is negative at {tuple(map(str, onesided.negative_witness or ()))}"

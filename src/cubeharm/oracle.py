@@ -39,8 +39,8 @@ Node generation follows the classic Newton iteration on the Legendre
 recurrence rather than any table.  In the factorized path every sum over
 nodes, terms and cells is a math.fsum, so results are correctly rounded
 sums of the same products, independent of term order and stable run to
-run; the one-dimensional tables are memoized per rule, radius and profile.
-numpy is imported only where arrays are built, so importing the package
+run; the one-dimensional tables are built afresh on every call, in
+O(q * degree) work.  numpy is imported only where arrays are built, so importing the package
 does not load it.
 """
 
@@ -61,7 +61,6 @@ if TYPE_CHECKING:
 
 MAX_POINTS_PER_AXIS = 256  # the Newton node build is O(q^2) in Python
 MAX_CELL_POINTS = 10**6  # nodes numeric_l1 may evaluate on one cell (q^n)
-_TABLE_CACHE_SIZE = 256  # entries per one-dimensional table cache
 
 
 @dataclass(frozen=True)
@@ -143,15 +142,14 @@ def _box_grid(naxes: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def _horner(coeffs: tuple[Fraction, ...], u: float) -> float:
-    """phi(u) in floats for the profile with the given coefficients."""
+def _horner(coeffs: list[float], u: float) -> float:
+    """phi(u) for the profile with the given float coefficients."""
     value = 0.0
     for c in reversed(coeffs):
-        value = value * u + float(c)
+        value = value * u + c
     return value
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _box_moments(npts: int, top: int) -> tuple[float, ...]:
     """M[e] = sum_q w_q s_q^e for e = 0..top."""
     nodes, weights = gauss_legendre(npts)
@@ -159,7 +157,6 @@ def _box_moments(npts: int, top: int) -> tuple[float, ...]:
     return tuple(math.fsum(w * s**e for s, w in pairs) for e in range(top + 1))
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _radial_sums(
     coeffs: tuple[Fraction, ...], r: float, npts: int, jacobian: int, top: int
 ) -> tuple[float, ...]:
@@ -167,8 +164,9 @@ def _radial_sums(
     rule mapped to t in [0, r], for the profile phi with the given
     coefficients."""
     nodes, weights = gauss_legendre(npts)
+    phi = [float(c) for c in coeffs]
     t = [r * (x + 1.0) / 2.0 for x in nodes.tolist()]
-    wphi = [w * r / 2.0 * _horner(coeffs, r - x) for x, w in zip(t, weights.tolist())]
+    wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights.tolist())]
     return tuple(
         math.fsum(c * x ** (e + jacobian) for c, x in zip(wphi, t)) for e in range(top + 1)
     )

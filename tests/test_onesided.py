@@ -278,15 +278,6 @@ class TestWeightedError:
         with pytest.raises(ValueError):
             weighted_l1_error(Poly.zero(2), pp("x1", 2), D21, parse_unipoly("t^2/2"))
 
-    def test_grid_is_the_given_one(self):
-        # negative only near x1 = 0: a 3-point grid has its middle row there,
-        # a 2-point grid only the corners
-        f, h = pp("x1^2 - 1/100", 2), Poly.zero(2)
-        phi = parse_unipoly("t^2/2")
-        with pytest.raises(ValueError, match="f - h is negative"):
-            weighted_l1_error(f, h, D21, phi, grid_points_per_axis=3)
-        assert weighted_l1_error(f, h, D21, phi, grid_points_per_axis=2) == Fraction(4, 3) - Fraction(4, 100)
-
     def test_certificate_reuses_its_verdict(self, example1):
         f, h = example1
         cert = certify_best_approx(f, h, D21)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .identities import Identity, SuiteConfig, run_suite
 from .integrate import CubeDomain, Weight, integrate_boundary, integrate_cube, integrate_diagonal
 from .kernel import BasisRequest, graded_basis
-from .onesided import MAX_GRID_POINTS, certify_best_approx
+from .onesided import certify_best_approx
 from .oracle import (
     QuadratureSpec,
     numeric_integrate_boundary,
@@ -42,6 +42,12 @@ from .oracle import (
 from .parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
 from .poly import Limits, Poly, evaluate, poly_to_text, rational_to_text
 from .sampling import random_poly
+
+# Work `grid` may do, in term evaluations: every point evaluates each term of
+# f and h exactly and writes a CSV row that costs about two more.  A term
+# evaluation takes about 10-13 us, so this is a few seconds of work and at
+# most about 170,000 rows (about 80 bytes each) of CSV held in memory.
+MAX_GRID_TERM_EVALS = 500_000
 
 _IDENTITY_TOKENS = {
     "surface": Identity.SURFACE_MEAN,
@@ -293,9 +299,11 @@ def cmd_grid(args) -> int:
     res = args.res
     if res < 1:
         raise UsageError(f"grid resolution must be >= 1, got {res}")
-    if res * res > MAX_GRID_POINTS:
+    per_point = len(f.terms) + len(h.terms) + 2
+    if res * res * per_point > MAX_GRID_TERM_EVALS:
         raise UsageError(
-            f"grid resolution {res} gives {res * res} points, above the limit of {MAX_GRID_POINTS}"
+            f"grid resolution {res} gives {res * res} points of {per_point} term evaluations "
+            f"each, above the limit of {MAX_GRID_TERM_EVALS} in all"
         )
     coords = (
         [Fraction(0)]

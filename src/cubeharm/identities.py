@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .integrate import CubeDomain, Region, Weight, integrate_boundary, integrate_cube, integrate_diagonal, measure
-from .kernel import BasisRequest, BasisSet, graded_basis, is_polyharmonic
+from .kernel import BasisRequest, BasisSet, graded_basis
 from .poly import Poly, UniPoly, laplacian, rational_to_text, uni_to_text
 
 
@@ -50,20 +50,33 @@ class Identity(enum.Enum):
     PIZZETTI = "pizzetti"
 
 
-def residual_surface_mean(h: Poly, d: CubeDomain) -> Fraction:
-    """Boundary mean minus diagonal mean (both unweighted)."""
-    boundary = integrate_boundary(h, d) / measure(d, Region.BOUNDARY, 0)
-    diagonal = integrate_diagonal(h, d, Weight.power(0)) / measure(d, Region.DIAGONAL, 0)
-    return boundary - diagonal
+# Each factory below makes one parameter's weights and masses once and
+# returns the residual of one element; the public residual_* functions and
+# run_suite both go through them.
 
 
-def residual_volume_mean(h: Poly, d: CubeDomain, k: int = 0) -> Fraction:
-    """Weighted cube mean (power k) minus weighted diagonal mean (power k+1)."""
-    cube = integrate_cube(h, d, Weight.power(k)) / measure(d, Region.CUBE, k)
-    diagonal = integrate_diagonal(h, d, Weight.power(k + 1)) / measure(
-        d, Region.DIAGONAL, k + 1
-    )
-    return cube - diagonal
+def _surface_mean(d: CubeDomain) -> Callable[[Poly], Fraction]:
+    boundary_mass = measure(d, Region.BOUNDARY, 0)
+    diagonal_mass = measure(d, Region.DIAGONAL, 0)
+    weight = Weight.power(0)
+
+    def residual(h: Poly) -> Fraction:
+        boundary = integrate_boundary(h, d) / boundary_mass
+        return boundary - integrate_diagonal(h, d, weight) / diagonal_mass
+
+    return residual
+
+
+def _volume_mean(d: CubeDomain, k: int) -> Callable[[Poly], Fraction]:
+    cube_weight, diagonal_weight = Weight.power(k), Weight.power(k + 1)
+    cube_mass = measure(d, Region.CUBE, k)
+    diagonal_mass = measure(d, Region.DIAGONAL, k + 1)
+
+    def residual(h: Poly) -> Fraction:
+        cube = integrate_cube(h, d, cube_weight) / cube_mass
+        return cube - integrate_diagonal(h, d, diagonal_weight) / diagonal_mass
+
+    return residual
 
 
 def _require_vanishing(phi: UniPoly, order: int) -> None:
@@ -76,15 +89,65 @@ def _require_vanishing(phi: UniPoly, order: int) -> None:
             )
 
 
+def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[Poly], Fraction]:
+    cube_weight = Weight.from_profile(phi.derivative(2))
+    diagonal_weight = Weight.from_profile(phi.derivative(1))
+
+    def residual(h: Poly) -> Fraction:
+        _require_vanishing(phi, 2)
+        cube = integrate_cube(h, d, cube_weight)
+        return cube - 2 * integrate_diagonal(h, d, diagonal_weight)
+
+    return residual
+
+
+def _laplacian_chain(g: Poly, m: int) -> list[Poly]:
+    """[g, Lap g, ..., Lap^m g]."""
+    chain = [g]
+    for _ in range(m):
+        chain.append(laplacian(chain[-1]))
+    return chain
+
+
+def _pizzetti(d: CubeDomain, m: int, phi: UniPoly) -> Callable[[list[Poly]], Fraction]:
+    """Residual of one element given as its Laplacian chain [g, ..., Lap^m g]."""
+    if m < 1:
+        raise ValueError(f"polyharmonic order must be >= 1, got {m}")
+    cube_weight = Weight.from_profile(phi.derivative(2 * m))
+    # diagonal_weights[s] carries phi^(2s+1) and applies to Lap^(m-1-s) g
+    diagonal_weights = [Weight.from_profile(phi.derivative(2 * s + 1)) for s in range(m)]
+
+    def residual(chain: list[Poly]) -> Fraction:
+        if not chain[m].is_zero:
+            raise NotPolyharmonicError(
+                f"input is not {m}-polyharmonic: Laplacian^{m} != 0"
+            )
+        _require_vanishing(phi, 2 * m)
+        cube = integrate_cube(chain[0], d, cube_weight)
+        diag = Fraction(0)
+        for s, weight in enumerate(diagonal_weights):
+            diag += integrate_diagonal(chain[m - 1 - s], d, weight)
+        return cube - 2 * diag
+
+    return residual
+
+
+def residual_surface_mean(h: Poly, d: CubeDomain) -> Fraction:
+    """Boundary mean minus diagonal mean (both unweighted)."""
+    return _surface_mean(d)(h)
+
+
+def residual_volume_mean(h: Poly, d: CubeDomain, k: int = 0) -> Fraction:
+    """Weighted cube mean (power k) minus weighted diagonal mean (power k+1)."""
+    return _volume_mean(d, k)(h)
+
+
 def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fraction:
     """int_cube phi''(r-M) h  -  2 int_diag phi'(r-M) h.
 
     Requires phi(0) = phi'(0) = 0, checked symbolically on the coefficients.
     """
-    _require_vanishing(phi, 2)
-    cube = integrate_cube(h, d, Weight.from_profile(phi.derivative(2)))
-    diag = integrate_diagonal(h, d, Weight.from_profile(phi.derivative(1)))
-    return cube - 2 * diag
+    return _weighted_quadrature(d, phi)(h)
 
 
 def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
@@ -93,25 +156,10 @@ def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
     int_cube phi^(2m)(r-M) g  -  2 sum_{s=0}^{m-1} int_diag phi^(2s+1)(r-M)
     applied to the (m-1-s)-fold Laplacian of g.  Requires the profile to
     vanish to order 2m at 0 and g to be m-polyharmonic; the two failures
-    raise distinct errors.
+    raise distinct errors, and the polyharmonic check comes first.
     """
-    if m < 1:
-        raise ValueError(f"polyharmonic order must be >= 1, got {m}")
-    if not is_polyharmonic(g, m):
-        raise NotPolyharmonicError(
-            f"input is not {m}-polyharmonic: Laplacian^{m} != 0"
-        )
-    _require_vanishing(phi, 2 * m)
-    cube = integrate_cube(g, d, Weight.from_profile(phi.derivative(2 * m)))
-    diag = Fraction(0)
-    power = g  # Laplacian^(m-1-s) of g, starting at s = m-1
-    terms = []
-    for s in range(m - 1, -1, -1):
-        terms.append((s, power))
-        power = laplacian(power)
-    for s, gg in sorted(terms):
-        diag += integrate_diagonal(gg, d, Weight.from_profile(phi.derivative(2 * s + 1)))
-    return cube - 2 * diag
+    residual = _pizzetti(d, m, phi)
+    return residual(_laplacian_chain(g, m))
 
 
 # -- suite runner --------------------------------------------------------------
@@ -224,24 +272,20 @@ def _labelled_elements(
 
 def _parameters(
     identity: Identity, d: CubeDomain, config: SuiteConfig
-) -> list[tuple[str, Callable[[Poly], Fraction]]]:
-    """(k_or_phi label, residual of one element) for each parameter, in order."""
+) -> list[tuple[str, Callable[[], Callable]]]:
+    """(k_or_phi label, factory of the residual of one element) for each
+    parameter, in order.  Pizzetti residuals take an element's Laplacian
+    chain, the others the element itself."""
     if identity is Identity.SURFACE_MEAN:
-        return [("", lambda p: residual_surface_mean(p, d))]
+        return [("", lambda: _surface_mean(d))]
     if identity is Identity.VOLUME_MEAN:
-        return [(str(k), lambda p, k=k: residual_volume_mean(p, d, k)) for k in config.ks]
+        return [(str(k), lambda k=k: _volume_mean(d, k)) for k in config.ks]
     if identity is Identity.WEIGHTED_QUADRATURE:
         phis = config.phis or default_quadrature_profiles()
-        return [
-            (uni_to_text(phi), lambda p, phi=phi: residual_weighted_quadrature(p, d, phi))
-            for phi in phis
-        ]
+        return [(uni_to_text(phi), lambda phi=phi: _weighted_quadrature(d, phi)) for phi in phis]
     if identity is Identity.PIZZETTI:
         phis = config.phis or default_pizzetti_profiles(config.m)
-        return [
-            (uni_to_text(phi), lambda p, phi=phi: residual_pizzetti(p, d, config.m, phi))
-            for phi in phis
-        ]
+        return [(uni_to_text(phi), lambda phi=phi: _pizzetti(d, config.m, phi)) for phi in phis]
     raise ValueError(f"unknown identity {identity!r}")
 
 
@@ -261,18 +305,29 @@ def run_suite(
     if isinstance(basis, BasisRequest):
         basis = graded_basis(basis)
     elements = _labelled_elements(basis)
+    polys = [p for _, p in elements]
     cases = [
-        (identity, k_or_phi, residual)
+        (identity, k_or_phi, build)
         for identity in identities
-        for k_or_phi, residual in _parameters(identity, d, config)
+        for k_or_phi, build in _parameters(identity, d, config)
     ]
+    # each element's Laplacian chain, shared by every Pizzetti profile
+    chains = (
+        [_laplacian_chain(p, config.m) for p in polys]
+        if any(identity is Identity.PIZZETTI for identity, _, _ in cases)
+        else None
+    )
     r = rational_to_text(d.r)
     entries = []
-    for identity, k_or_phi, residual in cases:
+    for identity, k_or_phi, build in cases:
         m = config.m if identity is Identity.PIZZETTI else 1
-        for label, p in elements:
+        inputs = chains if identity is Identity.PIZZETTI else polys
+        residual = None
+        for (label, _), x in zip(elements, inputs):
             try:
-                value = residual(p)
+                # built at the first element, so parameter errors carry its label
+                residual = residual or build()
+                value = residual(x)
             except ValueError as exc:
                 raise type(exc)(f"{identity.value} on {label}: {exc}") from exc
             entries.append(

@@ -1,16 +1,34 @@
-"""Bases of harmonic and polyharmonic polynomials via exact nullspaces.
+"""Bases of harmonic and polyharmonic polynomials by triangular recursion.
 
 The m-fold Laplacian maps homogeneous degree-d polynomials linearly onto
-degree d - 2m, so its kernel is computed degree by degree as the exact
-rational nullspace of a small matrix in monomial coordinates.  Pivoting is
-deterministic (columns in descending graded-lex order, first nonzero pivot),
-and basis vectors are raw pivot-column nullspace vectors with the free
-coordinate set to 1; nothing is normalized, so two runs emit byte-identical
-bases.
+degree d - 2m, so its kernel is computed degree by degree.  Write
+g = sum_j x1^j g_j(x2..xn) and let Lap' be the Laplacian in x2..xn.  The
+coefficient of x1^j in Lap^m g is
+sum_{a<=m} C(m,a) (j+2a)!/j! Lap'^(m-a) g_(j+2a), so g is in the kernel iff
+
+    g_(j+2m) = -j!/(j+2m)! * sum_{a<m} C(m,a) (j+2a)!/j! * Lap'^(m-a) g_(j+2a)
+
+for every j >= 0.  The slices g_0 .. g_(2m-1) are free and determine the
+rest.  For m = 1 this is the harmonic extension of Axler, Bourdon & Ramey,
+*Harmonic Function Theory* (2nd ed., GTM 137, ch. 5); for m > 1 it is the
+Almansi-type expansion of Aronszajn, Creese & Lipkin, *Polyharmonic
+Functions* (1983).
+
+The free monomials are those with x1-exponent <= 2m - 1, taken in
+descending graded-lex order, and each basis element has coefficient 1 at
+its own free monomial and 0 at every other free monomial.  In that order
+the monomials with x1-exponent >= 2m come first and map triangularly (in
+the x1-exponent) onto all of degree d - 2m, so they are the pivot columns
+of the reduced row echelon form and the free monomials are its free
+columns: the basis is the one exact elimination gives (pivot columns solved
+for, free coordinate 1), with no matrix built.  Nothing is normalized, so
+two runs emit byte-identical bases.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,9 +37,29 @@ from .poly import (
     Exponent,
     Limits,
     Poly,
+    _laplacian_terms,
     grlex_key,
     iterated_laplacian,
 )
+
+# Exponent entries (n for each monomial of degree <= max_degree) a basis
+# request may span.  On a shared 2-core x86_64 VM the basis costs about
+# 0.1 ms a monomial and a verify run over it about 0.5 ms (1.5 ms with all
+# four identities), so the largest admitted request finishes in seconds; at
+# n = 8 that is degree 6 (3003 monomials).  Counting n per monomial also
+# bounds the exponent tuples of high-dimensional requests.
+MAX_BASIS_EXPONENTS = 40_000
+
+
+def _exponent_entries(n: int, max_degree: int) -> int:
+    """n * sum_{d <= max_degree} C(n+d-1, d), or any larger number once that
+    exceeds MAX_BASIS_EXPONENTS."""
+    monomials = 1  # C(n + k, k): monomials of degree <= k
+    for k in range(1, max_degree + 1):
+        if n * monomials > MAX_BASIS_EXPONENTS:
+            break
+        monomials = monomials * (n + k) // k
+    return n * monomials
 
 
 @dataclass(frozen=True)
@@ -48,6 +86,11 @@ class BasisRequest:
             raise ValueError(
                 f"degree {self.max_degree} exceeds the configured limit {limits.max_degree}"
             )
+        if _exponent_entries(self.n, self.max_degree) > MAX_BASIS_EXPONENTS:
+            raise ValueError(
+                f"basis request n={self.n}, degree <= {self.max_degree} spans more than "
+                f"{MAX_BASIS_EXPONENTS} exponent entries (n for each monomial)"
+            )
 
 
 @dataclass(frozen=True)
@@ -65,82 +108,58 @@ class BasisSet:
 def monomials_of_degree(n: int, d: int) -> list[Exponent]:
     """All exponent tuples of total degree d, descending graded-lex order."""
     out: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, axes_left: int):
-        if axes_left == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, axes_left - 1)
-
-    rec([], d, n)
+    for axes in itertools.combinations_with_replacement(range(n), d):
+        exps = [0] * n
+        for i in axes:
+            exps[i] += 1
+        out.append(tuple(exps))
     out.sort(key=grlex_key, reverse=True)
     return out
 
 
-def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis vectors of an exact rational matrix.
+def _extend(free: Exponent, d: int, m: int) -> dict[Exponent, Fraction]:
+    """Term map of the kernel element with coefficient 1 at the free monomial
+    `free` and 0 at every other free monomial of degree d.
 
-    Reduced row echelon form with first-nonzero pivoting; one vector per
-    free column, free coordinate 1, in ascending free-column order.
+    Slices g_j (polynomials in x2..xn) are keyed by the power j of x1; only
+    those with j = free[0] (mod 2) and j >= free[0] can be nonzero.
     """
-    rows = [row[:] for row in matrix]
-    nrows = len(rows)
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for i in range(nrows):
-            if i != row and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[row])]
-        pivot_cols.append(col)
-        row += 1
-    pivot_set = set(pivot_cols)
-    vectors: list[list[Fraction]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for rr, pc in enumerate(pivot_cols):
-            v[pc] = -rows[rr][free]
-        vectors.append(v)
-    return vectors
+    j0 = free[0]
+    slices = {j0: {free[1:]: Fraction(1)}}
+    chains: dict[int, list[dict[Exponent, Fraction]]] = {}  # j -> [g_j, Lap' g_j, ...]
+
+    def lap_power(j: int, k: int) -> dict[Exponent, Fraction]:
+        chain = chains.setdefault(j, [slices[j]])
+        while len(chain) <= k:
+            chain.append(_laplacian_terms(chain[-1]))
+        return chain[k]
+
+    for j in range(j0 % 2, d - 2 * m + 1, 2):
+        acc: dict[Exponent, Fraction] = {}
+        for a in range(m):
+            if j + 2 * a not in slices:
+                continue
+            c = Fraction(
+                -math.comb(m, a) * math.factorial(j + 2 * a), math.factorial(j + 2 * m)
+            )
+            for beta, v in lap_power(j + 2 * a, m - a).items():
+                acc[beta] = acc.get(beta, 0) + c * v
+        acc = {beta: v for beta, v in acc.items() if v}
+        if acc:
+            slices[j + 2 * m] = acc
+    return {(j,) + beta: c for j, s in slices.items() for beta, c in s.items()}
 
 
 def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
     """Basis of homogeneous degree-d polynomials annihilated by the m-fold
-    Laplacian."""
+    Laplacian: one element per free monomial (x1-exponent <= 2m - 1), in
+    descending graded-lex order."""
     if n < 1 or d < 0 or m < 1:
         raise ValueError(f"invalid kernel request n={n}, d={d}, m={m}")
-    req = BasisRequest(n, d, m)
-    cols = monomials_of_degree(n, d)
-    target_degree = d - 2 * m
-    if target_degree < 0:
-        elements = tuple(Poly.monomial(n, e) for e in cols)
-        return BasisSet(elements, req)
-    target = monomials_of_degree(n, target_degree)
-    index = {e: i for i, e in enumerate(target)}
-    matrix = [[Fraction(0)] * len(cols) for _ in target]
-    for j, exps in enumerate(cols):
-        image = iterated_laplacian(Poly.monomial(n, exps), m)
-        for e, c in image.terms.items():
-            matrix[index[e]][j] += c
-    vectors = _nullspace(matrix, len(cols))
     elements = tuple(
-        Poly(n, {cols[i]: c for i, c in enumerate(v) if c}) for v in vectors
+        Poly(n, _extend(e, d, m)) for e in monomials_of_degree(n, d) if e[0] < 2 * m
     )
-    return BasisSet(elements, req)
+    return BasisSet(elements, BasisRequest(n, d, m))
 
 
 def graded_basis(req: BasisRequest, limits: Limits = DEFAULT_LIMITS) -> BasisSet:

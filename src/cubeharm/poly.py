@@ -230,18 +230,20 @@ def partial(p: Poly, axis: int) -> Poly:
     return Poly(p.dim, out)
 
 
+def _laplacian_terms(terms: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
+    """Laplacian of a term map {exponent: coefficient}, zero terms dropped."""
+    out: dict[Exponent, Fraction] = {}
+    for exps, coeff in terms.items():
+        for i, e in enumerate(exps):
+            if e > 1:
+                key = exps[:i] + (e - 2,) + exps[i + 1 :]
+                out[key] = out.get(key, 0) + coeff * (e * (e - 1))
+    return {e: c for e, c in out.items() if c}
+
+
 def laplacian(p: Poly) -> Poly:
     """Sum of second partials over all axes."""
-    out: dict[Exponent, Fraction] = {}
-    for exps, coeff in p.terms.items():
-        for i, e in enumerate(exps):
-            if e < 2:
-                continue
-            new = list(exps)
-            new[i] = e - 2
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * e * (e - 1)
-    return Poly(p.dim, out)
+    return Poly(p.dim, _laplacian_terms(p.terms))
 
 
 def iterated_laplacian(p: Poly, m: int) -> Poly:

@@ -169,6 +169,28 @@ class TestBasis:
         assert code == 0
         assert json.loads(out) == ["1/1", "1/1*x1", "1/1*x2"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--n", "20", "--deg", "40"],
+            ["basis", "--n", "2000", "--deg", "1"],
+            ["verify", "--n", "8", "--deg", "8"],
+            ["verify", "--n", "8", "--deg", "16", "--identities", "pizzetti", "--m", "3"],
+        ],
+    )
+    def test_request_above_term_budget_refused(self, capsys, monkeypatch, argv):
+        import cubeharm.kernel as kernel
+
+        def refuse(*args):
+            raise AssertionError("basis built before the budget check")
+
+        monkeypatch.setattr(kernel, "homogeneous_kernel", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: basis request n={argv[2]}, degree <= {argv[4]} spans more than ")
+
 
 class TestIntegrate:
     def test_diagonal_mass(self, capsys):
@@ -406,6 +428,33 @@ class TestGrid:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith(f"error: grid resolution {res} gives ")
+
+
+    @pytest.mark.parametrize(
+        "f,h,res,per_point",
+        [
+            ("x1", "0", 409, 3),
+            ("x1^2*x2^2 - x1^4", "x1^2 - x2^2 + x1*x2", 300, 7),
+            # dense degree 16 at the default resolution
+            ("+".join(f"x1^{i}*x2^{j}" for i in range(17) for j in range(17 - i)), "0", 101, 155),
+        ],
+        ids=["linear", "example", "dense16"],
+    )
+    def test_resolution_above_term_budget_refused(self, capsys, monkeypatch, f, h, res, per_point):
+        import cubeharm.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("grid built before the budget check")
+
+        monkeypatch.setattr(cli, "evaluate", refuse)
+        assert res * res * per_point > cli.MAX_GRID_TERM_EVALS
+        code, out, err = run_cli(capsys, "grid", "--n", "2", "--f", f, "--h", h, "--res", str(res))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(
+            f"error: grid resolution {res} gives {res * res} points of {per_point} term evaluations"
+        )
 
 
 class TestDeterminism:

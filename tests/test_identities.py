@@ -17,10 +17,11 @@ from cubeharm.identities import (
     residual_weighted_quadrature,
     run_suite,
 )
+import cubeharm.identities as identities
 from cubeharm.integrate import CubeDomain, Region, measure
 from cubeharm.kernel import BasisRequest, graded_basis
 from cubeharm.parser import parse_unipoly
-from cubeharm.poly import Poly, UniPoly
+from cubeharm.poly import Poly, UniPoly, laplacian, rational_to_text, uni_to_text
 
 D21 = CubeDomain(2, Fraction(1))
 D31 = CubeDomain(3, Fraction(1))
@@ -215,3 +216,108 @@ class TestRunSuite:
                 [Identity.PIZZETTI],
                 SuiteConfig(m=2),
             )
+
+
+ALL_IDENTITIES = [
+    Identity.SURFACE_MEAN,
+    Identity.VOLUME_MEAN,
+    Identity.WEIGHTED_QUADRATURE,
+    Identity.PIZZETTI,
+]
+
+
+def expected_entries(elements, d, config):
+    """(identity, k_or_phi, label, residual) in report order, from the public
+    residual functions called one element at a time."""
+    quadrature = config.phis or identities.default_quadrature_profiles()
+    pizzetti = config.phis or default_pizzetti_profiles(config.m)
+    out = []
+    for label, p in elements:
+        out.append(("surface_mean", "", label, residual_surface_mean(p, d)))
+    for k in config.ks:
+        for label, p in elements:
+            out.append(("volume_mean", str(k), label, residual_volume_mean(p, d, k)))
+    for phi in quadrature:
+        for label, p in elements:
+            value = residual_weighted_quadrature(p, d, phi)
+            out.append(("weighted_quadrature", uni_to_text(phi), label, value))
+    for phi in pizzetti:
+        for label, p in elements:
+            value = residual_pizzetti(p, d, config.m, phi)
+            out.append(("pizzetti", uni_to_text(phi), label, value))
+    return [(i, k, label, rational_to_text(v)) for i, k, label, v in out]
+
+
+class TestSuiteMatchesResiduals:
+    @pytest.mark.parametrize(
+        "m,phis",
+        [
+            (1, None),
+            (2, None),
+            (3, None),
+            (1, ("t^2/2 + t^3", "t^4/24 - 2*t^5")),
+            (2, ("t^4/24 + t^5/7", "t^6")),
+        ],
+    )
+    def test_element_by_element(self, m, phis):
+        d = CubeDomain(2, Fraction(3, 2))
+        basis = graded_basis(BasisRequest(2, 6, m))
+        config = SuiteConfig(
+            ks=(0, 2), m=m, phis=None if phis is None else tuple(map(parse_unipoly, phis))
+        )
+        report = run_suite(basis, d, ALL_IDENTITIES, config)
+        got = [(e.identity, e.k_or_phi, e.element_label, e.residual) for e in report.entries]
+        elements = identities._labelled_elements(basis)
+        assert got == expected_entries(elements, d, config)
+        if m > 1:  # the mean-value residuals of non-harmonic elements are nonzero
+            assert not report.all_pass
+
+    def test_laplacian_runs_m_times_per_element(self, monkeypatch):
+        basis = graded_basis(BasisRequest(2, 6, 2))
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return laplacian(p)
+
+        monkeypatch.setattr(identities, "laplacian", counting)
+        phis = tuple(parse_unipoly(f"t^{j}") for j in range(4, 10))
+        report = run_suite(
+            basis, D21, [Identity.PIZZETTI, Identity.PIZZETTI], SuiteConfig(m=2, phis=phis)
+        )
+        assert len(report.entries) == 2 * len(phis) * len(basis)
+        assert len(calls) == 2 * len(basis)
+
+    def test_identities_may_be_an_iterator(self):
+        args = (BasisRequest(2, 4, 2), D21)
+        config = SuiteConfig(m=2)
+        ids = [Identity.VOLUME_MEAN, Identity.PIZZETTI]
+        assert run_suite(*args, iter(ids), config) == run_suite(*args, ids, config)
+
+    def test_not_polyharmonic_before_profile_condition(self):
+        # x1^4 fails both the m = 2 condition and the profile condition
+        with pytest.raises(NotPolyharmonicError, match="pizzetti on quartic: input is not 2"):
+            run_suite(
+                [("quartic", pp("x1^4", 2))],
+                D21,
+                [Identity.PIZZETTI],
+                SuiteConfig(m=2, phis=(parse_unipoly("t^2/2"),)),
+            )
+
+    def test_profile_condition_carries_label(self):
+        with pytest.raises(WeightConditionError, match=r"pizzetti on sq: .*phi\^\(2\)"):
+            run_suite(
+                [("sq", pp("x1^2", 2))],
+                D21,
+                [Identity.PIZZETTI],
+                SuiteConfig(m=2, phis=(parse_unipoly("t^2/2"),)),
+            )
+
+    def test_parameter_errors_fire_only_at_an_element(self):
+        config = SuiteConfig(ks=(-1,), m=0)
+        ids = [Identity.VOLUME_MEAN, Identity.PIZZETTI]
+        assert run_suite([], D21, ids, config).entries == ()
+        with pytest.raises(ValueError, match="volume_mean on one: weight exponent"):
+            run_suite([("one", Poly.const(2, 1))], D21, ids, config)
+        with pytest.raises(ValueError, match="pizzetti on one: polyharmonic order"):
+            run_suite([("one", Poly.const(2, 1))], D21, [Identity.PIZZETTI], config)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import pp
+import cubeharm.kernel as kernel
 from cubeharm.kernel import (
     BasisRequest,
     graded_basis,
@@ -11,7 +12,7 @@ from cubeharm.kernel import (
     is_polyharmonic,
     monomials_of_degree,
 )
-from cubeharm.poly import Poly, iterated_laplacian, poly_to_text
+from cubeharm.poly import Limits, Poly, iterated_laplacian, poly_to_text
 
 
 def monomial_space_dim(n: int, d: int) -> int:
@@ -46,6 +47,86 @@ def rank_of(polys, n: int, d: int) -> int:
         rank += 1
         lead += 1
     return rank
+
+
+def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Nullspace basis vectors of an exact rational matrix.
+
+    Reduced row echelon form with first-nonzero pivoting; one vector per
+    free column, free coordinate 1, in ascending free-column order.  Rows
+    are held sparsely, as {column: value}; the arithmetic is that of the
+    dense elimination.
+    """
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    nrows = len(rows)
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, nrows) if col in rows[i]), None)
+        if sel is None:
+            continue
+        rows[row], rows[sel] = rows[sel], rows[row]
+        inv = 1 / rows[row][col]
+        pivot = rows[row] = {j: v * inv for j, v in rows[row].items()}
+        for i in range(nrows):
+            factor = rows[i].get(col)
+            if i != row and factor:
+                target = rows[i]
+                for j, v in pivot.items():
+                    value = target.get(j, 0) - factor * v
+                    if value:
+                        target[j] = value
+                    else:
+                        del target[j]
+        pivot_cols.append(col)
+        row += 1
+    pivot_set = set(pivot_cols)
+    vectors: list[list[Fraction]] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for rr, pc in enumerate(pivot_cols):
+            v[pc] = -rows[rr].get(free, Fraction(0))
+        vectors.append(v)
+    return vectors
+
+
+def eliminated_kernel(n: int, d: int, m: int) -> list[Poly]:
+    """The kernel basis by exact elimination: the m-fold Laplacian as a
+    matrix in monomial coordinates, columns in descending graded-lex order."""
+    cols = monomials_of_degree(n, d)
+    if d < 2 * m:
+        return [Poly.monomial(n, e) for e in cols]
+    target = monomials_of_degree(n, d - 2 * m)
+    index = {e: i for i, e in enumerate(target)}
+    matrix = [[Fraction(0)] * len(cols) for _ in target]
+    for j, exps in enumerate(cols):
+        for e, c in iterated_laplacian(Poly.monomial(n, exps), m).terms.items():
+            matrix[index[e]][j] += c
+    return [
+        Poly(n, {cols[i]: c for i, c in enumerate(v) if c})
+        for v in _nullspace(matrix, len(cols))
+    ]
+
+
+class TestRecursionMatchesElimination:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equal_polys(self, n, m):
+        for d in range(9):
+            assert list(homogeneous_kernel(n, d, m).elements) == eliminated_kernel(n, d, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_free_monomial_rule(self, n, m):
+        for d in range(9):
+            free = [e for e in monomials_of_degree(n, d) if e[0] <= 2 * m - 1]
+            elements = homogeneous_kernel(n, d, m).elements
+            assert len(elements) == len(free)
+            for own, p in zip(free, elements):
+                assert [p.terms.get(e, 0) for e in free] == [int(e == own) for e in free]
 
 
 class TestHomogeneousKernel:
@@ -117,6 +198,27 @@ class TestGradedBasis:
         first = "\n".join(poly_to_text(p) for p in graded_basis(req).elements)
         second = "\n".join(poly_to_text(p) for p in graded_basis(req).elements)
         assert first == second
+
+    def test_monomial_budget_counts_every_degree(self, monkeypatch):
+        # n * C(n + d, n): 2 * 45 entries for n = 2, d <= 8, and 2 * 55 for d <= 9
+        monkeypatch.setattr(kernel, "MAX_BASIS_EXPONENTS", 90)
+        BasisRequest(2, 8, 1).validate()
+        with pytest.raises(ValueError, match="spans more than 90 exponent entries"):
+            BasisRequest(2, 9, 1).validate()
+
+    def test_high_dimension_within_budget(self):
+        basis = graded_basis(BasisRequest(5000, 0, 1), limits=Limits(max_dim=5000))
+        assert basis.elements == (Poly.const(5000, 1),)
+
+    @pytest.mark.parametrize("n,d", [(8, 8), (2000, 1), (10**12, 0), (1, 10**12)])
+    def test_request_over_budget_refused_before_any_element(self, monkeypatch, n, d):
+        def refuse(*args):
+            raise AssertionError("basis built before the budget check")
+
+        monkeypatch.setattr(kernel, "homogeneous_kernel", refuse)
+        limits = Limits(max_dim=n, max_degree=d)
+        with pytest.raises(ValueError, match="exponent entries"):
+            graded_basis(BasisRequest(n, d, 1), limits=limits)
 
     def test_request_validation(self):
         with pytest.raises(ValueError):

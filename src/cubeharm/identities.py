@@ -25,12 +25,12 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
-from .integrate import CubeDomain, Region, Weight, integrate_boundary, integrate_cube, integrate_diagonal, measure
+from .integrate import CubeDomain, DegreeSums, Region, Weight, integral, measure
 from .kernel import BasisRequest, BasisSet, graded_basis
 from .poly import Poly, UniPoly, laplacian, rational_to_text, uni_to_text
 
@@ -50,31 +50,32 @@ class Identity(enum.Enum):
     PIZZETTI = "pizzetti"
 
 
-# Each factory below makes one parameter's weights and masses once and
-# returns the residual of one element; the public residual_* functions and
-# run_suite both go through them.
+# Each factory below makes one parameter's integrals and masses once and
+# returns the residual of one element, given as its degree sums; each
+# integral computes its radial factor once per degree.  The public
+# residual_* functions and run_suite both go through them.
 
 
-def _surface_mean(d: CubeDomain) -> Callable[[Poly], Fraction]:
+def _surface_mean(d: CubeDomain) -> Callable[[DegreeSums], Fraction]:
     boundary_mass = measure(d, Region.BOUNDARY, 0)
     diagonal_mass = measure(d, Region.DIAGONAL, 0)
-    weight = Weight.power(0)
+    boundary = integral(d, Region.BOUNDARY)
+    diagonal = integral(d, Region.DIAGONAL, Weight.power(0))
 
-    def residual(h: Poly) -> Fraction:
-        boundary = integrate_boundary(h, d) / boundary_mass
-        return boundary - integrate_diagonal(h, d, weight) / diagonal_mass
+    def residual(h: DegreeSums) -> Fraction:
+        return boundary(h) / boundary_mass - diagonal(h) / diagonal_mass
 
     return residual
 
 
-def _volume_mean(d: CubeDomain, k: int) -> Callable[[Poly], Fraction]:
-    cube_weight, diagonal_weight = Weight.power(k), Weight.power(k + 1)
+def _volume_mean(d: CubeDomain, k: int) -> Callable[[DegreeSums], Fraction]:
+    cube = integral(d, Region.CUBE, Weight.power(k))
+    diagonal = integral(d, Region.DIAGONAL, Weight.power(k + 1))
     cube_mass = measure(d, Region.CUBE, k)
     diagonal_mass = measure(d, Region.DIAGONAL, k + 1)
 
-    def residual(h: Poly) -> Fraction:
-        cube = integrate_cube(h, d, cube_weight) / cube_mass
-        return cube - integrate_diagonal(h, d, diagonal_weight) / diagonal_mass
+    def residual(h: DegreeSums) -> Fraction:
+        return cube(h) / cube_mass - diagonal(h) / diagonal_mass
 
     return residual
 
@@ -89,57 +90,60 @@ def _require_vanishing(phi: UniPoly, order: int) -> None:
             )
 
 
-def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[Poly], Fraction]:
-    cube_weight = Weight.from_profile(phi.derivative(2))
-    diagonal_weight = Weight.from_profile(phi.derivative(1))
+def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[DegreeSums], Fraction]:
+    cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2)))
+    diagonal = integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(1)))
 
-    def residual(h: Poly) -> Fraction:
+    def residual(h: DegreeSums) -> Fraction:
         _require_vanishing(phi, 2)
-        cube = integrate_cube(h, d, cube_weight)
-        return cube - 2 * integrate_diagonal(h, d, diagonal_weight)
+        return cube(h) - 2 * diagonal(h)
 
     return residual
 
 
-def _laplacian_chain(g: Poly, m: int) -> list[Poly]:
-    """[g, Lap g, ..., Lap^m g]."""
-    chain = [g]
+def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
+    """The degree sums of g, Lap g, ..., Lap^m g."""
+    chain = [DegreeSums(g)]
     for _ in range(m):
-        chain.append(laplacian(chain[-1]))
+        chain.append(DegreeSums(laplacian(chain[-1].poly)))
     return chain
 
 
-def _pizzetti(d: CubeDomain, m: int, phi: UniPoly) -> Callable[[list[Poly]], Fraction]:
+def _pizzetti(
+    d: CubeDomain, m: int, phi: UniPoly
+) -> Callable[[list[DegreeSums]], Fraction]:
     """Residual of one element given as its Laplacian chain [g, ..., Lap^m g]."""
     if m < 1:
         raise ValueError(f"polyharmonic order must be >= 1, got {m}")
-    cube_weight = Weight.from_profile(phi.derivative(2 * m))
-    # diagonal_weights[s] carries phi^(2s+1) and applies to Lap^(m-1-s) g
-    diagonal_weights = [Weight.from_profile(phi.derivative(2 * s + 1)) for s in range(m)]
+    cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2 * m)))
+    # diagonals[s] carries phi^(2s+1) and applies to Lap^(m-1-s) g
+    diagonals = [
+        integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(2 * s + 1)))
+        for s in range(m)
+    ]
 
-    def residual(chain: list[Poly]) -> Fraction:
-        if not chain[m].is_zero:
+    def residual(chain: list[DegreeSums]) -> Fraction:
+        if not chain[m].poly.is_zero:
             raise NotPolyharmonicError(
                 f"input is not {m}-polyharmonic: Laplacian^{m} != 0"
             )
         _require_vanishing(phi, 2 * m)
-        cube = integrate_cube(chain[0], d, cube_weight)
         diag = Fraction(0)
-        for s, weight in enumerate(diagonal_weights):
-            diag += integrate_diagonal(chain[m - 1 - s], d, weight)
-        return cube - 2 * diag
+        for s, diagonal in enumerate(diagonals):
+            diag += diagonal(chain[m - 1 - s])
+        return cube(chain[0]) - 2 * diag
 
     return residual
 
 
 def residual_surface_mean(h: Poly, d: CubeDomain) -> Fraction:
     """Boundary mean minus diagonal mean (both unweighted)."""
-    return _surface_mean(d)(h)
+    return _surface_mean(d)(DegreeSums(h))
 
 
 def residual_volume_mean(h: Poly, d: CubeDomain, k: int = 0) -> Fraction:
     """Weighted cube mean (power k) minus weighted diagonal mean (power k+1)."""
-    return _volume_mean(d, k)(h)
+    return _volume_mean(d, k)(DegreeSums(h))
 
 
 def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fraction:
@@ -147,7 +151,7 @@ def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fracti
 
     Requires phi(0) = phi'(0) = 0, checked symbolically on the coefficients.
     """
-    return _weighted_quadrature(d, phi)(h)
+    return _weighted_quadrature(d, phi)(DegreeSums(h))
 
 
 def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
@@ -158,8 +162,7 @@ def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
     vanish to order 2m at 0 and g to be m-polyharmonic; the two failures
     raise distinct errors, and the polyharmonic check comes first.
     """
-    residual = _pizzetti(d, m, phi)
-    return residual(_laplacian_chain(g, m))
+    return _pizzetti(d, m, phi)(_laplacian_chain(g, m))
 
 
 # -- suite runner --------------------------------------------------------------
@@ -204,17 +207,18 @@ class ReportEntry:
     residual: str
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "n": self.n,
-            "r": self.r,
-            "k_or_phi": self.k_or_phi,
-            "m": self.m,
-            "element_label": self.element_label,
-            "residual": self.residual,
-            "pass": self.passed,
-        }
+
+# json.dumps(..., sort_keys=True, indent=2) of one entry, keys in sorted order
+_JSON_ENTRY = """    {{
+      "element_label": {},
+      "identity": {},
+      "k_or_phi": {},
+      "m": {:d},
+      "n": {:d},
+      "pass": {},
+      "r": {},
+      "residual": {}
+    }}"""
 
 
 @dataclass(frozen=True)
@@ -226,12 +230,28 @@ class IdentityReport:
         return all(e.passed for e in self.entries)
 
     def to_json(self) -> str:
-        payload = {
-            "all_pass": self.all_pass,
-            "entry_count": len(self.entries),
-            "entries": [e.to_dict() for e in self.entries],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        """The bytes of json.dumps(payload, sort_keys=True, indent=2) + "\\n",
+        written from a fixed template."""
+        quote = encode_basestring_ascii
+        entries = ",\n".join(
+            _JSON_ENTRY.format(
+                quote(e.element_label),
+                quote(e.identity),
+                quote(e.k_or_phi),
+                e.m,
+                e.n,
+                "true" if e.passed else "false",
+                quote(e.r),
+                quote(e.residual),
+            )
+            for e in self.entries
+        )
+        listing = f"[\n{entries}\n  ]" if self.entries else "[]"
+        all_pass = "true" if self.all_pass else "false"
+        return (
+            f'{{\n  "all_pass": {all_pass},\n  "entries": {listing},\n'
+            f'  "entry_count": {len(self.entries)}\n}}\n'
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -305,23 +325,20 @@ def run_suite(
     if isinstance(basis, BasisRequest):
         basis = graded_basis(basis)
     elements = _labelled_elements(basis)
-    polys = [p for _, p in elements]
     cases = [
         (identity, k_or_phi, build)
         for identity in identities
         for k_or_phi, build in _parameters(identity, d, config)
     ]
-    # each element's Laplacian chain, shared by every Pizzetti profile
-    chains = (
-        [_laplacian_chain(p, config.m) for p in polys]
-        if any(identity is Identity.PIZZETTI for identity, _, _ in cases)
-        else None
-    )
+    # each element's Laplacian chain, shared by every Pizzetti profile; the
+    # degree sums of each link are built once, on first use
+    pizzetti = any(identity is Identity.PIZZETTI for identity, _, _ in cases)
+    chains = [_laplacian_chain(p, config.m if pizzetti else 0) for _, p in elements]
     r = rational_to_text(d.r)
     entries = []
     for identity, k_or_phi, build in cases:
         m = config.m if identity is Identity.PIZZETTI else 1
-        inputs = chains if identity is Identity.PIZZETTI else polys
+        inputs = chains if identity is Identity.PIZZETTI else [chain[0] for chain in chains]
         residual = None
         for (label, _), x in zip(elements, inputs):
             try:

@@ -6,14 +6,15 @@ splits into 2n cells on which a fixed signed coordinate attains M; on such a
 cell the substitution t = |x_i| leaves a box [-t, t]^(n-1) in the remaining
 coordinates.  The diagonal sheets split the same way with two tied
 coordinates, and the boundary faces are the cells' outer ends t = r.  So
-every region reduces to one moment functional.  For a monomial x^alpha with
-all exponents even (odd ones integrate to zero by symmetry), a profile phi
-and
+every region reduces to one closed form.  For a monomial x^alpha with all
+exponents even (odd ones integrate to zero by symmetry), a profile phi and
 
-    C_s(alpha) = 2^s * sum_{|S|=s} prod_{k not in S} 2 / (alpha_k + 1),
+    C_s(alpha) = 2^s * sum_{|S|=s} prod_{k not in S} 2 / (alpha_k + 1)
+               = B(alpha) * e_s(alpha_1 + 1, ..., alpha_n + 1),
     R_phi(a, r) = int_0^r t^a phi(r - t) dt,
 
-the moments are
+with B(alpha) = prod_k 2 / (alpha_k + 1) the box moment on [-1, 1]^n and
+e_s the elementary symmetric polynomial of order s, the moments are
 
     cube      C_1(alpha) * R_phi(|alpha| + n - 1, r)
     diagonal  C_2(alpha) * R_phi(|alpha| + n - 2, r)
@@ -23,8 +24,10 @@ and R_phi follows from expanding phi in powers of (r - t) and
 
     int_0^r t^a (r - t)^b dt = a! b! r^(a+b+1) / (a+b+1)!.
 
-C_s and R_phi are memoized.  Tie sets are lower dimensional and carry no
-mass.
+R_phi depends on alpha only through a = |alpha|, so every integral is
+sum_a S_s(a) * R_phi(a + n - s, r) (r^(a + n - 1) on the boundary) over
+the weight-free degree sums S_s(a) = sum_{|alpha|=a} c_alpha C_s(alpha).
+Tie sets are lower dimensional and carry no mass.
 
 Diagonal measure convention.  The diagonal set is the union over pairs
 i < j of the sheets {|x_k| <= |x_i| = |x_j|}.  Each pair contributes four
@@ -50,17 +53,14 @@ Everything here is exact rational arithmetic; no floats.
 from __future__ import annotations
 
 import enum
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .poly import DimensionMismatchError, Exponent, Poly, UniPoly, uni_to_text
 
 RationalLike = Fraction | int | str
-
-_CACHE_SIZE = 4096  # entries per moment-factor cache
 
 
 @dataclass(frozen=True)
@@ -106,68 +106,78 @@ class Weight:
         return cls(phi, uni_to_text(phi))
 
 
-def _beta_moment(a: int, b: int, r: Fraction) -> Fraction:
-    """int_0^r t^a (r - t)^b dt, exactly."""
-    return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1)) * r ** (
-        a + b + 1
-    )
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cell_factor(alpha: Exponent, s: int) -> Fraction:
-    """C_s(alpha): the box factors summed over every choice of s tied axes;
+    """C_s(alpha) = B(alpha) * e_s(alpha_k + 1) for s = 1 or 2, in O(n) work;
     zero when an exponent is odd."""
-    if any(e % 2 for e in alpha):
+    if any(a % 2 for a in alpha):
         return Fraction(0)
-    total = Fraction(0)
-    for tied in itertools.combinations(range(len(alpha)), s):
-        box = Fraction(1)
-        for k, e in enumerate(alpha):
-            if k not in tied:
-                box *= Fraction(2, e + 1)
-        total += box
-    return 2**s * total
+    v = [a + 1 for a in alpha]
+    e_s = sum(v) if s == 1 else (sum(v) ** 2 - sum(x * x for x in v)) // 2
+    return Fraction(2 ** len(v) * e_s, math.prod(v))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _radial(a: int, r: Fraction, coeffs: tuple[Fraction, ...]) -> Fraction:
     """R_phi(a, r) for the profile phi with the given coefficients."""
-    return sum((c * _beta_moment(a, b, r) for b, c in enumerate(coeffs) if c), Fraction(0))
+    num, den = 0, 1  # summed over integers, one Fraction at the end
+    for b, c in enumerate(coeffs):
+        if c:
+            e = a + b + 1
+            n_b = c.numerator * math.factorial(a) * math.factorial(b) * r.numerator**e
+            d_b = c.denominator * math.factorial(e) * r.denominator**e
+            num, den = num * d_b + n_b * den, den * d_b
+    return Fraction(num, den)
 
 
-def _moment(region: Region, alpha: Exponent, r: Fraction, coeffs: tuple[Fraction, ...]) -> Fraction:
-    """Integral of x^alpha phi(r - M) over region; the dimension is len(alpha).
+class DegreeSums(dict):
+    """A polynomial's degree sums {s: {a: S_s(a)}}, S_s(a) = sum_{|alpha|=a}
+    c_alpha C_s(alpha), for s = 1 (cube cells, faces) and s = 2 (diagonal
+    sheets): the part of every integral of the polynomial that depends on
+    neither the radius nor the weight.  Each table is built on first use."""
 
-    The boundary moment is unweighted and ignores coeffs.
-    """
+    def __init__(self, poly: Poly):
+        super().__init__()
+        self.poly = poly
+
+    def __missing__(self, s: int) -> dict[int, Fraction]:
+        sums = self[s] = {}
+        for alpha, coeff in self.poly.terms.items():
+            if cells := _cell_factor(alpha, s):
+                a = sum(alpha)
+                sums[a] = sums.get(a, 0) + coeff * cells
+        return sums
+
+
+def integral(
+    d: CubeDomain, region: Region, w: Weight | None = None
+) -> Callable[[DegreeSums], Fraction]:
+    """sum_a S_s(a) * R_phi(a + n - s, r) over region, or * r^(a + n - 1) on
+    the boundary (where w is ignored), as a function of a polynomial's degree
+    sums; each radial factor is computed once per degree for the life of the
+    returned function."""
     s = 2 if region is Region.DIAGONAL else 1
-    cells = _cell_factor(alpha, s)
-    if cells == 0:
-        return cells
-    a = sum(alpha) + len(alpha) - s
-    if region is Region.BOUNDARY:
-        return cells * r**a
-    return cells * _radial(a, r, coeffs)
+    shift = d.n - s
+    coeffs = None if region is Region.BOUNDARY else w.profile.coeffs
+    factors: dict[int, Fraction] = {}
 
+    def value(p: DegreeSums) -> Fraction:
+        if p.poly.dim != d.n:
+            raise DimensionMismatchError(
+                f"polynomial dimension {p.poly.dim} does not match domain dimension {d.n}"
+            )
+        total = Fraction(0)
+        for a, sums in p[s].items():
+            if a not in factors:
+                e = a + shift
+                factors[a] = d.r**e if coeffs is None else _radial(e, d.r, coeffs)
+            total += sums * factors[a]
+        return total
 
-def _check_dim(p: Poly, d: CubeDomain) -> None:
-    if p.dim != d.n:
-        raise DimensionMismatchError(
-            f"polynomial dimension {p.dim} does not match domain dimension {d.n}"
-        )
-
-
-def _integrate(p: Poly, d: CubeDomain, region: Region, coeffs: tuple[Fraction, ...]) -> Fraction:
-    _check_dim(p, d)
-    total = Fraction(0)
-    for alpha, coeff in p.terms.items():
-        total += coeff * _moment(region, alpha, d.r, coeffs)
-    return total
+    return value
 
 
 def integrate_cube(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
     """Exact weighted integral of p over the solid cube."""
-    return _integrate(p, d, Region.CUBE, w.profile.coeffs)
+    return integral(d, Region.CUBE, w)(DegreeSums(p))
 
 
 def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
@@ -176,7 +186,7 @@ def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
     Sums plain (n-1)-dimensional integrals over the 2n faces; edge and
     corner overlaps have zero surface measure.
     """
-    return _integrate(p, d, Region.BOUNDARY, ())
+    return integral(d, Region.BOUNDARY)(DegreeSums(p))
 
 
 def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
@@ -186,7 +196,7 @@ def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
     t in [0, r] and the free box [-t, t]^(n-2); three-way ties are shared
     sheet boundaries of zero measure.
     """
-    return _integrate(p, d, Region.DIAGONAL, w.profile.coeffs)
+    return integral(d, Region.DIAGONAL, w)(DegreeSums(p))
 
 
 def measure(d: CubeDomain, region: Region, k: int = 0) -> Fraction:
@@ -194,15 +204,15 @@ def measure(d: CubeDomain, region: Region, k: int = 0) -> Fraction:
 
     Cube and diagonal masses are the moments of the constant 1.  Boundary
     masses use the face-local weight convention described in the module
-    docstring: each face is the cube moment of 1 in dimension n - 1.  At
-    k = 0 this is the ordinary surface area, and the restriction of the
-    global weight to the boundary would be identically zero for k >= 1.
+    docstring.  At k = 0 this is the ordinary surface area, and the
+    restriction of the global weight to the boundary would be identically
+    zero for k >= 1.  The 2n faces split into 4n(n-1) argmax cells, each
+    parametrized and weighted like one of the 2n(n-1) diagonal sheets
+    (t in [0, r], the box [-t, t]^(n-2), measure dt * prod dx_k, weight
+    phi(r - t)), so the boundary mass is twice the diagonal mass.
     """
-    if k < 0:
-        raise ValueError(f"weight exponent must be >= 0, got {k}")
-    coeffs = Weight.power(k).profile.coeffs
-    if region is Region.CUBE or region is Region.DIAGONAL:
-        return _moment(region, (0,) * d.n, d.r, coeffs)
     if region is Region.BOUNDARY:
-        return 2 * d.n * _moment(Region.CUBE, (0,) * (d.n - 1), d.r, coeffs)
+        return 2 * measure(d, Region.DIAGONAL, k)
+    if region is Region.CUBE or region is Region.DIAGONAL:
+        return integral(d, region, Weight.power(k))(DegreeSums(Poly.const(d.n, 1)))
     raise ValueError(f"unknown region {region!r}")

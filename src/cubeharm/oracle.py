@@ -40,8 +40,9 @@ recurrence rather than any table.  In the factorized path every sum over
 nodes, terms and cells is a math.fsum, so results are correctly rounded
 sums of the same products, independent of term order and stable run to
 run; the one-dimensional tables are built afresh on every call, in
-O(q * degree) work.  numpy is imported only where arrays are built, so importing the package
-does not load it.
+O(q * degree) work.  The nodes and weights are Python floats, and numpy
+is imported only where `numeric_l1` builds its point grids, so importing the
+package and running the factorized integrals do not load it.
 """
 
 from __future__ import annotations
@@ -76,18 +77,15 @@ class QuadratureSpec:
 
 
 @lru_cache(maxsize=32)
-def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the npts-point rule on [-1, 1].
+def gauss_legendre(npts: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the npts-point rule on [-1, 1], nodes ascending.
 
     Newton iteration on P_n with the cosine initial guess; converges to
     machine precision in a handful of steps.
     """
-    import numpy as np
-
     if npts < 1:
         raise ValueError("need at least one node")
-    nodes = np.empty(npts)
-    weights = np.empty(npts)
+    rule = []
     for i in range(npts):
         x = math.cos(math.pi * (i + 0.75) / (npts + 0.5))
         for _ in range(100):
@@ -97,12 +95,8 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
             if abs(dx) < 1e-15:
                 break
         pn, dpn = _legendre_with_derivative(npts, x)
-        nodes[i] = x
-        weights[i] = 2.0 / ((1.0 - x * x) * dpn * dpn)
-    order = np.argsort(nodes)
-    nodes, weights = nodes[order], weights[order]
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
+        rule.append((x, 2.0 / ((1.0 - x * x) * dpn * dpn)))
+    nodes, weights = zip(*sorted(rule))
     return nodes, weights
 
 
@@ -130,7 +124,7 @@ def _box_grid(naxes: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     the product weights."""
     import numpy as np
 
-    nodes, weights = gauss_legendre(npts)
+    nodes, weights = map(np.array, gauss_legendre(npts))
     if naxes == 0:
         return np.zeros((1, 0)), np.ones(1)
     grids = np.meshgrid(*([nodes] * naxes), indexing="ij")
@@ -152,8 +146,7 @@ def _horner(coeffs: list[float], u: float) -> float:
 
 def _box_moments(npts: int, top: int) -> tuple[float, ...]:
     """M[e] = sum_q w_q s_q^e for e = 0..top."""
-    nodes, weights = gauss_legendre(npts)
-    pairs = list(zip(nodes.tolist(), weights.tolist()))
+    pairs = list(zip(*gauss_legendre(npts)))
     return tuple(math.fsum(w * s**e for s, w in pairs) for e in range(top + 1))
 
 
@@ -165,8 +158,8 @@ def _radial_sums(
     coefficients."""
     nodes, weights = gauss_legendre(npts)
     phi = [float(c) for c in coeffs]
-    t = [r * (x + 1.0) / 2.0 for x in nodes.tolist()]
-    wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights.tolist())]
+    t = [r * (x + 1.0) / 2.0 for x in nodes]
+    wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights)]
     return tuple(
         math.fsum(c * x ** (e + jacobian) for c, x in zip(wphi, t)) for e in range(top + 1)
     )
@@ -276,7 +269,7 @@ def numeric_l1(
 
     r = float(d.r)
     exps, coeffs = _poly_arrays(diff)
-    t_nodes, t_weights = gauss_legendre(q)
+    t_nodes, t_weights = map(np.array, gauss_legendre(q))
     t = r * (t_nodes + 1.0) / 2.0
     wt = t_weights * r / 2.0
     box_pts, box_w = _box_grid(n - 1, q)

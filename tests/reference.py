@@ -96,6 +96,23 @@ def ref_diagonal(p: Poly, r: Fraction, profile: UniPoly) -> Fraction:
     return _fraction(total)
 
 
+def cell_factor(alpha: tuple[int, ...], s: int) -> Fraction:
+    """C_s(alpha) by its definition: 2^s times the box factors
+    prod_{k not tied} 2 / (alpha_k + 1) summed over every choice of s tied
+    axes; zero when an exponent is odd.  C(n, s) subsets of O(n) work each,
+    the reference for the engine's closed form."""
+    if any(e % 2 for e in alpha):
+        return Fraction(0)
+    total = Fraction(0)
+    for tied in itertools.combinations(range(len(alpha)), s):
+        box = Fraction(1)
+        for k, e in enumerate(alpha):
+            if k not in tied:
+                box *= Fraction(2, e + 1)
+        total += box
+    return 2**s * total
+
+
 def _omega(k: int) -> UniPoly:
     import math
 

@@ -1,13 +1,17 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import polys_st, pp
 from cubeharm.identities import (
     Identity,
+    IdentityReport,
     NotPolyharmonicError,
+    ReportEntry,
     SuiteConfig,
     WeightConditionError,
     default_pizzetti_profiles,
@@ -183,8 +187,6 @@ class TestRunSuite:
         first = run_suite(*args).to_json()
         second = run_suite(*args).to_json()
         assert first == second
-        import json
-
         payload = json.loads(first)
         assert set(payload) == {"all_pass", "entry_count", "entries"}
         entry = payload["entries"][0]
@@ -321,3 +323,71 @@ class TestSuiteMatchesResiduals:
             run_suite([("one", Poly.const(2, 1))], D21, ids, config)
         with pytest.raises(ValueError, match="pizzetti on one: polyharmonic order"):
             run_suite([("one", Poly.const(2, 1))], D21, [Identity.PIZZETTI], config)
+
+
+def dumped(report: IdentityReport) -> str:
+    """The report as json.dumps writes it, the reference for to_json."""
+    payload = {
+        "all_pass": report.all_pass,
+        "entry_count": len(report.entries),
+        "entries": [
+            {
+                "identity": e.identity,
+                "n": e.n,
+                "r": e.r,
+                "k_or_phi": e.k_or_phi,
+                "m": e.m,
+                "element_label": e.element_label,
+                "residual": e.residual,
+                "pass": e.passed,
+            }
+            for e in report.entries
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# labels with quotes, backslashes, control and non-ASCII characters
+labels_st = st.one_of(
+    st.text(),
+    st.sampled_from(['deg2[0]', 'a"b', "a\\b", "tab\there", "\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f"]),
+)
+entries_st = st.builds(
+    ReportEntry,
+    identity=st.one_of(st.sampled_from([i.value for i in Identity]), labels_st),
+    n=st.integers(min_value=2, max_value=10**6),
+    r=st.one_of(st.sampled_from(["1", "1/2", "3"]), labels_st),
+    k_or_phi=st.one_of(st.sampled_from(["", "0", "t^2/2", "1/24*t^4 + t^5/7"]), labels_st),
+    m=st.integers(min_value=0, max_value=10**6),
+    element_label=labels_st,
+    residual=st.one_of(st.sampled_from(["0", "-1/6", "2/15", "-12345678901234567890/7"]), labels_st),
+    passed=st.booleans(),
+)
+
+
+class TestJsonWriter:
+    @given(st.lists(entries_st, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, entries):
+        report = IdentityReport(tuple(entries))
+        assert report.to_json() == dumped(report)
+
+    def test_empty_report(self):
+        report = IdentityReport(())
+        assert report.all_pass
+        assert report.to_json() == dumped(report) == (
+            '{\n  "all_pass": true,\n  "entries": [],\n  "entry_count": 0\n}\n'
+        )
+
+    @pytest.mark.parametrize("ids", [[Identity.VOLUME_MEAN], ALL_IDENTITIES])
+    def test_suite_reports(self, ids):
+        passing = run_suite(BasisRequest(3, 4, 2), CubeDomain(3, Fraction(3, 2)), ids, SuiteConfig(m=2))
+        failing = run_suite(
+            [("sq", pp("-x1^2", 2)), ("\u00e9\"\\", pp("x2^4 - x1", 2))],
+            D21,
+            [Identity.VOLUME_MEAN, Identity.WEIGHTED_QUADRATURE],
+            SuiteConfig(ks=(0, 1)),
+        )
+        assert not failing.all_pass and any(e.residual.startswith("-") for e in failing.entries)
+        for report in (passing, failing):
+            assert report.to_json() == dumped(report)

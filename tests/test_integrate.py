@@ -4,19 +4,22 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import polys_st, pp
 from cubeharm.integrate import (
     CubeDomain,
+    DegreeSums,
     Region,
     Weight,
+    _cell_factor,
     integrate_boundary,
     integrate_cube,
     integrate_diagonal,
     measure,
 )
-from cubeharm.poly import DimensionMismatchError, Poly
+from cubeharm.poly import DimensionMismatchError, Poly, UniPoly
 from cubeharm.sampling import random_poly
 
 D21 = CubeDomain(2, Fraction(1))
@@ -68,6 +71,11 @@ class TestCube:
 
     def test_odd_monomials_vanish(self):
         assert integrate_cube(pp("x1^3*x2^2"), D21, Weight.power(1)) == 0
+
+    def test_zero_profile_integrates_to_zero(self):
+        zero = Weight.from_profile(UniPoly([0]))
+        assert integrate_cube(pp("x1^2 + 1", 2), D21, zero) == 0
+        assert integrate_diagonal(pp("x1^2 + 1", 2), D21, zero) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -225,3 +233,53 @@ class TestSymbolicReference:
         p = random_poly(rng, 3, max_degree=4, max_terms=4)
         w = Weight.power(1)
         assert integrate_cube(p, D31, w) == reference.ref_cube(p, D31.r, w.profile)
+
+
+class TestCellFactor:
+    """The closed form C_s(alpha) = B(alpha) e_s(alpha_k + 1) against the
+    subset sum of its definition, and at high n against formulas only."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=7),
+        st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_subset_sum(self, alpha, s):
+        alpha = tuple(alpha)
+        assert _cell_factor(alpha, s) == reference.cell_factor(alpha, s)
+
+    def test_odd_exponent_vanishes(self):
+        assert _cell_factor((2, 3, 0), 1) == 0
+        assert _cell_factor((2, 0, 1, 4), 2) == 0
+
+    def test_high_dimension_by_formula(self):
+        n = 200
+        zero = (0,) * n
+        assert _cell_factor(zero, 1) == 2**n * n
+        assert _cell_factor(zero, 2) == 2**n * math.comb(n, 2)
+
+    def test_high_dimension_diagonal_integral(self):
+        # alpha = (2, 0, ..., 0): tied pairs through axis 1 leave n - 2 free
+        # zero exponents (2^(n-2) each), the other C(n-1, 2) pairs leave the
+        # factor 2/3 as well, so C_2 = 2^n ((n-1) + C(n-1, 2)/3); with phi = 1,
+        # R(n, 1) = 1/(n+1)
+        n = 200
+        p = Poly(n, {(2,) + (0,) * (n - 1): 1})
+        expected = 2**n * (Fraction(n - 1) + Fraction(math.comb(n - 1, 2), 3)) / (n + 1)
+        assert integrate_diagonal(p, CubeDomain(n, 1), Weight.power(0)) == expected
+
+
+class TestDegreeSums:
+    def test_groups_terms_by_total_degree(self):
+        p = pp("x1^2 + 3*x2^2 + x1^3 + 2*x1^2*x2^2 - 5", 2)
+        sums = DegreeSums(p)
+        assert sums[1] == {
+            0: -5 * reference.cell_factor((0, 0), 1),
+            2: reference.cell_factor((2, 0), 1) + 3 * reference.cell_factor((0, 2), 1),
+            4: 2 * reference.cell_factor((2, 2), 1),
+        }
+        assert sums[2] == {
+            0: -5 * reference.cell_factor((0, 0), 2),
+            2: reference.cell_factor((2, 0), 2) + 3 * reference.cell_factor((0, 2), 2),
+            4: 2 * reference.cell_factor((2, 2), 2),
+        }

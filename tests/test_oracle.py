@@ -50,12 +50,17 @@ class TestGaussLegendre:
 
     def test_weights_sum_to_interval_length(self):
         _, weights = gauss_legendre(24)
-        assert abs(weights.sum() - 2.0) < 1e-14
+        assert abs(math.fsum(weights) - 2.0) < 1e-14
 
     def test_polynomial_exactness(self):
         nodes, weights = gauss_legendre(6)
         # degree 11 is the highest a 6-point rule integrates exactly
-        assert abs(float(np.dot(weights, nodes**10)) - 2 / 11) < 1e-15
+        assert abs(math.fsum(w * x**10 for x, w in zip(nodes, weights)) - 2 / 11) < 1e-15
+
+    def test_python_floats_in_ascending_order(self):
+        nodes, weights = gauss_legendre(24)
+        assert all(type(v) is float for v in nodes + weights)
+        assert list(nodes) == sorted(nodes)
 
 
 class TestKernelBackends:
@@ -182,7 +187,7 @@ class TestOracleAgreement:
 def _tensor_cells(p, d, tied, jacobian, weight, q):
     n, r = d.n, float(d.r)
     exps, coeffs = oracle._poly_arrays(p)
-    nodes, t_weights = gauss_legendre(q)
+    nodes, t_weights = map(np.array, gauss_legendre(q))
     t = r * (nodes + 1.0) / 2.0
     wt = t_weights * r / 2.0
     box_pts, box_w = oracle._box_grid(n - tied, q)
@@ -294,9 +299,9 @@ class TestFactorizedPath:
         assert numeric_integrate_boundary(Poly.zero(3), d) == 0.0
 
 
-def test_package_import_does_not_load_numpy():
-    code = "import sys, cubeharm, cubeharm.cli; print('numpy' in sys.modules)"
+def _numpy_loaded_after(code: str) -> bool:
     src = str(Path(oracle.__file__).resolve().parents[1])
+    code += "\nprint('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -304,7 +309,20 @@ def test_package_import_does_not_load_numpy():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout == "False\n"
+    return out.stdout.splitlines()[-1] == "True"
+
+
+def test_package_import_does_not_load_numpy():
+    assert not _numpy_loaded_after("import sys, cubeharm, cubeharm.cli")
+
+
+def test_crosscheck_does_not_load_numpy():
+    code = (
+        "import sys\n"
+        "from cubeharm.cli import main\n"
+        "assert main(['crosscheck', '--n', '3', '--count', '2', '--deg', '4']) == 0"
+    )
+    assert not _numpy_loaded_after(code)
 
 
 class TestBudgets:

@@ -109,9 +109,7 @@ def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
     return chain
 
 
-def _pizzetti(
-    d: CubeDomain, m: int, phi: UniPoly
-) -> Callable[[list[DegreeSums]], Fraction]:
+def _pizzetti(d: CubeDomain, m: int, phi: UniPoly) -> Callable[[list[DegreeSums]], Fraction]:
     """Residual of one element given as its Laplacian chain [g, ..., Lap^m g]."""
     if m < 1:
         raise ValueError(f"polyharmonic order must be >= 1, got {m}")

@@ -27,7 +27,8 @@ and R_phi follows from expanding phi in powers of (r - t) and
 R_phi depends on alpha only through a = |alpha|, so every integral is
 sum_a S_s(a) * R_phi(a + n - s, r) (r^(a + n - 1) on the boundary) over
 the weight-free degree sums S_s(a) = sum_{|alpha|=a} c_alpha C_s(alpha).
-Tie sets are lower dimensional and carry no mass.
+The cell factors are memoized by exponent.  Tie sets are lower dimensional
+and carry no mass.
 
 Diagonal measure convention.  The diagonal set is the union over pairs
 i < j of the sheets {|x_k| <= |x_i| = |x_j|}.  Each pair contributes four
@@ -53,6 +54,7 @@ Everything here is exact rational arithmetic; no floats.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,14 +108,15 @@ class Weight:
         return cls(phi, uni_to_text(phi))
 
 
-def _cell_factor(alpha: Exponent, s: int) -> Fraction:
-    """C_s(alpha) = B(alpha) * e_s(alpha_k + 1) for s = 1 or 2, in O(n) work;
-    zero when an exponent is odd."""
+@functools.lru_cache(maxsize=4096)
+def _cell_factors(alpha: Exponent) -> tuple[Fraction, Fraction]:
+    """(C_1(alpha), C_2(alpha)) with C_s = B(alpha) * e_s(alpha_k + 1), in
+    O(n) work; zero when an exponent is odd."""
     if any(a % 2 for a in alpha):
-        return Fraction(0)
+        return Fraction(0), Fraction(0)
     v = [a + 1 for a in alpha]
-    e_s = sum(v) if s == 1 else (sum(v) ** 2 - sum(x * x for x in v)) // 2
-    return Fraction(2 ** len(v) * e_s, math.prod(v))
+    e1, box = sum(v), Fraction(2 ** len(v), math.prod(v))
+    return e1 * box, (e1 * e1 - sum(x * x for x in v)) // 2 * box
 
 
 def _radial(a: int, r: Fraction, coeffs: tuple[Fraction, ...]) -> Fraction:
@@ -141,7 +144,7 @@ class DegreeSums(dict):
     def __missing__(self, s: int) -> dict[int, Fraction]:
         sums = self[s] = {}
         for alpha, coeff in self.poly.terms.items():
-            if cells := _cell_factor(alpha, s):
+            if cells := _cell_factors(alpha)[s - 1]:
                 a = sum(alpha)
                 sums[a] = sums.get(a, 0) + coeff * cells
         return sums

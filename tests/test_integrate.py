@@ -13,7 +13,7 @@ from cubeharm.integrate import (
     DegreeSums,
     Region,
     Weight,
-    _cell_factor,
+    _cell_factors,
     integrate_boundary,
     integrate_cube,
     integrate_diagonal,
@@ -239,24 +239,22 @@ class TestCellFactor:
     """The closed form C_s(alpha) = B(alpha) e_s(alpha_k + 1) against the
     subset sum of its definition, and at high n against formulas only."""
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=7),
-        st.sampled_from([1, 2]),
-    )
+    @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=7))
     @settings(max_examples=300, deadline=None)
-    def test_matches_subset_sum(self, alpha, s):
+    def test_matches_subset_sum(self, alpha):
         alpha = tuple(alpha)
-        assert _cell_factor(alpha, s) == reference.cell_factor(alpha, s)
+        assert _cell_factors(alpha) == (
+            reference.cell_factor(alpha, 1),
+            reference.cell_factor(alpha, 2),
+        )
 
     def test_odd_exponent_vanishes(self):
-        assert _cell_factor((2, 3, 0), 1) == 0
-        assert _cell_factor((2, 0, 1, 4), 2) == 0
+        assert _cell_factors((2, 3, 0)) == (0, 0)
+        assert _cell_factors((2, 0, 1, 4)) == (0, 0)
 
     def test_high_dimension_by_formula(self):
         n = 200
-        zero = (0,) * n
-        assert _cell_factor(zero, 1) == 2**n * n
-        assert _cell_factor(zero, 2) == 2**n * math.comb(n, 2)
+        assert _cell_factors((0,) * n) == (2**n * n, 2**n * math.comb(n, 2))
 
     def test_high_dimension_diagonal_integral(self):
         # alpha = (2, 0, ..., 0): tied pairs through axis 1 leave n - 2 free

@@ -49,6 +49,13 @@ from .sampling import random_poly
 # most about 170,000 rows (about 80 bytes each) of CSV held in memory.
 MAX_GRID_TERM_EVALS = 500_000
 
+# Largest --n for the commands that take a cube.  Exact values grow with the
+# dimension: `integrate --region diagonal --poly x1^2` prints 614 bytes at
+# n = 2000 and r = 1, and 3,703 bytes at r = 7/5.  Python refuses to print
+# an integer of more than 4300 digits, which that integral passes near
+# n = 14,260 at r = 1 and n = 3,745 at r = 7/5.
+MAX_DIM = 2000
+
 _IDENTITY_TOKENS = {
     "surface": Identity.SURFACE_MEAN,
     "volume": Identity.VOLUME_MEAN,
@@ -85,6 +92,8 @@ def _domain(args) -> CubeDomain:
     r = _parse_rational(args.r)
     if args.n < 2:
         raise UsageError(f"dimension must be >= 2, got {args.n}")
+    if args.n > MAX_DIM:
+        raise UsageError(f"dimension must be <= {MAX_DIM}, got {args.n}")
     if r <= 0:
         raise UsageError(f"radius must be positive, got {args.r}")
     return CubeDomain(args.n, r)

@@ -52,8 +52,10 @@ class Identity(enum.Enum):
 
 # Each factory below makes one parameter's integrals and masses once and
 # returns the residual of one element, given as its degree sums; each
-# integral computes its radial factor once per degree.  The public
-# residual_* functions and run_suite both go through them.
+# integral computes its radial factor once per degree.  A profile condition
+# is decided once per factory and raised from the residual, so it surfaces
+# at an element and after the polyharmonic check.  The public residual_*
+# functions and run_suite both go through them.
 
 
 def _surface_mean(d: CubeDomain) -> Callable[[DegreeSums], Fraction]:
@@ -80,22 +82,30 @@ def _volume_mean(d: CubeDomain, k: int) -> Callable[[DegreeSums], Fraction]:
     return residual
 
 
-def _require_vanishing(phi: UniPoly, order: int) -> None:
+def _vanishing_failure(phi: UniPoly, order: int) -> str | None:
+    """Why phi does not vanish to the given order at 0, or None if it does."""
     names = {0: "phi(0)", 1: "phi'(0)"}
     for j in range(order):
         if phi.coeff(j) != 0:
             name = names.get(j, f"phi^({j})(0)")
-            raise WeightConditionError(
-                f"weight profile must satisfy {name} = 0, got {phi.coeff(j)}"
-            )
+            return f"weight profile must satisfy {name} = 0, got {phi.coeff(j)}"
+    return None
+
+
+def _require_vanishing(phi: UniPoly, order: int) -> None:
+    failure = _vanishing_failure(phi, order)
+    if failure is not None:
+        raise WeightConditionError(failure)
 
 
 def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[DegreeSums], Fraction]:
     cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2)))
     diagonal = integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(1)))
+    failure = _vanishing_failure(phi, 2)
 
     def residual(h: DegreeSums) -> Fraction:
-        _require_vanishing(phi, 2)
+        if failure is not None:
+            raise WeightConditionError(failure)
         return cube(h) - 2 * diagonal(h)
 
     return residual
@@ -119,13 +129,15 @@ def _pizzetti(d: CubeDomain, m: int, phi: UniPoly) -> Callable[[list[DegreeSums]
         integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(2 * s + 1)))
         for s in range(m)
     ]
+    failure = _vanishing_failure(phi, 2 * m)
 
     def residual(chain: list[DegreeSums]) -> Fraction:
         if not chain[m].poly.is_zero:
             raise NotPolyharmonicError(
                 f"input is not {m}-polyharmonic: Laplacian^{m} != 0"
             )
-        _require_vanishing(phi, 2 * m)
+        if failure is not None:
+            raise WeightConditionError(failure)
         diag = Fraction(0)
         for s, diagonal in enumerate(diagonals):
             diag += diagonal(chain[m - 1 - s])

@@ -5,35 +5,45 @@ The optimality criterion: if h is harmonic, h <= f on the cube, and f - h
 vanishes on the whole diagonal set, then h minimizes the L1 distance to f
 among harmonic minorants, and the error is the plain integral of f - h.
 
-Vanishing on the diagonal set is decided exactly by integrating the square:
-(f-h)^2 is continuous and nonnegative, so its weighted diagonal integral is
-zero precisely when f-h vanishes on every sheet.
+Vanishing on the diagonal set is decided exactly by substitution.  Each
+sheet {|x_k| <= |x_i| = |x_j|} with x_i = s x_j (s = +-1) is a relatively
+open piece of the hyperplane x_i = s x_j, so a polynomial vanishes on it
+exactly when substituting x_i := s x_j leaves the zero polynomial.  The
+gradient condition applies the same test to every partial derivative.
 
 One-sidedness (h <= f everywhere) is genuinely hard for general polynomials,
 so it is reported at one of three strengths:
 
   certified   f - h factors exactly as g * prod_{i<j} (x_i^2 - x_j^2)^2 with
               g certified nonnegative (even powers with nonnegative
-              coefficients, or an exact polynomial square); sound proof
+              coefficients, or an exact polynomial square); sound proof.
+              The product is homogeneous of degree 2n(n-1), so f - h with a
+              nonzero term of lower degree is no multiple of it and is sent
+              to the grid without building or dividing anything
   heuristic   f - h was nonnegative on a uniform rational grid; no proof.
               The grid is walked exactly as an integer lattice: scaling
               x = r/(N-1) * m with integer m turns f - h into an integer
               polynomial over one common denominator, evaluated in Python
               ints one axis at a time
   failed      a grid point with a negative value was found (with witness)
+
+A certified f - h is a multiple of every (x_i - x_j)^2 (x_i + x_j)^2, so it
+and its gradient vanish on the diagonal set without a further check.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .integrate import CubeDomain, Weight, integrate_cube, integrate_diagonal
+from .integrate import CubeDomain, Weight, integrate_cube
 from .kernel import is_polyharmonic
 from .poly import (
+    DimensionMismatchError,
     Poly,
     UniPoly,
     divide_exact,
@@ -53,8 +63,29 @@ MAX_GRID_POINTS = 10**6
 
 
 def vanishes_on_diagonal(p: Poly, d: CubeDomain) -> bool:
-    """True iff p is identically zero on the diagonal set."""
-    return integrate_diagonal(p * p, d, Weight.power(0)) == 0
+    """True iff p is identically zero on the diagonal set.
+
+    For each pair i < j, the substitutions x_i := x_j and x_i := -x_j give
+    E + O and E - O, where E and O collect the terms with even and odd x_i
+    exponent; both are zero exactly when E and O are.  So one pass per pair
+    decides both sheets, and the first pair with a nonzero sum ends the
+    check.
+    """
+    if p.dim != d.n:
+        raise DimensionMismatchError(
+            f"polynomial dimension {p.dim} does not match domain dimension {d.n}"
+        )
+    terms = p.terms.items()
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            sums: dict[tuple, Fraction] = {}
+            for exps, coeff in terms:
+                e = exps[i]
+                key = (e & 1, exps[:i], exps[i + 1 : j], exps[j] + e, exps[j + 1 :])
+                sums[key] = sums.get(key, 0) + coeff
+            if any(sums.values()):
+                return False
+    return True
 
 
 def gradient_vanishes_on_diagonal(p: Poly, d: CubeDomain) -> bool:
@@ -64,8 +95,10 @@ def gradient_vanishes_on_diagonal(p: Poly, d: CubeDomain) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=8)
 def pair_square_product(dim: int) -> Poly:
-    """prod over i < j of (x_i^2 - x_j^2)^2 in the given dimension."""
+    """prod over i < j of (x_i^2 - x_j^2)^2 in the given dimension, built
+    once per dimension."""
     out = Poly.const(dim, 1)
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
@@ -73,6 +106,19 @@ def pair_square_product(dim: int) -> Poly:
             xj2 = Poly.variable(dim, j) ** 2
             out = out * (xi2 - xj2) ** 2
     return out
+
+
+def _pair_square_cofactor(p: Poly) -> Poly | None:
+    """g with p = g * pair_square_product(p.dim), or None when p is not a
+    multiple.  A multiple of the homogeneous product of degree 2n(n-1) has
+    no nonzero term of lower degree, so such a term answers None at once."""
+    n = p.dim
+    if p.is_zero:
+        return p
+    if min(map(sum, p.terms)) < 2 * n * (n - 1):
+        return None
+    quotient, remainder = divide_exact(p, pair_square_product(n))
+    return quotient if remainder.is_zero else None
 
 
 def _certified_nonnegative(g: Poly) -> bool:
@@ -173,21 +219,31 @@ def check_onesided(
     The certified path divides out the squared pairwise factor shared by all
     diagonal-vanishing squares; the heuristic path is an exact integer walk
     over the scaled lattice of a uniform rational grid, shrunk if its total
-    size would exceed max_grid_points.  The walk stops at the first negative
-    value in C order (reported with its point); otherwise grid_min is the
-    first minimum.
+    size would exceed max_grid_points.  A ValueError refuses the request
+    before any walk when even 2 points per axis exceed max_grid_points.  The
+    walk stops at the first negative value in C order (reported with its
+    point); otherwise grid_min is the first minimum.
     """
     if f_minus_h.dim != d.n:
         raise ValueError(
             f"polynomial dimension {f_minus_h.dim} does not match domain {d.n}"
         )
-    quotient, remainder = divide_exact(f_minus_h, pair_square_product(d.n))
-    if remainder.is_zero and _certified_nonnegative(quotient):
-        return OneSidedness(kind=CERTIFIED, cofactor=quotient)
+    cofactor = _pair_square_cofactor(f_minus_h)
+    if cofactor is not None and _certified_nonnegative(cofactor):
+        return OneSidedness(kind=CERTIFIED, cofactor=cofactor)
 
+    if 2**d.n > max_grid_points:
+        raise ValueError(
+            f"the one-sided grid needs at least 2^{d.n} = {2**d.n} points, "
+            f"above the limit of {max_grid_points}"
+        )
     npts = max(2, grid_points_per_axis)
-    while npts > 2 and npts**d.n > max_grid_points:
-        npts -= 1
+    if npts**d.n > max_grid_points:
+        # the largest side within the cap; int() of the float root is at most
+        # one below it
+        npts = int(max_grid_points ** (1 / d.n)) + 1
+        while npts**d.n > max_grid_points:
+            npts -= 1
     best, witness = _lattice_walk(f_minus_h, d.r, npts)
     if best < 0:
         return OneSidedness(
@@ -258,13 +314,16 @@ def certify_best_approx(
     l1_error = None
     if onesided.kind in (CERTIFIED, HEURISTIC):
         l1_error = integrate_cube(diff, d, Weight.power(0))
+    # a certified diff is a multiple of prod (x_i^2 - x_j^2)^2, see the module
+    certified = onesided.kind == CERTIFIED
     return ApproxCertificate(
         f=f,
         h=h,
         domain=d,
         harmonic_ok=is_polyharmonic(h, 1),
-        vanishes_on_diagonal=vanishes_on_diagonal(diff, d),
-        gradient_vanishes_on_diagonal=gradient_vanishes_on_diagonal(diff, d),
+        vanishes_on_diagonal=certified or vanishes_on_diagonal(diff, d),
+        gradient_vanishes_on_diagonal=certified
+        or gradient_vanishes_on_diagonal(diff, d),
         onesided=onesided,
         l1_error=l1_error,
     )

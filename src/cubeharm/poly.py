@@ -451,26 +451,33 @@ def divide_exact(p: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     Uses the graded-lex leading term of the divisor; no monomial of the
     remainder is divisible by it.  remainder == 0 therefore certifies exact
     divisibility (and conversely, a multiple always reduces to remainder 0).
+    Each step reduces the leading term of the working polynomial, whose
+    nonzero terms are kept in one dict that the step updates in place.
     """
     p._check_same_dim(divisor)
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     lead_e, lead_c = divisor.leading_term()
-    quotient = Poly.zero(p.dim)
-    remainder = Poly.zero(p.dim)
-    work = p
-    while not work.is_zero:
-        exps, coeff = work.leading_term()
+    tail = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+    work = dict(p.terms)
+    quotient: dict[Exponent, Fraction] = {}
+    remainder: dict[Exponent, Fraction] = {}
+    while work:
+        exps = max(work, key=grlex_key)
+        coeff = work.pop(exps)
         diff = tuple(a - b for a, b in zip(exps, lead_e))
-        if all(d >= 0 for d in diff):
-            term = Poly.monomial(p.dim, diff, coeff / lead_c)
-            quotient = quotient + term
-            work = work - term * divisor
-        else:
-            term = Poly.monomial(p.dim, exps, coeff)
-            remainder = remainder + term
-            work = work - term
-    return quotient, remainder
+        if min(diff) < 0:
+            remainder[exps] = coeff
+            continue
+        q = quotient[diff] = coeff / lead_c
+        for e, c in tail:
+            # q and c are nonzero, so only a present term can cancel
+            key = tuple(a + b for a, b in zip(diff, e))
+            if value := work.get(key, 0) - q * c:
+                work[key] = value
+            else:
+                del work[key]
+    return Poly(p.dim, quotient), Poly(p.dim, remainder)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

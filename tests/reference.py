@@ -12,11 +12,14 @@ Run as a script to regenerate the frozen constants used in the test suite:
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import sympy as sp
 
-from cubeharm.poly import Poly, UniPoly
+from cubeharm.integrate import CubeDomain, Weight, integrate_diagonal
+from cubeharm.poly import Poly, UniPoly, grlex_key, partial
 
 
 def _to_sympy(p: Poly, xs) -> sp.Expr:
@@ -111,6 +114,51 @@ def cell_factor(alpha: tuple[int, ...], s: int) -> Fraction:
                 box *= Fraction(2, e + 1)
         total += box
     return 2**s * total
+
+
+def _square(p: Poly) -> Poly:
+    """p * p, multiplied in integers over one common denominator."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    ints = [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in ints:
+        for eb, cb in ints:
+            key = tuple(map(operator.add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return Poly(p.dim, {e: Fraction(v, den * den) for e, v in out.items()})
+
+
+def vanishes_on_diagonal(p: Poly, d: CubeDomain) -> bool:
+    """p^2 is continuous and nonnegative and every sheet has positive mass,
+    so p vanishes on the diagonal set iff the diagonal integral of p^2 is
+    zero.  The engine's former test, the reference for its substitution."""
+    return integrate_diagonal(_square(p), d, Weight.power(0)) == 0
+
+
+def gradient_vanishes_on_diagonal(p: Poly, d: CubeDomain) -> bool:
+    return all(vanishes_on_diagonal(partial(p, axis), d) for axis in range(1, p.dim + 1))
+
+
+def divide_exact(p: Poly, divisor: Poly) -> tuple[Poly, Poly]:
+    """Division by the graded-lex leading term of divisor, rebuilding the
+    working polynomial at every step: the engine's former loop, the
+    reference for its in-place dict one."""
+    lead_e, lead_c = divisor.leading_term()
+    quotient = Poly.zero(p.dim)
+    remainder = Poly.zero(p.dim)
+    work = p
+    while not work.is_zero:
+        exps, coeff = max(work.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        diff = tuple(a - b for a, b in zip(exps, lead_e))
+        if all(e >= 0 for e in diff):
+            term = Poly.monomial(p.dim, diff, coeff / lead_c)
+            quotient = quotient + term
+            work = work - term * divisor
+        else:
+            term = Poly.monomial(p.dim, exps, coeff)
+            remainder = remainder + term
+            work = work - term
+    return quotient, remainder
 
 
 def _omega(k: int) -> UniPoly:

@@ -227,6 +227,18 @@ class TestIntegrate:
         assert code == 1
         assert "offset" in err
 
+    def test_dimension_bound(self, capsys):
+        from cubeharm.cli import MAX_DIM
+
+        argv = ["integrate", "--region", "diagonal", "--poly", "x1^2", "--n"]
+        code, out, _ = run_cli(capsys, *argv, str(MAX_DIM))
+        assert code == 0
+        assert out.endswith("\n") and "/" in out
+        code, out, err = run_cli(capsys, *argv, str(MAX_DIM + 1))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: dimension must be <= {MAX_DIM}, got {MAX_DIM + 1}\n"
+
     def test_bad_radius_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -273,6 +285,14 @@ class TestApprox:
         assert err.count("\n") == 1
         assert err.startswith("error: phi'' is negative at u = ")
 
+
+    def test_grid_above_the_point_cap_refused(self, capsys):
+        # 2^20 points exceed MAX_GRID_POINTS even at 2 points per axis
+        code, out, err = run_cli(capsys, "approx", "--n", "20", "--f", "x1^2+1", "--h", "0")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: the one-sided grid needs at least 2^20 = 1048576 points")
 
     HEURISTIC_ARGS = (
         "approx", "--n", "3", "--r", "1",

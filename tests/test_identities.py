@@ -290,6 +290,22 @@ class TestSuiteMatchesResiduals:
         assert len(report.entries) == 2 * len(phis) * len(basis)
         assert len(calls) == 2 * len(basis)
 
+    def test_profile_condition_decided_once_per_parameter(self, monkeypatch):
+        basis = graded_basis(BasisRequest(2, 6, 2))
+        calls = []
+        decide = identities._vanishing_failure
+
+        def counting(phi, order):
+            calls.append(order)
+            return decide(phi, order)
+
+        monkeypatch.setattr(identities, "_vanishing_failure", counting)
+        phis = tuple(parse_unipoly(f"t^{j}") for j in range(4, 7))
+        ids = [Identity.WEIGHTED_QUADRATURE, Identity.PIZZETTI]
+        report = run_suite(basis, D21, ids, SuiteConfig(m=2, phis=phis))
+        assert len(report.entries) == 2 * len(phis) * len(basis)
+        assert calls == [2] * len(phis) + [4] * len(phis)
+
     def test_identities_may_be_an_iterator(self):
         args = (BasisRequest(2, 4, 2), D21)
         config = SuiteConfig(m=2)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import polys_st, pp
 from cubeharm.identities import WeightConditionError
+import cubeharm.onesided as onesided
 from cubeharm.integrate import CubeDomain
 from cubeharm.onesided import (
     CERTIFIED,
@@ -60,6 +62,64 @@ class TestVanishesOnDiagonal:
         assert not vanishes_on_diagonal(pp("x1^2 - x2^2", 3), D31)
 
 
+@st.composite
+def diagonal_cases(draw):
+    """A polynomial at n = 2-4 with a domain: a random one, or a random
+    multiple of (x_i +- x_j)^e (e = 1, 2), of prod_{i<j} (x_i^2 - x_j^2), or
+    of pair_square_product(n), perturbed half the time."""
+    n = draw(st.integers(2, 4))
+    x = [Poly.variable(n, k) for k in range(1, n + 1)]
+    kind = draw(st.sampled_from(("plain", "pair", "pair_product", "pair_square_product")))
+    factor = Poly.const(n, 1)
+    if kind == "pair":
+        i, j = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        sign = draw(st.sampled_from((1, -1)))
+        factor = (x[i] + x[j].scale(sign)) ** draw(st.integers(1, 2))
+    elif kind == "pair_product":
+        for i, j in itertools.combinations(range(n), 2):
+            factor = factor * (x[i] * x[i] - x[j] * x[j])
+    elif kind == "pair_square_product":
+        factor = pair_square_product(n)
+    # one cofactor term keeps the squared reference quick on the 201-term
+    # product at n = 4
+    big = kind == "pair_square_product" and n == 4
+    p = draw(polys_st(n, max_degree=3, max_terms=1 if big else 4)) * factor
+    if draw(st.booleans()):
+        p = p + draw(polys_st(n, max_degree=2, max_terms=2))
+    return p, CubeDomain(n, draw(st.sampled_from((Fraction(1), Fraction(3, 2)))))
+
+
+class TestSubstitutionMatchesSquaredIntegral:
+    @given(diagonal_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_vanishing_and_gradient(self, case):
+        p, d = case
+        assert vanishes_on_diagonal(p, d) == reference.vanishes_on_diagonal(p, d)
+        assert gradient_vanishes_on_diagonal(p, d) == reference.gradient_vanishes_on_diagonal(p, d)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_flag_combinations(self, n):
+        d = CubeDomain(n, Fraction(1))
+        x = [Poly.variable(n, k) for k in range(1, n + 1)]
+        pairs = Poly.const(n, 1)
+        for i, j in itertools.combinations(range(n), 2):
+            pairs = pairs * (x[i] * x[i] - x[j] * x[j])
+        cases = {
+            (True, True): pair_square_product(n) * x[0],
+            (True, False): pairs,
+            (False, True): Poly.const(n, 5),
+            (False, False): (x[0] - x[1]) ** 2,
+        }
+        for flags, p in cases.items():
+            assert (vanishes_on_diagonal(p, d), gradient_vanishes_on_diagonal(p, d)) == flags
+            assert reference.vanishes_on_diagonal(p, d) == flags[0]
+            assert reference.gradient_vanishes_on_diagonal(p, d) == flags[1]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            vanishes_on_diagonal(pp("x1^2 - x2^2", 2), D31)
+
+
 class TestGradientVanishes:
     def test_squared_factor(self):
         assert gradient_vanishes_on_diagonal(pp("1/4*(x1^2 - x2^2)^2"), D21)
@@ -98,12 +158,50 @@ class TestCheckOnesided:
         assert result.grid_points_per_axis == 11
         assert result.grid_min == 0
 
-    def test_grid_cap_shrinks_resolution(self):
+    @pytest.mark.parametrize("asked", [41, 10**9])
+    def test_grid_cap_shrinks_resolution(self, asked):
         result = check_onesided(
-            pp("x1^2 + x2^2 + 1"), D21, grid_points_per_axis=41, max_grid_points=100
+            pp("x1^2 + x2^2 + 1"), D21, grid_points_per_axis=asked, max_grid_points=100
         )
         assert result.kind == HEURISTIC
         assert result.grid_points_per_axis == 10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_shrunk_grid_is_the_largest_within_the_cap(self, n):
+        d = CubeDomain(n, Fraction(1))
+        # float roots of exact powers can fall just below: (10**6)**(1/3) and
+        # (5**6)**(1/6) do
+        for cap in (2**n, 3**n - 1, 3**n, 5**n) + ((10**6,) if n <= 3 else ()):
+            npts = check_onesided(Poly.const(n, 1), d, 10**9, cap).grid_points_per_axis
+            assert npts**n <= cap < (npts + 1) ** n
+
+    def test_grid_below_two_points_per_axis_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid walked before the cap check")
+
+        monkeypatch.setattr(onesided, "_lattice_walk", refuse)
+        with pytest.raises(ValueError, match=r"2\^3 = 8 points, above the limit of 7"):
+            check_onesided(pp("x1^2 + 1", 3), D31, max_grid_points=7)
+
+    def test_two_points_per_axis_at_the_cap(self):
+        result = check_onesided(pp("x1^2 + 1", 3), D31, max_grid_points=8)
+        assert result.kind == HEURISTIC
+        assert result.grid_points_per_axis == 2
+
+    def test_low_degree_term_skips_the_factor(self, monkeypatch):
+        # a nonzero term of degree below 2n(n-1) = 84 rules out a multiple of
+        # the product, so neither the product nor the division is needed
+        def refuse(dim):
+            raise AssertionError("pair_square_product built")
+
+        monkeypatch.setattr(onesided, "pair_square_product", refuse)
+        monkeypatch.setattr(onesided, "divide_exact", refuse)
+        d7 = CubeDomain(7, Fraction(1))
+        result = check_onesided(pp("x1^2 + 1", 7), d7, max_grid_points=3**7)
+        assert result.kind == HEURISTIC
+        assert result.grid_points_per_axis == 3
+        assert result.grid_min == 1
+        assert check_onesided(Poly.zero(7), d7).kind == CERTIFIED
 
     def test_square_cofactor_certified(self):
         diff = pp("(x1 - x2)^2") * pair_square_product(2)
@@ -212,6 +310,18 @@ class TestCertifyBestApprox:
         assert cert.vanishes_on_diagonal
         assert cert.onesided.kind == CERTIFIED
         assert cert.l1_error == Fraction(4096, 165375)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_certified_flags_equal_computed_ones(self, n):
+        d = CubeDomain(n, Fraction(3, 2))
+        rng = random.Random(n)
+        for cofactor in (pp("1", n), pp("2/3*x2^2", n), pp("(x1 - x2 + 1/2)^2", n)):
+            h = random_poly(rng, n, max_degree=2, max_terms=3)
+            f = h + cofactor * pair_square_product(n)
+            cert = certify_best_approx(f, h, d, grid_points_per_axis=3)
+            assert cert.onesided.kind == CERTIFIED
+            assert cert.vanishes_on_diagonal == vanishes_on_diagonal(f - h, d)
+            assert cert.gradient_vanishes_on_diagonal == gradient_vanishes_on_diagonal(f - h, d)
 
     def test_failed_onesidedness_has_no_error(self):
         cert = certify_best_approx(Poly.zero(2), pp("x1", 2), D21)

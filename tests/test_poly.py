@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import polys_st, pp
 from cubeharm.poly import (
     DimensionMismatchError,
@@ -194,6 +196,30 @@ class TestDivision:
         divisor = x1**2 - x2**2
         q, rem = divide_exact(p, divisor)
         assert q * divisor + rem == p
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_quotient_and_reduced_remainder(self, data):
+        n = data.draw(st.integers(1, 3))
+        divisor = data.draw(polys_st(n, max_degree=3, max_terms=3))
+        assume(not divisor.is_zero)
+        p = data.draw(polys_st(n, max_degree=3, max_terms=4)) * divisor
+        p = p + data.draw(polys_st(n, max_degree=5, max_terms=4))
+        q, rem = divide_exact(p, divisor)
+        assert q * divisor + rem == p
+        lead, _ = divisor.leading_term()
+        assert not any(all(a >= b for a, b in zip(e, lead)) for e in rem.terms)
+        # the same steps as reducing the leading term of a rebuilt Poly
+        assert (q, rem) == reference.divide_exact(p, divisor)
+
+    def test_pair_square_product_divisor(self):
+        from cubeharm.onesided import pair_square_product
+
+        divisor = pair_square_product(3)
+        p = pp("x1^2*x3 - 3/5", 3) * divisor + pp("x1^11*x2 + 2*x3^13 - x1*x2*x3", 3)
+        q, rem = divide_exact(p, divisor)
+        assert q * divisor + rem == p
+        assert (q, rem) == reference.divide_exact(p, divisor)
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):

@@ -285,7 +285,6 @@ class TestApprox:
         assert err.count("\n") == 1
         assert err.startswith("error: phi'' is negative at u = ")
 
-
     def test_grid_above_the_point_cap_refused(self, capsys):
         # 2^20 points exceed MAX_GRID_POINTS even at 2 points per axis
         code, out, err = run_cli(capsys, "approx", "--n", "20", "--f", "x1^2+1", "--h", "0")
@@ -293,6 +292,7 @@ class TestApprox:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: the one-sided grid needs at least 2^20 = 1048576 points")
+
 
     HEURISTIC_ARGS = (
         "approx", "--n", "3", "--r", "1",

@@ -158,16 +158,16 @@ class TestCheckOnesided:
         assert result.grid_points_per_axis == 11
         assert result.grid_min == 0
 
-    @pytest.mark.parametrize("asked", [41, 10**9])
-    def test_grid_cap_shrinks_resolution(self, asked):
+    def test_grid_cap_shrinks_resolution(self):
         result = check_onesided(
-            pp("x1^2 + x2^2 + 1"), D21, grid_points_per_axis=asked, max_grid_points=100
+            pp("x1^2 + x2^2 + 1"), D21, grid_points_per_axis=41, max_grid_points=100
         )
         assert result.kind == HEURISTIC
         assert result.grid_points_per_axis == 10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_shrunk_grid_is_the_largest_within_the_cap(self, n):
+        # asking for 10**9 points per axis shrinks in one step, not 10**9
         d = CubeDomain(n, Fraction(1))
         # float roots of exact powers can fall just below: (10**6)**(1/3) and
         # (5**6)**(1/6) do

@@ -15,6 +15,11 @@ Reports are written atomically (temp file + rename) and are byte-identical
 for identical configurations.  All rationals in output are "p/q" strings;
 the only floats are crosscheck deviations and grid samples, printed with 17
 significant digits.
+
+Each subcommand imports only the modules it runs: this module loads the
+parser and the polynomial layer, and a `cmd_*` function imports the rest
+when it needs them, so a process spends no start-up time compiling layers
+that its subcommand never calls.
 """
 
 from __future__ import annotations
@@ -28,20 +33,13 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .identities import Identity, SuiteConfig, run_suite
-from .integrate import CubeDomain, Weight, integrate_boundary, integrate_cube, integrate_diagonal
-from .kernel import BasisRequest, graded_basis
-from .onesided import certify_best_approx
-from .oracle import (
-    QuadratureSpec,
-    numeric_integrate_boundary,
-    numeric_integrate_cube,
-    numeric_integrate_diagonal,
-)
 from .parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
 from .poly import Limits, Poly, evaluate, poly_to_text, rational_to_text
-from .sampling import random_poly
+
+if TYPE_CHECKING:
+    from .integrate import CubeDomain
 
 # Work `grid` may do, in term evaluations: every point evaluates each term of
 # f and h exactly and writes a CSV row that costs about two more.  A term
@@ -56,11 +54,12 @@ MAX_GRID_TERM_EVALS = 500_000
 # n = 14,260 at r = 1 and n = 3,745 at r = 7/5.
 MAX_DIM = 2000
 
+# --identities token -> name of its identities.Identity member
 _IDENTITY_TOKENS = {
-    "surface": Identity.SURFACE_MEAN,
-    "volume": Identity.VOLUME_MEAN,
-    "quadrature": Identity.WEIGHTED_QUADRATURE,
-    "pizzetti": Identity.PIZZETTI,
+    "surface": "SURFACE_MEAN",
+    "volume": "VOLUME_MEAN",
+    "quadrature": "WEIGHTED_QUADRATURE",
+    "pizzetti": "PIZZETTI",
 }
 
 
@@ -96,6 +95,8 @@ def _domain(args) -> CubeDomain:
         raise UsageError(f"dimension must be <= {MAX_DIM}, got {args.n}")
     if r <= 0:
         raise UsageError(f"radius must be positive, got {args.r}")
+    from .integrate import CubeDomain
+
     return CubeDomain(args.n, r)
 
 
@@ -188,20 +189,24 @@ def cmd_verify(args) -> int:
     if args.n is None:
         raise UsageError("--n is required (as a flag or a job file field)")
     d = _domain(args)
-    identities = []
+    names = []
     for token in args.identities.split(","):
         token = token.strip()
         if token not in _IDENTITY_TOKENS:
             raise UsageError(
                 f"unknown identity {token!r}; choose from {','.join(_IDENTITY_TOKENS)}"
             )
-        identities.append(_IDENTITY_TOKENS[token])
+        names.append(_IDENTITY_TOKENS[token])
     ks = _parse_int_list(args.k)
     if any(k < 0 for k in ks):
         raise UsageError("weight exponents must be >= 0")
     phis = None
     if args.phi:
         phis = tuple(parse_unipoly(text, limits=_input_limits(args)) for text in args.phi)
+    from .identities import Identity, SuiteConfig, run_suite
+    from .kernel import BasisRequest
+
+    identities = [Identity[name] for name in names]
     config = SuiteConfig(ks=ks, m=args.m, phis=phis)
     if args.poly:
         p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
@@ -218,6 +223,8 @@ def cmd_verify(args) -> int:
 def cmd_basis(args) -> int:
     if args.n < 1:
         raise UsageError(f"dimension must be >= 1, got {args.n}")
+    from .kernel import BasisRequest, graded_basis
+
     request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
     basis = graded_basis(request, limits=_input_limits(args))
     lines = [poly_to_text(p) for p in basis.elements]
@@ -232,6 +239,8 @@ def cmd_basis(args) -> int:
 def cmd_integrate(args) -> int:
     d = _domain(args)
     p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
+    from .integrate import Weight, integrate_boundary, integrate_cube, integrate_diagonal
+
     if args.phi is not None:
         weight = Weight.from_profile(parse_unipoly(args.phi))
     else:
@@ -256,6 +265,8 @@ def cmd_approx(args) -> int:
     limits = _input_limits(args)
     f = parse_poly(ExprSource(args.f, expected_dim=args.n), limits=limits)
     h = parse_poly(ExprSource(args.h, expected_dim=args.n), limits=limits)
+    from .onesided import certify_best_approx
+
     cert = certify_best_approx(f, h, d, grid_points_per_axis=args.grid)
     payload = cert.to_dict()
     if args.phi is not None:
@@ -269,6 +280,14 @@ def cmd_approx(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     d = _domain(args)
+    from .integrate import Weight, integrate_boundary, integrate_cube, integrate_diagonal
+    from .oracle import (
+        QuadratureSpec,
+        numeric_integrate_boundary,
+        numeric_integrate_cube,
+        numeric_integrate_diagonal,
+    )
+
     spec = QuadratureSpec(points_per_axis=args.points_per_axis)
     ks = _parse_int_list(args.k)
     polys: list[Poly] = []
@@ -277,6 +296,8 @@ def cmd_crosscheck(args) -> int:
             parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
         )
     else:
+        from .sampling import random_poly
+
         rng = random.Random(args.seed)
         for _ in range(args.count):
             polys.append(random_poly(rng, args.n, max_degree=args.deg))

@@ -30,13 +30,18 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
-from .integrate import CubeDomain, DegreeSums, Region, Weight, integral, measure
+from .integrate import (
+    CubeDomain,
+    DegreeSums,
+    Region,
+    Weight,
+    WeightConditionError,
+    _vanishing_failure,
+    integral,
+    measure,
+)
 from .kernel import BasisRequest, BasisSet, graded_basis
 from .poly import Poly, UniPoly, laplacian, rational_to_text, uni_to_text
-
-
-class WeightConditionError(ValueError):
-    """The weight profile violates a required vanishing condition at 0."""
 
 
 class NotPolyharmonicError(ValueError):
@@ -80,22 +85,6 @@ def _volume_mean(d: CubeDomain, k: int) -> Callable[[DegreeSums], Fraction]:
         return cube(h) / cube_mass - diagonal(h) / diagonal_mass
 
     return residual
-
-
-def _vanishing_failure(phi: UniPoly, order: int) -> str | None:
-    """Why phi does not vanish to the given order at 0, or None if it does."""
-    names = {0: "phi(0)", 1: "phi'(0)"}
-    for j in range(order):
-        if phi.coeff(j) != 0:
-            name = names.get(j, f"phi^({j})(0)")
-            return f"weight profile must satisfy {name} = 0, got {phi.coeff(j)}"
-    return None
-
-
-def _require_vanishing(phi: UniPoly, order: int) -> None:
-    failure = _vanishing_failure(phi, order)
-    if failure is not None:
-        raise WeightConditionError(failure)
 
 
 def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[DegreeSums], Fraction]:

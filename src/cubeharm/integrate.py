@@ -108,6 +108,26 @@ class Weight:
         return cls(phi, uni_to_text(phi))
 
 
+class WeightConditionError(ValueError):
+    """The weight profile violates a required vanishing condition at 0."""
+
+
+def _vanishing_failure(phi: UniPoly, order: int) -> str | None:
+    """Why phi does not vanish to the given order at 0, or None if it does."""
+    names = {0: "phi(0)", 1: "phi'(0)"}
+    for j in range(order):
+        if phi.coeff(j) != 0:
+            name = names.get(j, f"phi^({j})(0)")
+            return f"weight profile must satisfy {name} = 0, got {phi.coeff(j)}"
+    return None
+
+
+def _require_vanishing(phi: UniPoly, order: int) -> None:
+    failure = _vanishing_failure(phi, order)
+    if failure is not None:
+        raise WeightConditionError(failure)
+
+
 @functools.lru_cache(maxsize=4096)
 def _cell_factors(alpha: Exponent) -> tuple[Fraction, Fraction]:
     """(C_1(alpha), C_2(alpha)) with C_s = B(alpha) * e_s(alpha_k + 1), in

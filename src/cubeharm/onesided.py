@@ -40,7 +40,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .integrate import CubeDomain, Weight, integrate_cube
+from .integrate import (
+    CubeDomain,
+    Weight,
+    WeightConditionError,
+    _require_vanishing,
+    integrate_cube,
+)
 from .kernel import is_polyharmonic
 from .poly import (
     DimensionMismatchError,
@@ -353,8 +359,6 @@ def _weighted_error(
 ) -> Fraction:
     """weighted_l1_error of diff = f - h, given check_onesided's verdict on
     diff, or None to walk the grid once the weight conditions hold."""
-    from .identities import WeightConditionError, _require_vanishing
-
     _require_vanishing(phi, 2)
     d2 = phi.derivative(2)
     for name, g in (("phi'", phi.derivative(1)), ("phi''", d2)):

@@ -40,9 +40,10 @@ recurrence rather than any table.  In the factorized path every sum over
 nodes, terms and cells is a math.fsum, so results are correctly rounded
 sums of the same products, independent of term order and stable run to
 run; the one-dimensional tables are built afresh on every call, in
-O(q * degree) work.  The nodes and weights are Python floats, and numpy
-is imported only where `numeric_l1` builds its point grids, so importing the
-package and running the factorized integrals do not load it.
+O(q * degree) work.  The nodes and weights are Python floats.  numpy is an
+optional dependency (the `oracle` extra), imported only where `numeric_l1`
+builds its point grids, so the package and the factorized integrals neither
+need nor load it.
 """
 
 from __future__ import annotations
@@ -263,7 +264,10 @@ def numeric_l1(
             f"{q} points per axis in dimension {n} put {q**n} nodes on a cell, "
             f"above the limit of {MAX_CELL_POINTS}"
         )
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ImportError("numeric_l1 needs numpy: install cubeharm[oracle]") from exc
 
     from ._kernels import evaluate_terms
 

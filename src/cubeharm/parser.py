@@ -17,14 +17,36 @@ rejected to keep everything exact.
 Errors raise ExprSyntaxError carrying the byte offset of the offending
 token, so callers can produce pointed diagnostics without the process ever
 dying on malformed input.
+
+Work is bounded before it is done.  A power of a non-constant base is
+refused when its degree exceeds the limit, a constant power when its result
+would exceed MAX_CONSTANT_BITS, and a product or power when the terms it
+may expand to exceed MAX_EXPANDED_TERMS.  A sum collects its terms in one
+table, so its cost grows with the length of the text, not its square.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import DEFAULT_LIMITS, Limits, Poly, UniPoly
+
+
+# Terms the products and powers of one expression may expand to, counted
+# before multiplying: t1 * t2 for a product and C(t + e - 1, e) for the e-th
+# power of a t-term base.  One term product costs about 11 us at n = 8,
+# 18 us at n = 100 and 230 us at n = 2000 (the CLI's largest --n), so a
+# 10,000-term product takes about 0.2 s at n = 8 and 3 s at n = 2000.  The
+# largest admitted powers, (x1 + ... + x8)^8 with 6,435 terms and
+# (x1 + ... + x140)^2 at n = 2000, take 0.4 s and 5 s.
+MAX_EXPANDED_TERMS = 10_000
+
+# Bits of the largest numerator or denominator a constant power may produce.
+# Python prints no integer of more than 4300 digits (about 14,300 bits), so
+# no report could show a larger coefficient.
+MAX_CONSTANT_BITS = 14_000
 
 
 class ExprSyntaxError(ValueError):
@@ -91,11 +113,13 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive-descent parser producing Poly values directly."""
 
-    def __init__(self, tokens: list[_Token], dim: int, univariate: bool):
+    def __init__(self, tokens: list[_Token], dim: int, univariate: bool, limits: Limits):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
         self.univariate = univariate
+        self.limits = limits
+        self.expanded = 0  # terms the products and powers so far may expand to
         self.max_axis_seen = 0
 
     def peek(self) -> _Token:
@@ -121,11 +145,14 @@ class _Parser:
 
     def expr(self) -> Poly:
         value = self.term()
+        if self.peek().kind not in "+-":
+            return value
+        terms = dict(value.terms)
         while self.peek().kind in "+-":
-            op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
+            sign = 1 if self.advance().kind == "+" else -1
+            for exps, coeff in self.term().terms.items():
+                terms[exps] = terms.get(exps, 0) + sign * coeff
+        return Poly(self.dim, terms)
 
     def term(self) -> Poly:
         value = self.factor()
@@ -133,6 +160,7 @@ class _Parser:
             op = self.advance()
             rhs = self.factor()
             if op.kind == "*":
+                self.bound_terms(len(value.terms) * len(rhs.terms), "product", op)
                 value = value * rhs
             else:
                 c = _constant_value(rhs)
@@ -168,7 +196,34 @@ class _Parser:
             raise ExprSyntaxError(f"exponent must be an integer, got {c}", op.position)
         if c < 0:
             raise ExprSyntaxError(f"negative exponent {c}", op.position)
-        return base ** int(c)
+        e = int(c)
+        b = _constant_value(base)
+        if b is not None:
+            bits = e * math.log2(max(abs(b.numerator), b.denominator))
+            if bits > MAX_CONSTANT_BITS:
+                raise ExprSyntaxError(
+                    f"constant power ({b})^{e} has about {bits:.0f} bits, "
+                    f"above the limit of {MAX_CONSTANT_BITS}",
+                    op.position,
+                )
+            return Poly.const(self.dim, b**e)
+        degree = base.total_degree * e
+        if degree > self.limits.max_degree:
+            raise ExprSyntaxError(
+                f"degree {degree} exceeds the configured limit {self.limits.max_degree}",
+                op.position,
+            )
+        self.bound_terms(math.comb(len(base.terms) + e - 1, e), "power", op)
+        return base**e
+
+    def bound_terms(self, terms: int, what: str, op: _Token) -> None:
+        self.expanded += terms
+        if self.expanded > MAX_EXPANDED_TERMS:
+            raise ExprSyntaxError(
+                f"{what} of up to {terms} terms brings the expression to {self.expanded} "
+                f"expanded terms, above the limit of {MAX_EXPANDED_TERMS}",
+                op.position,
+            )
 
     def atom(self) -> Poly:
         tok = self.advance()
@@ -246,7 +301,7 @@ def parse_poly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> Poly:
             raise ExprSyntaxError(
                 f"variable index {dim} exceeds the configured limit {limits.max_dim}", 0
             )
-    poly = _Parser(tokens, dim, univariate=False).parse()
+    poly = _Parser(tokens, dim, univariate=False, limits=limits).parse()
     if poly.total_degree > limits.max_degree:
         raise ExprSyntaxError(
             f"degree {poly.total_degree} exceeds the configured limit {limits.max_degree}",
@@ -262,7 +317,7 @@ def parse_unipoly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> Uni
     if not src.text.strip():
         raise ExprSyntaxError("empty expression", 0)
     tokens = _tokenize(src.text)
-    poly = _Parser(tokens, 1, univariate=True).parse()
+    poly = _Parser(tokens, 1, univariate=True, limits=limits).parse()
     if poly.total_degree > limits.max_degree:
         raise ExprSyntaxError(
             f"degree {poly.total_degree} exceeds the configured limit {limits.max_degree}",

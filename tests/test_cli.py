@@ -246,6 +246,30 @@ class TestIntegrate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "n,poly,reason",
+        [
+            ("2", "x1^1000000000", "at offset 2: degree 1000000000 exceeds"),
+            ("2", "2^1000000000*x1", "at offset 1: constant power (2)^1000000000 has about"),
+            # 245,157 terms, which took 35 s to expand and integrate
+            ("8", "(" + "+".join(f"x{i}" for i in range(1, 9)) + ")^16", "at offset 25: power of"),
+        ],
+        ids=["degree", "constant", "terms"],
+    )
+    def test_expression_above_expansion_bounds_refused(self, capsys, monkeypatch, n, poly, reason):
+        from cubeharm.poly import Poly
+
+        def refuse(*args):
+            raise AssertionError("expanded before the bound")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__pow__", refuse)
+        code, out, err = run_cli(capsys, "integrate", "--region", "cube", "--n", n, "--poly", poly)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: invalid expression {reason}")
+
 
 class TestApprox:
     def test_example1_certificate(self, capsys):

@@ -1,0 +1,102 @@
+"""What each entry point imports: `import cubeharm` loads no submodule, and a
+CLI subcommand loads only the layers it runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cubeharm
+
+SRC = str(Path(cubeharm.__file__).resolve().parents[1])
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The cubeharm submodules a fresh interpreter holds after running code."""
+    code += (
+        "\nimport sys"
+        "\nprint(' '.join(m for m in sys.modules if m.startswith('cubeharm.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return {name.removeprefix("cubeharm.") for name in out.stdout.splitlines()[-1].split()}
+
+
+def _loaded_by_cli(*argv: str) -> set[str]:
+    code = (
+        "import contextlib, io\n"
+        "from cubeharm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+    )
+    return _loaded_after(code)
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import cubeharm") == set()
+
+
+def test_cli_import_loads_parser_and_poly_only():
+    assert _loaded_after("import cubeharm.cli") == {"cli", "parser", "poly"}
+
+
+@pytest.mark.parametrize(
+    "argv,unused",
+    [
+        (
+            ["integrate", "--n", "2", "--region", "cube", "--poly", "x1^2"],
+            {"identities", "kernel", "onesided", "oracle", "sampling"},
+        ),
+        (["basis", "--n", "2", "--deg", "3"], {"identities", "onesided", "oracle"}),
+        (
+            ["crosscheck", "--n", "3", "--count", "2", "--deg", "4"],
+            {"identities", "kernel", "onesided"},
+        ),
+        (
+            ["approx", "--n", "2", "--f", "x1^2 + 1", "--h", "0", "--phi", "t^2/2"],
+            {"identities", "oracle"},
+        ),
+    ],
+    ids=["integrate", "basis", "crosscheck", "approx-phi"],
+)
+def test_subcommand_loads_only_what_it_runs(argv, unused):
+    loaded = _loaded_by_cli(*argv)
+    assert loaded.isdisjoint(unused), sorted(loaded & unused)
+
+
+def test_exports_are_the_submodule_objects():
+    import importlib
+
+    for name in cubeharm.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"cubeharm.{cubeharm._EXPORTS[name]}")
+        assert getattr(cubeharm, name) is getattr(module, name), name
+        assert name in vars(cubeharm)  # cached after the first access
+
+
+def test_weight_condition_error_is_one_class():
+    from cubeharm import WeightConditionError
+    from cubeharm.identities import WeightConditionError as from_identities
+    from cubeharm.integrate import WeightConditionError as from_integrate
+
+    assert WeightConditionError is from_identities is from_integrate
+
+
+def test_star_import_and_unknown_names():
+    namespace: dict = {}
+    exec("from cubeharm import *", namespace)
+    assert set(cubeharm.__all__) <= set(namespace)
+    assert namespace["parse_poly"] is cubeharm.parse_poly
+    assert set(cubeharm.__all__) <= set(dir(cubeharm))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cubeharm.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cubeharm import no_such_name", {})

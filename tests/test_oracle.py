@@ -325,6 +325,12 @@ def test_crosscheck_does_not_load_numpy():
     assert not _numpy_loaded_after(code)
 
 
+def test_numeric_l1_names_the_extra_without_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
+    with pytest.raises(ImportError, match=r"numeric_l1 needs numpy: install cubeharm\[oracle\]"):
+        numeric_l1(pp("x1", 2), Poly.zero(2), D21)
+
+
 class TestBudgets:
     def test_points_per_axis_capped(self):
         QuadratureSpec(points_per_axis=MAX_POINTS_PER_AXIS)

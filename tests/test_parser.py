@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import cubeharm.parser as parser
 from conftest import polys_st
 from cubeharm.parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
 from cubeharm.poly import Limits, Poly, UniPoly, poly_to_text
@@ -117,6 +118,99 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError):
             parse_poly("x1^17")
         assert parse_poly("x1^17", limits=Limits(max_degree=17)).total_degree == 17
+
+
+def _sum(first: int, last: int) -> str:
+    return "(" + "+".join(f"x{i}" for i in range(first, last + 1)) + ")"
+
+
+class TestExpansionBounds:
+    @pytest.fixture
+    def no_expansion(self, monkeypatch):
+        """Make any multiplication fail, so a refusal shows it came first."""
+
+        def refuse(*args):
+            raise AssertionError("expanded before the bound")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__pow__", refuse)
+
+    def test_power_degree_refused_before_expanding(self, no_expansion):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly("x1 + x1^1000000000")
+        assert err.value.position == 7
+        assert err.value.reason == "degree 1000000000 exceeds the configured limit 16"
+        with pytest.raises(ExprSyntaxError, match="degree 9 exceeds the configured limit 8"):
+            parse_poly("(x1 + x2)^9", limits=Limits(max_degree=8))
+        with pytest.raises(ExprSyntaxError, match="degree 1000000000 exceeds"):
+            parse_unipoly("t^1000000000")
+
+    def test_power_degree_checked_even_when_it_cancels(self):
+        with pytest.raises(ExprSyntaxError, match="degree 20 exceeds"):
+            parse_poly("x1^20 - x1^20")
+        assert parse_poly("x1^20 - x1^20", limits=Limits(max_degree=20)).is_zero
+
+    def test_constant_power_sized_by_its_result(self, no_expansion):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly("3^1000000000*x1")
+        assert err.value.position == 1
+        assert err.value.reason.startswith("constant power (3)^1000000000 has about ")
+        with pytest.raises(ExprSyntaxError, match=r"constant power \(1/2\)\^14001 "):
+            parse_poly("(1/2)^14001")
+
+    def test_constant_power_computed_directly(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("constant power by repeated multiplication")
+
+        monkeypatch.setattr(Poly, "__pow__", refuse)
+        assert parse_poly("2^14000") == Poly.const(1, 2**14000)
+        assert parse_poly("(-1)^1000000001*x1") == parse_poly("-x1")
+        assert parse_poly("1^1000000000 + 0^1000000000 + 0^0") == Poly.const(1, 2)
+
+    def test_product_term_bound(self, no_expansion):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(ExprSource(f"{_sum(1, 101)}*{_sum(1, 100)}", expected_dim=101))
+        assert err.value.reason == (
+            "product of up to 10100 terms brings the expression to 10100 expanded terms, "
+            f"above the limit of {parser.MAX_EXPANDED_TERMS}"
+        )
+
+    def test_power_term_bound(self, no_expansion):
+        # (x1 + ... + x8)^16 has 245,157 terms and took 35 s to expand
+        with pytest.raises(ExprSyntaxError, match="power of up to 245157 terms"):
+            parse_poly(f"{_sum(1, 8)}^16")
+        with pytest.raises(ExprSyntaxError, match="power of up to 11440 terms"):
+            parse_poly(f"{_sum(1, 8)}^9")
+
+    def test_bounds_admit_up_to_the_limit(self, monkeypatch):
+        monkeypatch.setattr(parser, "MAX_EXPANDED_TERMS", 12)
+        assert len(parse_poly(f"{_sum(1, 3)}*{_sum(1, 4)}").terms) == 9  # 3 * 4 bounded
+        assert len(parse_poly(f"{_sum(1, 3)}^2 + {_sum(4, 6)}^2").terms) == 12  # 2 * C(4, 2)
+        with pytest.raises(ExprSyntaxError, match="product of up to 15 terms"):
+            parse_poly(f"{_sum(1, 3)}*{_sum(1, 5)}")
+        with pytest.raises(ExprSyntaxError, match="power of up to 15 terms"):
+            parse_poly(f"{_sum(1, 5)}^2")
+
+    def test_term_bound_is_per_expression(self, monkeypatch):
+        monkeypatch.setattr(parser, "MAX_EXPANDED_TERMS", 12)
+        square = f"{_sum(1, 2)}*{_sum(1, 2)}"
+        assert parse_poly("+".join([square] * 3)) == parse_poly(f"3*{_sum(1, 2)}^2")
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly("+".join([square] * 4))
+        assert err.value.position == 3 * len(square) + 3 + len(_sum(1, 2))
+        assert "brings the expression to 16 expanded terms" in err.value.reason
+
+    def test_sum_collects_terms_without_adding_polys(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sum built by Poly addition")
+
+        monkeypatch.setattr(Poly, "__add__", refuse)
+        monkeypatch.setattr(Poly, "__sub__", refuse)
+        p = parse_poly(ExprSource("x1 - 2*x2 + 3 - x1 + x2^2 - 1/2", expected_dim=2))
+        assert p == Poly(2, {(0, 1): -2, (0, 0): Fraction(5, 2), (0, 2): 1})
+        assert parse_poly(ExprSource(_sum(1, 300), expected_dim=300)).terms == {
+            tuple(int(i == j) for j in range(300)): 1 for i in range(300)
+        }
 
 
 class TestParseUniPoly:

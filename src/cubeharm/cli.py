@@ -28,6 +28,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import operator
 import os
 import random
 import sys
@@ -36,16 +38,30 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
-from .poly import Limits, Poly, evaluate, poly_to_text, rational_to_text
+from .poly import Limits, Poly, lattice_terms, poly_to_text, rational_to_text
 
 if TYPE_CHECKING:
     from .integrate import CubeDomain
 
 # Work `grid` may do, in term evaluations: every point evaluates each term of
-# f and h exactly and writes a CSV row that costs about two more.  A term
-# evaluation takes about 10-13 us, so this is a few seconds of work and at
-# most about 170,000 rows (about 80 bytes each) of CSV held in memory.
-MAX_GRID_TERM_EVALS = 500_000
+# f and h and writes a CSV row that counts as two more.  On the integer
+# lattice a term costs about 0.1-0.4 us a point and a row about 6 us, so a
+# unit costs at most about 2 us (f = x1, h = 0, where rows dominate).  This
+# is at most about 3.5 s of work and 530,000 rows (about 85 bytes each) of
+# CSV held in memory, and admits a dense degree-16 f at the default --res.
+MAX_GRID_TERM_EVALS = 1_600_000
+
+# Work `crosscheck` may do, in units of about 0.2-0.5 us.  One integral of
+# a polynomial of degree deg in dimension n (up to 10 random terms) costs
+# about 300 + n^3 + 5 q deg units at q points per axis: a fixed part, cell
+# sums that grow as n^3 and one-dimensional tables that grow as q deg.  Each
+# polynomial takes 1 + 2 len(--k) integrals.  Measured with 10 terms: n = 112
+# at degree 6 with --k 0,1,2 took 2.4 s (9.8 M units), n = 2 at degree
+# 27,000 with --k 0 took 3.7 s (9.7 M units), n = 2 at degree 2600 with
+# --k 0 and q = 256 took 1.2 s (10.0 M units), and 300 random polynomials
+# at n = 2, degree 0 and --k 0 took 0.35 ms each (0.9 K units).  So this is
+# at most about 4 s of work.
+MAX_CROSSCHECK_WORK = 10_000_000
 
 # Largest --n for the commands that take a cube.  Exact values grow with the
 # dimension: `integrate --region diagonal --poly x1^2` prints 614 bytes at
@@ -280,6 +296,27 @@ def cmd_approx(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     d = _domain(args)
+    ks = _parse_int_list(args.k)
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
+    polys: list[Poly] = []
+    if args.poly:
+        polys.append(
+            parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
+        )
+        count, deg = 1, polys[0].total_degree
+    else:
+        if args.deg < 0:
+            raise UsageError(f"--deg must be >= 0, got {args.deg}")
+        count, deg = args.count, args.deg
+    q = args.points_per_axis
+    work = count * (1 + 2 * len(ks)) * (300 + args.n**3 + 5 * q * deg)
+    if work > MAX_CROSSCHECK_WORK:
+        raise UsageError(
+            f"crosscheck of {count} polynomials of degree {deg} in dimension {args.n} "
+            f"with {len(ks)} weight exponents at {q} points per axis costs {work} work "
+            f"units, above the limit of {MAX_CROSSCHECK_WORK}"
+        )
     from .integrate import Weight, integrate_boundary, integrate_cube, integrate_diagonal
     from .oracle import (
         QuadratureSpec,
@@ -288,19 +325,13 @@ def cmd_crosscheck(args) -> int:
         numeric_integrate_diagonal,
     )
 
-    spec = QuadratureSpec(points_per_axis=args.points_per_axis)
-    ks = _parse_int_list(args.k)
-    polys: list[Poly] = []
-    if args.poly:
-        polys.append(
-            parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
-        )
-    else:
+    spec = QuadratureSpec(points_per_axis=q)
+    if not args.poly:
         from .sampling import random_poly
 
         rng = random.Random(args.seed)
-        for _ in range(args.count):
-            polys.append(random_poly(rng, args.n, max_degree=args.deg))
+        for _ in range(count):
+            polys.append(random_poly(rng, args.n, max_degree=deg))
     worst = 0.0
     for p in polys:
         pairs = [(integrate_boundary(p, d), numeric_integrate_boundary(p, d, spec))]
@@ -335,26 +366,37 @@ def cmd_grid(args) -> int:
             f"grid resolution {res} gives {res * res} points of {per_point} term evaluations "
             f"each, above the limit of {MAX_GRID_TERM_EVALS} in all"
         )
-    coords = (
-        [Fraction(0)]
-        if res == 1
-        else [Fraction(2 * i, res - 1) * d.r - d.r for i in range(res)]
-    )
+    # the samples are step * m for integer m (res == 1 samples only m = 0),
+    # so f and h are integer polynomials over one common denominator there
+    step = d.r / max(res - 1, 1)
+    ms = range(1 - res, res, 2)
+    f_ints, f_denom = lattice_terms(f, step)
+    h_ints, h_denom = lattice_terms(h, step)
+    denom = math.lcm(f_denom, h_denom)
+    top = max((max(exps) for exps in (*f_ints, *h_ints)), default=0)
+    powers = [[m**e for m in ms] for e in range(top + 1)]
+
+    def rows(ints: dict[tuple[int, ...], int], own_denom: int):
+        # the values P(m1, m2) * denom / own_denom, one x1 row at a time
+        scale = denom // own_denom
+        for i in range(res):
+            coeffs: dict[int, int] = {}
+            for (e1, e2), c in ints.items():
+                coeffs[e2] = coeffs.get(e2, 0) + c * scale * powers[e1][i]
+            row = [0] * res
+            for e2, c in coeffs.items():
+                row = list(map(operator.add, row, map(c.__mul__, powers[e2])))
+            yield row
+
+    # int / int is correctly rounded, as float() of the exact Fraction is
+    labels = [_float17(float(step * m)) for m in ms]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x1", "x2", "f", "h", "f_minus_h"])
-    for x1 in coords:
-        for x2 in coords:
-            fv = evaluate(f, (x1, x2))
-            hv = evaluate(h, (x1, x2))
+    for x1, f_row, h_row in zip(labels, rows(f_ints, f_denom), rows(h_ints, h_denom)):
+        for x2, fv, hv in zip(labels, f_row, h_row):
             writer.writerow(
-                [
-                    _float17(float(x1)),
-                    _float17(float(x2)),
-                    _float17(float(fv)),
-                    _float17(float(hv)),
-                    _float17(float(fv - hv)),
-                ]
+                [x1, x2, _float17(fv / denom), _float17(hv / denom), _float17((fv - hv) / denom)]
             )
     _emit(args, buf.getvalue())
     return 0

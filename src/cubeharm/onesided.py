@@ -24,7 +24,10 @@ so it is reported at one of three strengths:
               The grid is walked exactly as an integer lattice: scaling
               x = r/(N-1) * m with integer m turns f - h into an integer
               polynomial over one common denominator, evaluated in Python
-              ints one axis at a time
+              ints one axis at a time.  The walk skips every sub-box whose
+              exact term-wise lower bound is already at or above the
+              running minimum, which never changes the verdict, grid_min or
+              the witness
   failed      a grid point with a negative value was found (with witness)
 
 A certified f - h is a multiple of every (x_i - x_j)^2 (x_i + x_j)^2, so it
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +55,7 @@ from .poly import (
     Poly,
     UniPoly,
     divide_exact,
+    lattice_terms,
     partial,
     poly_sqrt,
     poly_to_text,
@@ -144,22 +147,46 @@ def _lattice_walk(p: Poly, r: Fraction, npts: int) -> tuple[Fraction, tuple[Frac
 
     Grid coordinates are step * m with step = r/(npts-1) and integer
     m = 2i - (npts-1), so p(step * m) = P(m) / D for the integer polynomial
-    P with coefficients c_alpha * step^|alpha| * D, where D > 0 is their
-    common denominator.  The walk fixes one axis at a time, substituting m
-    into the remaining integer coefficients, and adds up the last axis from
-    the power table powers[e][i] = m_i^e; everything inside the loop is a
-    Python int, so nothing can overflow or round.
+    P and denominator D of `lattice_terms`.  The walk fixes one axis at a
+    time, substituting m into the remaining integer coefficients, and adds
+    up the last axis from the power table powers[e][i] = m_i^e; everything
+    inside the loop is a Python int, so nothing can overflow or round.
+
+    Before it enters a sub-box (one more fixed axis), the walk bounds the
+    substituted polynomial from below over the rest of the grid, term by
+    term.  With |m| <= M = npts - 1, a monomial m^e lies in [-M^|e|, M^|e|]
+    when some exponent is odd, and otherwise in [low, M^|e|], where low is 0
+    when the grid holds m = 0 (odd npts) and the monomial is not constant,
+    and 1 otherwise.  The running minimum is >= 0, or the walk would have
+    stopped, so a sub-box whose bound is >= it holds no negative value and
+    none below it, and is skipped.  A tie later in C order never replaces
+    the first minimum, so the result is that of the walk over every point.
     """
     step = r / (npts - 1)
-    scaled = {exps: coeff * step ** sum(exps) for exps, coeff in p.terms.items()}
-    denom = math.lcm(*(c.denominator for c in scaled.values()))
-    ints = {exps: c.numerator * (denom // c.denominator) for exps, c in scaled.items()}
+    ints, denom = lattice_terms(p, step)
     top = max((max(exps) for exps in ints), default=0)
     ms = range(1 - npts, npts, 2)
     powers = [[m**e for m in ms] for e in range(top + 1)]
     last = p.dim - 1
     best: int | None = None
     best_at: tuple[int, ...] = ()
+
+    # remaining exponents -> (low, high) of the monomial over the grid
+    ranges: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def lower_bound(terms: dict[tuple[int, ...], int]) -> int:
+        total = 0
+        for exps, c in terms.items():
+            bounds = ranges.get(exps)
+            if bounds is None:
+                high = (npts - 1) ** sum(exps)
+                if any(e & 1 for e in exps):
+                    low = -high
+                else:
+                    low = 0 if npts & 1 and any(exps) else 1
+                bounds = ranges[exps] = (low, high)
+            total += c * bounds[c < 0]  # a negative coefficient takes the high end
+        return total
 
     def walk(terms: dict[tuple[int, ...], int], at: tuple[int, ...]) -> bool:
         # True once a negative value has been found, which ends the walk
@@ -182,6 +209,8 @@ def _lattice_walk(p: Poly, r: Fraction, npts: int) -> tuple[Fraction, tuple[Frac
             for exps, c in terms.items():
                 rest = exps[1:]
                 sub[rest] = sub.get(rest, 0) + c * powers[exps[0]][i]
+            if best is not None and lower_bound(sub) >= best:
+                continue
             if walk(sub, at + (i,)):
                 return True
         return False

@@ -213,6 +213,20 @@ def evaluate(p: Poly, point: Sequence[RationalLike]) -> Fraction:
     return total
 
 
+def lattice_terms(p: Poly, step: Fraction) -> tuple[dict[Exponent, int], int]:
+    """p on the lattice x = step * m (integer m) as integers over one
+    common denominator: the integer coefficients P and D > 0 with
+    p(step * m) = P(m) / D for every integer point m.
+
+    P's coefficients are c_alpha * step^|alpha| * D, and D is the least
+    common denominator of the c_alpha * step^|alpha|.
+    """
+    scaled = {exps: coeff * step ** sum(exps) for exps, coeff in p.terms.items()}
+    denom = math.lcm(*(c.denominator for c in scaled.values()))
+    ints = {exps: c.numerator * (denom // c.denominator) for exps, c in scaled.items()}
+    return ints, denom
+
+
 def partial(p: Poly, axis: int) -> Poly:
     """Exact partial derivative with respect to x_axis (1-based)."""
     if not 1 <= axis <= p.dim:

@@ -392,6 +392,49 @@ class TestCrosscheck:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--count", "0"], "--count must be >= 1, got 0"),
+            (["--count", "-1"], "--count must be >= 1, got -1"),
+            (["--deg", "-1"], "--deg must be >= 0, got -1"),
+            (["--count", "100000000"], "crosscheck of 100000000 polynomials of degree 6 "),
+            (["--deg", "1000000"], "crosscheck of 20 polynomials of degree 1000000 "),
+            (["--deg", "100000", "--count", "1"], "crosscheck of 1 polynomials of degree 100000 "),
+            (["--n", "200", "--count", "1"], "crosscheck of 1 polynomials of degree 6 in dimension 200 "),
+            (
+                ["--k", ",".join(["0"] * 10000)],
+                "crosscheck of 20 polynomials of degree 6 in dimension 2 with 10000 weight exponents ",
+            ),
+            (["--deg", "100000", "--poly", "x1^100000"], "crosscheck of 1 polynomials of degree 100000 "),
+        ],
+        ids=["count-0", "count-negative", "deg-negative", "count", "deg", "deg-one-poly", "n",
+             "k-list", "poly-degree"],
+    )
+    def test_oversized_requests_refused_before_any_work(self, capsys, monkeypatch, argv, message):
+        import cubeharm.oracle as oracle
+        import cubeharm.sampling as sampling
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("crosscheck started before the budget check")
+
+        monkeypatch.setattr(sampling, "random_poly", refuse)
+        monkeypatch.setattr(oracle, "QuadratureSpec", refuse)
+        if "--n" not in argv:
+            argv = ["--n", "2", *argv]
+        code, out, err = run_cli(capsys, "crosscheck", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: " + message)
+
+    def test_benchmark_request_far_below_the_budget(self, capsys):
+        # the benchmark runs --count 2; a hundred times as many still runs
+        code, out, _ = run_cli(
+            capsys, "crosscheck", "--n", "3", "--count", "200", "--deg", "4", "--tol", "1e-9"
+        )
+        assert code == 0
+
     def test_points_per_axis_above_cap_refused(self, capsys):
         from cubeharm.oracle import MAX_POINTS_PER_AXIS
 
@@ -405,7 +448,52 @@ class TestCrosscheck:
         assert "points_per_axis" in err
 
 
+DENSE16 = "+".join(f"x1^{i}*x2^{j}" for i in range(17) for j in range(17 - i))
+
+
+def fraction_grid_csv(f: str, h: str, r: str, res: int) -> str:
+    """`grid`'s CSV from exact Fraction evaluation at every point, the
+    evaluation it used before the integer lattice."""
+    from fractions import Fraction
+
+    from cubeharm.parser import ExprSource, parse_poly
+    from cubeharm.poly import evaluate
+
+    fp, hp = (parse_poly(ExprSource(text, expected_dim=2)) for text in (f, h))
+    rr = Fraction(r)
+    coords = [Fraction(0)] if res == 1 else [Fraction(2 * i, res - 1) * rr - rr for i in range(res)]
+    lines = ["x1,x2,f,h,f_minus_h"]
+    for x1 in coords:
+        for x2 in coords:
+            fv, hv = evaluate(fp, (x1, x2)), evaluate(hp, (x1, x2))
+            lines.append(",".join(format(float(v), ".17g") for v in (x1, x2, fv, hv, fv - hv)))
+    return "\n".join(lines) + "\n"
+
+
 class TestGrid:
+    @pytest.mark.parametrize("res", [1, 2, 5, 8])
+    @pytest.mark.parametrize("r", ["1", "3/2", "1/3"])
+    @pytest.mark.parametrize(
+        "f,h",
+        [
+            ("x1^2*x2^2", "-1/4*x1^4+3/2*x1^2*x2^2-1/4*x2^4"),
+            ("-7/3*x1^5*x2 + 2/9*x1*x2^3 - 5/11", "x1^3 - 3*x1*x2^2 + 1/7*x2"),
+            ("0", "x2^7/13 - 1"),
+        ],
+        ids=["example1", "odd", "zero-f"],
+    )
+    def test_lattice_matches_fraction_evaluation(self, capsys, f, h, r, res):
+        code, out, _ = run_cli(
+            capsys, "grid", "--n", "2", "--r", r, "--f", f, "--h", h, "--res", str(res)
+        )
+        assert code == 0
+        assert out == fraction_grid_csv(f, h, r, res)
+
+    def test_dense_degree16_at_default_resolution(self, capsys):
+        code, out, _ = run_cli(capsys, "grid", "--n", "2", "--f", DENSE16)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 101 * 101
+
     def test_header_and_nonnegativity(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -465,7 +553,7 @@ class TestGrid:
         def refuse(*args):
             raise AssertionError("grid built before the budget check")
 
-        monkeypatch.setattr(cli, "evaluate", refuse)
+        monkeypatch.setattr(cli, "lattice_terms", refuse)
         res = math.isqrt(MAX_GRID_POINTS) + 1
         code, out, err = run_cli(capsys, "grid", "--n", "2", "--f", "x1", "--res", str(res))
         assert code == 1
@@ -477,10 +565,10 @@ class TestGrid:
     @pytest.mark.parametrize(
         "f,h,res,per_point",
         [
-            ("x1", "0", 409, 3),
-            ("x1^2*x2^2 - x1^4", "x1^2 - x2^2 + x1*x2", 300, 7),
-            # dense degree 16 at the default resolution
-            ("+".join(f"x1^{i}*x2^{j}" for i in range(17) for j in range(17 - i)), "0", 101, 155),
+            ("x1", "0", 731, 3),
+            ("x1^2*x2^2 - x1^4", "x1^2 - x2^2 + x1*x2", 479, 7),
+            # dense degree 16 one step above the default resolution
+            (DENSE16, "0", 102, 155),
         ],
         ids=["linear", "example", "dense16"],
     )
@@ -490,7 +578,7 @@ class TestGrid:
         def refuse(*args):
             raise AssertionError("grid built before the budget check")
 
-        monkeypatch.setattr(cli, "evaluate", refuse)
+        monkeypatch.setattr(cli, "lattice_terms", refuse)
         assert res * res * per_point > cli.MAX_GRID_TERM_EVALS
         code, out, err = run_cli(capsys, "grid", "--n", "2", "--f", f, "--h", h, "--res", str(res))
         assert code == 1

@@ -63,8 +63,16 @@ def test_cli_import_loads_parser_and_poly_only():
             ["approx", "--n", "2", "--f", "x1^2 + 1", "--h", "0", "--phi", "t^2/2"],
             {"identities", "oracle"},
         ),
+        (
+            ["grid", "--n", "2", "--f", "x1^2*x2^2", "--h", "x1*x2", "--res", "5"],
+            {"onesided", "kernel", "identities", "oracle", "sampling"},
+        ),
+        (
+            ["verify", "--n", "2", "--deg", "3", "--k", "0,1"],
+            {"onesided", "oracle", "sampling"},
+        ),
     ],
-    ids=["integrate", "basis", "crosscheck", "approx-phi"],
+    ids=["integrate", "basis", "crosscheck", "approx-phi", "grid", "verify"],
 )
 def test_subcommand_loads_only_what_it_runs(argv, unused):
     loaded = _loaded_by_cli(*argv)

@@ -273,6 +273,81 @@ class TestLatticeWalk:
         }
         assert grid_mins == {(FAILED, False), (HEURISTIC, False), (HEURISTIC, True)}
 
+    # cases where skipping a sub-box by its lower bound could go wrong: many
+    # tied minima (the first in C order must win), even npts (no m = 0 on the
+    # grid, so even monomials are bounded below by 1, not 0), odd exponents
+    # on the last axis, negative coefficients on even terms, a constant, n = 4
+    @pytest.mark.parametrize(
+        "text,n,npts,r",
+        [
+            ("(x1^2 - 1/4)^2 + (x2^2 - 1/4)^2 + (x3^2 - 1/4)^2", 3, 5, Fraction(1)),
+            ("x1^2*x2^2 + x2^2*x3^2 + x1^2*x3^2 + 1/3", 3, 5, Fraction(1)),
+            ("x1^4 + x2^4 + x3^4 - x1^2 - x2^2 - x3^2 + 1", 3, 7, Fraction(3, 2)),
+            ("x1^2 + x2^2", 2, 4, Fraction(1)),
+            ("x1^2*x2^4 + x3^2 + 1/5", 3, 6, Fraction(1, 3)),
+            ("(x1^2 - 1/9)^2 + x2^2*x3^2", 3, 4, Fraction(1)),
+            ("x1^2 + 10*x2^2", 2, 5, Fraction(1)),
+            ("x1^2 + 9*x2^2*x3^2 + 10*x3^4", 3, 5, Fraction(1, 3)),
+            ("x1^2 + x2^3 + x2 + 2", 2, 9, Fraction(1)),
+            ("x1^2*x2 + x3^5 + x3^3 + 3", 3, 5, Fraction(1)),
+            ("2 - x1^2 - x2^4 + x1^2*x2^2", 2, 7, Fraction(1)),
+            ("5 - x1^2*x2^2 - x3^4 + x1*x3", 3, 5, Fraction(1)),
+            ("x1^2 - x2^2 - x3^2 + 1", 3, 5, Fraction(1)),
+            ("5/7", 3, 4, Fraction(1)),
+            ("x1^4 + x2^4 + x3^4 + x4^4 - x1*x2 + 1/2", 4, 5, Fraction(1)),
+            ("(x1^2 - x2^2)^2 + (x3^2 - x4^2)^2 + 1/8", 4, 6, Fraction(3, 2)),
+            ("x1^2 + x2^2 + x3^2 + x4^3 - 1/4", 4, 5, Fraction(1)),
+        ],
+        ids=[
+            "symmetric-ties-at-zero", "symmetric-ties-above-zero", "quartic-ties",
+            "even-npts-no-zero", "even-npts-ties", "even-npts-double-well",
+            "odd-npts-zero-on-last-axis", "odd-npts-zero-on-inner-axes",
+            "odd-last-axis", "odd-last-axis-n3", "negative-even-coefficients",
+            "negative-even-and-odd", "saddle", "constant", "n4", "n4-even-npts-ties",
+            "n4-odd-last-axis-negative",
+        ],
+    )
+    def test_pruning_matches_fraction_walk(self, text, n, npts, r):
+        p, d = pp(text, n), CubeDomain(n, r)
+        assert check_onesided(p, d, grid_points_per_axis=npts).to_dict() == brute_force_grid(
+            p, d, npts
+        )
+
+    def test_pruning_cases_have_ties(self):
+        # the tie cases above hold more than one grid minimum, so the first
+        # in C order is really pinned
+        for text, n, npts in (
+            ("(x1^2 - 1/4)^2 + (x2^2 - 1/4)^2 + (x3^2 - 1/4)^2", 3, 5),
+            ("x1^2 + x2^2", 2, 4),
+            ("5/7", 3, 4),
+        ):
+            p = pp(text, n)
+            values = [evaluate(p, x) for x in itertools.product(grid_coords(D31, npts), repeat=n)]
+            assert values.count(min(values)) > 1, text
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_fraction_walk_on_small_grids(self, data):
+        n = data.draw(st.integers(2, 4))
+        npts = data.draw(st.integers(2, 6 if n < 4 else 4))
+        d = CubeDomain(n, data.draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(1, 3)))))
+        p = data.draw(polys_st(n, max_degree=4, max_terms=5))
+        kind = data.draw(st.sampled_from(("plain", "even", "shifted")))
+        if kind == "even":
+            p = Poly(n, {tuple(2 * e for e in exps): abs(c) for exps, c in p.terms.items()})
+        elif kind == "shifted":
+            # the grid minimum moved to exactly 0, which every later zero ties
+            low = min(evaluate(p, x) for x in itertools.product(grid_coords(d, npts), repeat=n))
+            p = p - Poly.const(n, low)
+        best, at = onesided._lattice_walk(p, d.r, npts)
+        walked = onesided.OneSidedness(
+            kind=FAILED if best < 0 else HEURISTIC,
+            grid_points_per_axis=npts,
+            grid_min=best,
+            negative_witness=at if best < 0 else None,
+        )
+        assert walked.to_dict() == brute_force_grid(p, d, npts)
+
 
 class TestCertifyBestApprox:
     def test_example1(self, example1):

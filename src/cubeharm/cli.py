@@ -299,12 +299,9 @@ def cmd_crosscheck(args) -> int:
     ks = _parse_int_list(args.k)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    polys: list[Poly] = []
     if args.poly:
-        polys.append(
-            parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
-        )
-        count, deg = 1, polys[0].total_degree
+        # --deg above 16 raises the parser's degree limit to it
+        count, deg = 1, max(16, args.deg)
     else:
         if args.deg < 0:
             raise UsageError(f"--deg must be >= 0, got {args.deg}")
@@ -313,7 +310,7 @@ def cmd_crosscheck(args) -> int:
     work = count * (1 + 2 * len(ks)) * (300 + args.n**3 + 5 * q * deg)
     if work > MAX_CROSSCHECK_WORK:
         raise UsageError(
-            f"crosscheck of {count} polynomials of degree {deg} in dimension {args.n} "
+            f"crosscheck of {count} polynomials of degree up to {deg} in dimension {args.n} "
             f"with {len(ks)} weight exponents at {q} points per axis costs {work} work "
             f"units, above the limit of {MAX_CROSSCHECK_WORK}"
         )
@@ -326,12 +323,13 @@ def cmd_crosscheck(args) -> int:
     )
 
     spec = QuadratureSpec(points_per_axis=q)
-    if not args.poly:
+    if args.poly:
+        polys = [parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))]
+    else:
         from .sampling import random_poly
 
         rng = random.Random(args.seed)
-        for _ in range(count):
-            polys.append(random_poly(rng, args.n, max_degree=deg))
+        polys = [random_poly(rng, args.n, max_degree=deg) for _ in range(count)]
     worst = 0.0
     for p in polys:
         pairs = [(integrate_boundary(p, d), numeric_integrate_boundary(p, d, spec))]

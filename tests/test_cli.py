@@ -398,26 +398,35 @@ class TestCrosscheck:
             (["--count", "0"], "--count must be >= 1, got 0"),
             (["--count", "-1"], "--count must be >= 1, got -1"),
             (["--deg", "-1"], "--deg must be >= 0, got -1"),
-            (["--count", "100000000"], "crosscheck of 100000000 polynomials of degree 6 "),
-            (["--deg", "1000000"], "crosscheck of 20 polynomials of degree 1000000 "),
-            (["--deg", "100000", "--count", "1"], "crosscheck of 1 polynomials of degree 100000 "),
-            (["--n", "200", "--count", "1"], "crosscheck of 1 polynomials of degree 6 in dimension 200 "),
+            (["--count", "100000000"], "crosscheck of 100000000 polynomials of degree up to 6 "),
+            (["--deg", "1000000"], "crosscheck of 20 polynomials of degree up to 1000000 "),
+            (["--deg", "100000", "--count", "1"], "crosscheck of 1 polynomials of degree up to 100000 "),
+            (
+                ["--n", "200", "--count", "1"],
+                "crosscheck of 1 polynomials of degree up to 6 in dimension 200 ",
+            ),
             (
                 ["--k", ",".join(["0"] * 10000)],
-                "crosscheck of 20 polynomials of degree 6 in dimension 2 with 10000 weight exponents ",
+                "crosscheck of 20 polynomials of degree up to 6 in dimension 2 with 10000 weight ",
             ),
-            (["--deg", "100000", "--poly", "x1^100000"], "crosscheck of 1 polynomials of degree 100000 "),
+            # --deg raises the parser's degree limit; refused before parsing
+            (
+                ["--deg", "100000000", "--poly", "x1^100000000"],
+                "crosscheck of 1 polynomials of degree up to 100000000 ",
+            ),
         ],
         ids=["count-0", "count-negative", "deg-negative", "count", "deg", "deg-one-poly", "n",
              "k-list", "poly-degree"],
     )
     def test_oversized_requests_refused_before_any_work(self, capsys, monkeypatch, argv, message):
+        import cubeharm.cli as cli
         import cubeharm.oracle as oracle
         import cubeharm.sampling as sampling
 
         def refuse(*args, **kwargs):
             raise AssertionError("crosscheck started before the budget check")
 
+        monkeypatch.setattr(cli, "parse_poly", refuse)
         monkeypatch.setattr(sampling, "random_poly", refuse)
         monkeypatch.setattr(oracle, "QuadratureSpec", refuse)
         if "--n" not in argv:

@@ -25,8 +25,8 @@ that its subcommand never calls.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import operator
@@ -48,7 +48,8 @@ if TYPE_CHECKING:
 # lattice a term costs about 0.1-0.4 us a point and a row about 6 us, so a
 # unit costs at most about 2 us (f = x1, h = 0, where rows dominate).  This
 # is at most about 3.5 s of work and 530,000 rows (about 85 bytes each) of
-# CSV held in memory, and admits a dense degree-16 f at the default --res.
+# CSV, and admits a dense degree-16 f at the default --res.  Rows are
+# written as they are made and one x1 row of values is held at a time.
 MAX_GRID_TERM_EVALS = 1_600_000
 
 # Work `crosscheck` may do, in units of about 0.2-0.5 us.  One integral of
@@ -62,6 +63,16 @@ MAX_GRID_TERM_EVALS = 1_600_000
 # at n = 2, degree 0 and --k 0 took 0.35 ms each (0.9 K units).  So this is
 # at most about 4 s of work.
 MAX_CROSSCHECK_WORK = 10_000_000
+
+# Largest degree limit `verify` parses --poly and --phi with (--deg above 16
+# raises the limit to it).  A power costs one polynomial product per unit of
+# its exponent, and the suite computes a radial factor, with factorials of
+# the degree, per degree of the input and per coefficient of a profile.
+# Measured as whole processes at degree 100: `--n 8 --poly (1+x1+x2)^100`
+# (5151 terms) took 4.0 s, and the quadrature profile t^2 (1+t)^98 against
+# (1+x1)^100 took 1.0 s, but 32 s at degree 200.  So this is at most about
+# 4 s of work for one expression and one profile.
+MAX_VERIFY_DEGREE = 100
 
 # Largest --n for the commands that take a cube.  Exact values grow with the
 # dimension: `integrate --region diagonal --poly x1^2` prints 614 bytes at
@@ -122,12 +133,15 @@ def _input_limits(args) -> Limits:
     return Limits(max_dim=max(8, args.n), max_degree=max(16, deg))
 
 
-def _write_atomic(path: str, data: str) -> None:
+@contextlib.contextmanager
+def _write_atomic(path: str):
+    """A file to write to that replaces `path` only once the block ends
+    without error; on an error it is removed and `path` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cubeharm-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,11 +149,16 @@ def _write_atomic(path: str, data: str) -> None:
         raise
 
 
-def _emit(args, data: str) -> None:
+def _output(args):
+    """Where a command writes: the --out path (atomically) or stdout."""
     if getattr(args, "out", None):
-        _write_atomic(args.out, data)
-    else:
-        sys.stdout.write(data)
+        return _write_atomic(args.out)
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(args, data: str) -> None:
+    with _output(args) as fh:
+        fh.write(data)
 
 
 def _float17(x: float) -> str:
@@ -216,6 +235,13 @@ def cmd_verify(args) -> int:
     ks = _parse_int_list(args.k)
     if any(k < 0 for k in ks):
         raise UsageError("weight exponents must be >= 0")
+    limit = _input_limits(args).max_degree
+    if (args.poly or args.phi) and limit > MAX_VERIFY_DEGREE:
+        # checked before parsing: a power costs one product per unit of its exponent
+        raise UsageError(
+            f"--deg {args.deg} raises the degree limit of --poly and --phi to {limit}, "
+            f"above the limit of {MAX_VERIFY_DEGREE}"
+        )
     phis = None
     if args.phi:
         phis = tuple(parse_unipoly(text, limits=_input_limits(args)) for text in args.phi)
@@ -331,17 +357,21 @@ def cmd_crosscheck(args) -> int:
         rng = random.Random(args.seed)
         polys = [random_poly(rng, args.n, max_degree=deg) for _ in range(count)]
     worst = 0.0
-    for p in polys:
-        pairs = [(integrate_boundary(p, d), numeric_integrate_boundary(p, d, spec))]
-        for k in ks:
-            w = Weight.power(k)
-            pairs.append((integrate_cube(p, d, w), numeric_integrate_cube(p, d, w, spec)))
-            pairs.append(
-                (integrate_diagonal(p, d, w), numeric_integrate_diagonal(p, d, w, spec))
-            )
-        for exact, numeric in pairs:
-            dev = abs(float(exact) - numeric) / max(1.0, abs(float(exact)))
-            worst = max(worst, dev)
+    try:
+        for p in polys:
+            pairs = [(integrate_boundary(p, d), numeric_integrate_boundary(p, d, spec))]
+            for k in ks:
+                w = Weight.power(k)
+                pairs.append((integrate_cube(p, d, w), numeric_integrate_cube(p, d, w, spec)))
+                pairs.append(
+                    (integrate_diagonal(p, d, w), numeric_integrate_diagonal(p, d, w, spec))
+                )
+            for exact, numeric in pairs:
+                dev = abs(float(exact) - numeric) / max(1.0, abs(float(exact)))
+                worst = max(worst, dev)
+    except OverflowError:
+        # the oracle and the deviation work in floats; the exact engine does not
+        raise UsageError(f"crosscheck values at radius {args.r} leave the float range")
     sys.stdout.write(_float17(worst) + "\n")
     if args.tol is not None and worst > args.tol:
         return 2
@@ -364,6 +394,11 @@ def cmd_grid(args) -> int:
             f"grid resolution {res} gives {res * res} points of {per_point} term evaluations "
             f"each, above the limit of {MAX_GRID_TERM_EVALS} in all"
         )
+    # every sample and value is at most r, or sum |c| r^|alpha| over the
+    # terms of f and h, in absolute value; refused before any row is written
+    bound = sum(abs(c) * d.r ** sum(e) for p in (f, h) for e, c in p.terms.items())
+    if max(d.r, bound) > sys.float_info.max:
+        raise UsageError(f"grid values at radius {args.r} may leave the float range")
     # the samples are step * m for integer m (res == 1 samples only m = 0),
     # so f and h are integer polynomials over one common denominator there
     step = d.r / max(res - 1, 1)
@@ -388,15 +423,14 @@ def cmd_grid(args) -> int:
 
     # int / int is correctly rounded, as float() of the exact Fraction is
     labels = [_float17(float(step * m)) for m in ms]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x1", "x2", "f", "h", "f_minus_h"])
-    for x1, f_row, h_row in zip(labels, rows(f_ints, f_denom), rows(h_ints, h_denom)):
-        for x2, fv, hv in zip(labels, f_row, h_row):
-            writer.writerow(
+    with _output(args) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x1", "x2", "f", "h", "f_minus_h"])
+        for x1, f_row, h_row in zip(labels, rows(f_ints, f_denom), rows(h_ints, h_denom)):
+            writer.writerows(
                 [x1, x2, _float17(fv / denom), _float17(hv / denom), _float17((fv - hv) / denom)]
+                for x2, fv, hv in zip(labels, f_row, h_row)
             )
-    _emit(args, buf.getvalue())
     return 0
 
 

@@ -56,46 +56,52 @@ class Identity(enum.Enum):
 
 
 # Each factory below makes one parameter's integrals and masses once and
-# returns the residual of one element, given as its degree sums; each
-# integral computes its radial factor once per degree.  A profile condition
-# is decided once per factory and raised from the residual, so it surfaces
-# at an element and after the polyharmonic check.  The public residual_*
-# functions and run_suite both go through them.
+# returns the residual of one element, given as its degree sums.  A residual
+# is one linear functional of those sums: each mass it divides by, and the
+# factor 2 on a diagonal, is folded into that integral's radial factors
+# (computed once per degree), so it reads cube - diagonal, or cube minus the
+# sum of the diagonals, with no division per element.  A parity-odd element
+# (every term has an odd exponent) has empty degree sums and gets the exact
+# integer 0 with no Fraction arithmetic; the public residual_* functions
+# return it as a Fraction.  A profile condition is decided once per factory
+# and raised from the residual, so it surfaces at an element and after the
+# polyharmonic check.  The public residual_* functions and run_suite both go
+# through them.
 
 
-def _surface_mean(d: CubeDomain) -> Callable[[DegreeSums], Fraction]:
-    boundary_mass = measure(d, Region.BOUNDARY, 0)
-    diagonal_mass = measure(d, Region.DIAGONAL, 0)
-    boundary = integral(d, Region.BOUNDARY)
-    diagonal = integral(d, Region.DIAGONAL, Weight.power(0))
+def _surface_mean(d: CubeDomain) -> Callable[[DegreeSums], Fraction | int]:
+    boundary = integral(d, Region.BOUNDARY, scale=1 / measure(d, Region.BOUNDARY, 0))
+    diagonal = integral(
+        d, Region.DIAGONAL, Weight.power(0), scale=1 / measure(d, Region.DIAGONAL, 0)
+    )
 
-    def residual(h: DegreeSums) -> Fraction:
-        return boundary(h) / boundary_mass - diagonal(h) / diagonal_mass
-
-    return residual
-
-
-def _volume_mean(d: CubeDomain, k: int) -> Callable[[DegreeSums], Fraction]:
-    cube = integral(d, Region.CUBE, Weight.power(k))
-    diagonal = integral(d, Region.DIAGONAL, Weight.power(k + 1))
-    cube_mass = measure(d, Region.CUBE, k)
-    diagonal_mass = measure(d, Region.DIAGONAL, k + 1)
-
-    def residual(h: DegreeSums) -> Fraction:
-        return cube(h) / cube_mass - diagonal(h) / diagonal_mass
+    def residual(h: DegreeSums) -> Fraction | int:
+        return boundary(h) - diagonal(h)
 
     return residual
 
 
-def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[DegreeSums], Fraction]:
+def _volume_mean(d: CubeDomain, k: int) -> Callable[[DegreeSums], Fraction | int]:
+    cube = integral(d, Region.CUBE, Weight.power(k), scale=1 / measure(d, Region.CUBE, k))
+    diagonal = integral(
+        d, Region.DIAGONAL, Weight.power(k + 1), scale=1 / measure(d, Region.DIAGONAL, k + 1)
+    )
+
+    def residual(h: DegreeSums) -> Fraction | int:
+        return cube(h) - diagonal(h)
+
+    return residual
+
+
+def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[DegreeSums], Fraction | int]:
     cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2)))
-    diagonal = integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(1)))
+    diagonal = integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(1)), scale=2)
     failure = _vanishing_failure(phi, 2)
 
-    def residual(h: DegreeSums) -> Fraction:
+    def residual(h: DegreeSums) -> Fraction | int:
         if failure is not None:
             raise WeightConditionError(failure)
-        return cube(h) - 2 * diagonal(h)
+        return cube(h) - diagonal(h)
 
     return residual
 
@@ -108,41 +114,43 @@ def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
     return chain
 
 
-def _pizzetti(d: CubeDomain, m: int, phi: UniPoly) -> Callable[[list[DegreeSums]], Fraction]:
+def _pizzetti(
+    d: CubeDomain, m: int, phi: UniPoly
+) -> Callable[[list[DegreeSums]], Fraction | int]:
     """Residual of one element given as its Laplacian chain [g, ..., Lap^m g]."""
     if m < 1:
         raise ValueError(f"polyharmonic order must be >= 1, got {m}")
     cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2 * m)))
-    # diagonals[s] carries phi^(2s+1) and applies to Lap^(m-1-s) g
+    # diagonals[s] carries 2 phi^(2s+1) and applies to Lap^(m-1-s) g
     diagonals = [
-        integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(2 * s + 1)))
+        integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(2 * s + 1)), scale=2)
         for s in range(m)
     ]
     failure = _vanishing_failure(phi, 2 * m)
 
-    def residual(chain: list[DegreeSums]) -> Fraction:
+    def residual(chain: list[DegreeSums]) -> Fraction | int:
         if not chain[m].poly.is_zero:
             raise NotPolyharmonicError(
                 f"input is not {m}-polyharmonic: Laplacian^{m} != 0"
             )
         if failure is not None:
             raise WeightConditionError(failure)
-        diag = Fraction(0)
+        value = cube(chain[0])
         for s, diagonal in enumerate(diagonals):
-            diag += diagonal(chain[m - 1 - s])
-        return cube(chain[0]) - 2 * diag
+            value -= diagonal(chain[m - 1 - s])
+        return value
 
     return residual
 
 
 def residual_surface_mean(h: Poly, d: CubeDomain) -> Fraction:
     """Boundary mean minus diagonal mean (both unweighted)."""
-    return _surface_mean(d)(DegreeSums(h))
+    return Fraction(_surface_mean(d)(DegreeSums(h)))
 
 
 def residual_volume_mean(h: Poly, d: CubeDomain, k: int = 0) -> Fraction:
     """Weighted cube mean (power k) minus weighted diagonal mean (power k+1)."""
-    return _volume_mean(d, k)(DegreeSums(h))
+    return Fraction(_volume_mean(d, k)(DegreeSums(h)))
 
 
 def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fraction:
@@ -150,7 +158,7 @@ def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fracti
 
     Requires phi(0) = phi'(0) = 0, checked symbolically on the coefficients.
     """
-    return _weighted_quadrature(d, phi)(DegreeSums(h))
+    return Fraction(_weighted_quadrature(d, phi)(DegreeSums(h)))
 
 
 def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
@@ -161,7 +169,7 @@ def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
     vanish to order 2m at 0 and g to be m-polyharmonic; the two failures
     raise distinct errors, and the polyharmonic check comes first.
     """
-    return _pizzetti(d, m, phi)(_laplacian_chain(g, m))
+    return Fraction(_pizzetti(d, m, phi)(_laplacian_chain(g, m)))
 
 
 # -- suite runner --------------------------------------------------------------

@@ -28,7 +28,12 @@ R_phi depends on alpha only through a = |alpha|, so every integral is
 sum_a S_s(a) * R_phi(a + n - s, r) (r^(a + n - 1) on the boundary) over
 the weight-free degree sums S_s(a) = sum_{|alpha|=a} c_alpha C_s(alpha).
 The cell factors are memoized by exponent.  Tie sets are lower dimensional
-and carry no mass.
+and carry no mass.  A constant factor (the reciprocal of a mass, or the 2
+on a quadrature diagonal) folds into the radial factors, so each residual
+in `identities` is one linear functional of the degree sums.  A
+polynomial each of whose terms has an odd exponent has empty degree sums,
+which `integral` maps to the exact integer 0 with no Fraction arithmetic;
+the public integrate_* functions and `measure` return Fractions.
 
 Diagonal measure convention.  The diagonal set is the union over pairs
 i < j of the sheets {|x_k| <= |x_i| = |x_j|}.  Each pair contributes four
@@ -139,16 +144,22 @@ def _cell_factors(alpha: Exponent) -> tuple[Fraction, Fraction]:
     return e1 * box, (e1 * e1 - sum(x * x for x in v)) // 2 * box
 
 
-def _radial(a: int, r: Fraction, coeffs: tuple[Fraction, ...]) -> Fraction:
-    """R_phi(a, r) for the profile phi with the given coefficients."""
-    num, den = 0, 1  # summed over integers, one Fraction at the end
-    for b, c in enumerate(coeffs):
-        if c:
-            e = a + b + 1
-            n_b = c.numerator * math.factorial(a) * math.factorial(b) * r.numerator**e
-            d_b = c.denominator * math.factorial(e) * r.denominator**e
-            num, den = num * d_b + n_b * den, den * d_b
-    return Fraction(num, den)
+def _radial(
+    a: int, r: Fraction, coeffs: tuple[Fraction, ...] | None, scale: Fraction
+) -> Fraction:
+    """scale * R_phi(a, r) for the profile phi with the given coefficients,
+    or scale * r^a when there is no profile (the boundary)."""
+    if coeffs is None:
+        num, den = r.numerator**a, r.denominator**a
+    else:
+        num, den = 0, 1  # summed over integers, one Fraction at the end
+        for b, c in enumerate(coeffs):
+            if c:
+                e = a + b + 1
+                n_b = c.numerator * math.factorial(a) * math.factorial(b) * r.numerator**e
+                d_b = c.denominator * math.factorial(e) * r.denominator**e
+                num, den = num * d_b + n_b * den, den * d_b
+    return Fraction(num * scale.numerator, den * scale.denominator)
 
 
 class DegreeSums(dict):
@@ -171,27 +182,35 @@ class DegreeSums(dict):
 
 
 def integral(
-    d: CubeDomain, region: Region, w: Weight | None = None
-) -> Callable[[DegreeSums], Fraction]:
-    """sum_a S_s(a) * R_phi(a + n - s, r) over region, or * r^(a + n - 1) on
-    the boundary (where w is ignored), as a function of a polynomial's degree
-    sums; each radial factor is computed once per degree for the life of the
-    returned function."""
+    d: CubeDomain, region: Region, w: Weight | None = None, scale: RationalLike = 1
+) -> Callable[[DegreeSums], Fraction | int]:
+    """scale * sum_a S_s(a) * R_phi(a + n - s, r) over region, or
+    * r^(a + n - 1) on the boundary (where w is ignored), as one linear
+    functional of a polynomial's degree sums.
+
+    The constant `scale` (the reciprocal of a mass for a mean, or the
+    factor 2 of a quadrature diagonal) is folded into the radial factor of
+    each degree, which is computed once per degree for the life of the
+    returned function; a residual is then a difference of such functionals.
+    The sum starts from the integer 0, so a parity-odd polynomial (each
+    term has an odd exponent, so its degree sums are empty) gives the exact
+    integer 0 with no Fraction arithmetic.  Any other value is a Fraction.
+    """
     s = 2 if region is Region.DIAGONAL else 1
     shift = d.n - s
     coeffs = None if region is Region.BOUNDARY else w.profile.coeffs
+    scale = Fraction(scale)
     factors: dict[int, Fraction] = {}
 
-    def value(p: DegreeSums) -> Fraction:
+    def value(p: DegreeSums) -> Fraction | int:
         if p.poly.dim != d.n:
             raise DimensionMismatchError(
                 f"polynomial dimension {p.poly.dim} does not match domain dimension {d.n}"
             )
-        total = Fraction(0)
+        total = 0
         for a, sums in p[s].items():
             if a not in factors:
-                e = a + shift
-                factors[a] = d.r**e if coeffs is None else _radial(e, d.r, coeffs)
+                factors[a] = _radial(a + shift, d.r, coeffs, scale)
             total += sums * factors[a]
         return total
 
@@ -200,7 +219,7 @@ def integral(
 
 def integrate_cube(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
     """Exact weighted integral of p over the solid cube."""
-    return integral(d, Region.CUBE, w)(DegreeSums(p))
+    return Fraction(integral(d, Region.CUBE, w)(DegreeSums(p)))
 
 
 def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
@@ -209,7 +228,7 @@ def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
     Sums plain (n-1)-dimensional integrals over the 2n faces; edge and
     corner overlaps have zero surface measure.
     """
-    return integral(d, Region.BOUNDARY)(DegreeSums(p))
+    return Fraction(integral(d, Region.BOUNDARY)(DegreeSums(p)))
 
 
 def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
@@ -219,7 +238,7 @@ def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
     t in [0, r] and the free box [-t, t]^(n-2); three-way ties are shared
     sheet boundaries of zero measure.
     """
-    return integral(d, Region.DIAGONAL, w)(DegreeSums(p))
+    return Fraction(integral(d, Region.DIAGONAL, w)(DegreeSums(p)))
 
 
 def measure(d: CubeDomain, region: Region, k: int = 0) -> Fraction:
@@ -237,5 +256,5 @@ def measure(d: CubeDomain, region: Region, k: int = 0) -> Fraction:
     if region is Region.BOUNDARY:
         return 2 * measure(d, Region.DIAGONAL, k)
     if region is Region.CUBE or region is Region.DIAGONAL:
-        return integral(d, region, Weight.power(k))(DegreeSums(Poly.const(d.n, 1)))
+        return Fraction(integral(d, region, Weight.power(k))(DegreeSums(Poly.const(d.n, 1))))
     raise ValueError(f"unknown region {region!r}")

@@ -157,7 +157,9 @@ def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
     if n < 1 or d < 0 or m < 1:
         raise ValueError(f"invalid kernel request n={n}, d={d}, m={m}")
     elements = tuple(
-        Poly(n, _extend(e, d, m)) for e in monomials_of_degree(n, d) if e[0] < 2 * m
+        Poly._from_clean(n, _extend(e, d, m))
+        for e in monomials_of_degree(n, d)
+        if e[0] < 2 * m
     )
     return BasisSet(elements, BasisRequest(n, d, m))
 

@@ -83,6 +83,16 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def _from_clean(cls, dim: int, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap a term map that is clean by construction: exponent tuples of
+        length dim with no negative entry, nonzero Fraction coefficients.
+        The map is taken as is, not checked or copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "_terms", terms)
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -257,7 +267,7 @@ def _laplacian_terms(terms: Mapping[Exponent, Fraction]) -> dict[Exponent, Fract
 
 def laplacian(p: Poly) -> Poly:
     """Sum of second partials over all axes."""
-    return Poly(p.dim, _laplacian_terms(p.terms))
+    return Poly._from_clean(p.dim, _laplacian_terms(p.terms))
 
 
 def iterated_laplacian(p: Poly, m: int) -> Poly:

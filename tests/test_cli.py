@@ -155,6 +155,61 @@ class TestVerify:
         assert code == 1
         assert "--n" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--deg", "100000000", "--poly", "x1^100000000"],
+            ["--deg", "101", "--poly", "x1"],
+            ["--deg", "100000000", "--phi", "t^100000000"],
+            ["--deg", "100000000", "--poly", "x1^2", "--phi", "t^100000000"],
+        ],
+        ids=["poly-huge", "poly-one-above", "phi-huge", "both"],
+    )
+    def test_expression_degree_refused_before_parsing(self, capsys, monkeypatch, argv):
+        import cubeharm.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed before the degree check")
+
+        monkeypatch.setattr(cli, "parse_poly", refuse)
+        monkeypatch.setattr(cli, "parse_unipoly", refuse)
+        code, out, err = run_cli(capsys, "verify", "--n", "2", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(
+            f"error: --deg {argv[1]} raises the degree limit of --poly and --phi to {argv[1]}, "
+            f"above the limit of {cli.MAX_VERIFY_DEGREE}"
+        )
+
+    def test_job_file_expression_degree_refused_before_parsing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import cubeharm.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed before the degree check")
+
+        monkeypatch.setattr(cli, "parse_poly", refuse)
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"n": 2, "deg": 10**8, "poly": "x1^100000000"}))
+        code, out, err = run_cli(capsys, "verify", "--job", str(job))
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert "above the limit of 100" in err
+
+    def test_expression_at_the_degree_limit_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--deg", "100", "--poly", "x1^100",
+            "--identities", "volume", "--k", "0",
+        )
+        assert code == 2  # x1^100 is not harmonic
+        assert json.loads(out)["entry_count"] == 1
+
+    def test_basis_degree_errors_unchanged(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--deg", "1000")
+        assert (code, out) == (1, "")
+        assert err == "error: degree 1000 exceeds the configured limit 16\n"
+
 
 class TestBasis:
     def test_line_count(self, capsys):
@@ -375,6 +430,63 @@ class TestApprox:
         assert err.startswith("error: f - h is negative at ")
 
 
+# a radius beyond the float range: 1 followed by 400 zeros
+HUGE_R = "1" + "0" * 400
+
+
+class TestFloatRange:
+    """grid and crosscheck print floats, so a radius (or values) beyond the
+    float range is an input error; approx and integrate stay exact."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["grid", "--n", "2", "--r", HUGE_R, "--f", "x1", "--res", "2"], "grid values at"),
+            (["grid", "--n", "2", "--r", HUGE_R, "--f", "0", "--h", "0"], "grid values at"),
+            (["grid", "--n", "2", "--r", "1e200", "--f", "x1^2", "--res", "3"], "grid values at"),
+            (
+                ["crosscheck", "--n", "2", "--r", HUGE_R, "--poly", "x1^2", "--k", "0"],
+                "crosscheck values at",
+            ),
+            (["crosscheck", "--n", "2", "--r", "1e200", "--count", "2"], "crosscheck values at"),
+        ],
+        ids=["grid", "grid-zero", "grid-values", "crosscheck", "crosscheck-values"],
+    )
+    def test_refused_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: " + message)
+        assert err.rstrip().endswith("leave the float range")
+
+    def test_grid_just_inside_the_float_range(self, capsys):
+        code, out, _ = run_cli(capsys, "grid", "--n", "2", "--r", "1e150", "--f", "x1^2", "--res", "3")
+        assert code == 0
+        assert out == fraction_grid_csv("x1^2", "0", "1e150", 3)
+
+    def test_grid_refusal_leaves_out_file_alone(self, capsys, tmp_path):
+        target = tmp_path / "grid.csv"
+        target.write_text("old\n")
+        code, _, _ = run_cli(
+            capsys, "grid", "--n", "2", "--r", HUGE_R, "--f", "x1", "--out", str(target)
+        )
+        assert code == 1
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["approx", "--f", "x1^2", "--h", "0"], '"l1_error": "'),
+            (["integrate", "--region", "cube", "--poly", "x1^2"], "/3\n"),
+        ],
+    )
+    def test_exact_commands_keep_working(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, argv[0], "--n", "2", "--r", HUGE_R, *argv[1:])
+        assert code == 0
+        assert expected in out
+
+
 class TestCrosscheck:
     def test_single_poly_within_tolerance(self, capsys):
         code, out, _ = run_cli(
@@ -497,6 +609,61 @@ class TestGrid:
         )
         assert code == 0
         assert out == fraction_grid_csv(f, h, r, res)
+
+    def test_rows_are_streamed(self, monkeypatch):
+        # every row is written on its own, and no copy of the CSV is held
+        import io
+        import sys
+        import tracemalloc
+
+        from cubeharm.cli import main
+
+        class Sink(io.TextIOBase):
+            def __init__(self):
+                self.writes, self.size, self.largest = 0, 0, 0
+
+            def write(self, text):
+                self.writes += 1
+                self.size += len(text)
+                self.largest = max(self.largest, len(text))
+                return len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        res = 200
+        tracemalloc.start()
+        try:
+            assert main(["grid", "--n", "2", "--f", "x1^3 - x2", "--res", str(res)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.writes == 1 + res * res
+        assert sink.largest < 120
+        assert sink.size > 3_000_000
+        assert peak < sink.size // 10
+
+    def test_out_is_atomic_when_a_row_fails(self, capsys, monkeypatch, tmp_path):
+        import cubeharm.cli as cli
+
+        calls = []
+        float17 = cli._float17
+
+        def failing(x):
+            calls.append(x)
+            if len(calls) > 100:
+                raise OSError("disk full")
+            return float17(x)
+
+        monkeypatch.setattr(cli, "_float17", failing)
+        target = tmp_path / "grid.csv"
+        target.write_text("old\n")
+        code, _, err = run_cli(
+            capsys, "grid", "--n", "2", "--f", "x1", "--res", "21", "--out", str(target)
+        )
+        assert code == 1
+        assert err == "error: disk full\n"
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
 
     def test_dense_degree16_at_default_resolution(self, capsys):
         code, out, _ = run_cli(capsys, "grid", "--n", "2", "--f", DENSE16)

@@ -22,7 +22,15 @@ from cubeharm.identities import (
     run_suite,
 )
 import cubeharm.identities as identities
-from cubeharm.integrate import CubeDomain, Region, measure
+from cubeharm.integrate import (
+    CubeDomain,
+    Region,
+    Weight,
+    integrate_boundary,
+    integrate_cube,
+    integrate_diagonal,
+    measure,
+)
 from cubeharm.kernel import BasisRequest, graded_basis
 from cubeharm.parser import parse_unipoly
 from cubeharm.poly import Poly, UniPoly, laplacian, rational_to_text, uni_to_text
@@ -339,6 +347,200 @@ class TestSuiteMatchesResiduals:
             run_suite([("one", Poly.const(2, 1))], D21, ids, config)
         with pytest.raises(ValueError, match="pizzetti on one: polyharmonic order"):
             run_suite([("one", Poly.const(2, 1))], D21, [Identity.PIZZETTI], config)
+
+
+# Elements for the mean-value and quadrature identities: even, odd (empty
+# degree sums) and mixed-parity inputs, and non-harmonic negative controls
+# whose residuals are nonzero.
+MEAN_ELEMENTS = (
+    ("one", "1"),
+    ("even", "x1^2 - x2^2"),
+    ("odd", "x1"),
+    ("odd-product", "x1*x2"),
+    ("odd-quartic", "x1^3*x2 - x1*x2^3"),
+    ("mixed", "x1^2 - x2^2 + 3*x1 - 1/2"),
+    ("control-square", "x1^2"),
+    ("control-quartic", "x2^4 - 2*x1^2*x2^2 + x1"),
+    ("odd-nonharmonic", "x1^3 + x1*x2^2"),
+    ("control-mixed", "x1^2 + x1*x2^3 + x2"),
+)
+# m-polyharmonic elements for Pizzetti, the same mix of parities
+POLYHARMONIC_ELEMENTS = {
+    1: (
+        ("one", "1"),
+        ("even", "x1^4 - 6*x1^2*x2^2 + x2^4"),
+        ("odd", "x1^3 - 3*x1*x2^2"),
+        ("odd-product", "x1*x2"),
+        ("mixed", "x1^2 - x2^2 + 3*x1*x2 - x2 + 5"),
+    ),
+    2: (
+        ("one", "1"),
+        ("even", "x1^4 - 3*x1^2*x2^2"),
+        ("odd", "x1^3*x2"),
+        ("odd-cubic", "x1^3 + x2"),
+        ("mixed", "x1^2 + x1^3*x2 - 2*x2 + 1/3"),
+    ),
+}
+
+
+def division_form(identity, p, d, m, param):
+    """One residual the way the identities read: integrals divided by their
+    masses, and twice the diagonal integrals, from the public integrals."""
+    if identity is Identity.SURFACE_MEAN:
+        return integrate_boundary(p, d) / measure(d, Region.BOUNDARY, 0) - integrate_diagonal(
+            p, d, Weight.power(0)
+        ) / measure(d, Region.DIAGONAL, 0)
+    if identity is Identity.VOLUME_MEAN:
+        return integrate_cube(p, d, Weight.power(param)) / measure(
+            d, Region.CUBE, param
+        ) - integrate_diagonal(p, d, Weight.power(param + 1)) / measure(
+            d, Region.DIAGONAL, param + 1
+        )
+    if identity is Identity.WEIGHTED_QUADRATURE:
+        return integrate_cube(p, d, Weight.from_profile(param.derivative(2))) - 2 * (
+            integrate_diagonal(p, d, Weight.from_profile(param.derivative(1)))
+        )
+    chain = [p]
+    for _ in range(m - 1):
+        chain.append(laplacian(chain[-1]))
+    diagonals = sum(
+        integrate_diagonal(chain[m - 1 - s], d, Weight.from_profile(param.derivative(2 * s + 1)))
+        for s in range(m)
+    )
+    return integrate_cube(p, d, Weight.from_profile(param.derivative(2 * m))) - 2 * diagonals
+
+
+def division_form_entries(elements, d, identities_, config):
+    """The report entries run_suite must produce, in report order."""
+    out = []
+    for identity in identities_:
+        if identity is Identity.SURFACE_MEAN:
+            params = [("", None)]
+        elif identity is Identity.VOLUME_MEAN:
+            params = [(str(k), k) for k in config.ks]
+        elif identity is Identity.WEIGHTED_QUADRATURE:
+            phis = config.phis or identities.default_quadrature_profiles()
+            params = [(uni_to_text(phi), phi) for phi in phis]
+        else:
+            phis = config.phis or default_pizzetti_profiles(config.m)
+            params = [(uni_to_text(phi), phi) for phi in phis]
+        m = config.m if identity is Identity.PIZZETTI else 1
+        for text, param in params:
+            for label, p in elements:
+                value = division_form(identity, p, d, config.m, param)
+                out.append(
+                    ReportEntry(
+                        identity=identity.value,
+                        n=d.n,
+                        r=rational_to_text(d.r),
+                        k_or_phi=text,
+                        m=m,
+                        element_label=label,
+                        residual=rational_to_text(value),
+                        passed=value == 0,
+                    )
+                )
+    return tuple(out)
+
+
+class TestFoldedResiduals:
+    """run_suite evaluates each residual as one linear functional with the
+    masses and the diagonal factor 2 folded into the radial factors; the
+    reports must equal the division form, and parity-odd elements must give
+    exact zeros."""
+
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1), Fraction(3)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_suite_equals_division_form(self, n, m, r):
+        d = CubeDomain(n, r)
+        config = SuiteConfig(ks=(0, 1, 3), m=m)
+        mean_ids = [Identity.SURFACE_MEAN, Identity.VOLUME_MEAN, Identity.WEIGHTED_QUADRATURE]
+        cases = [
+            (mean_ids, [(label, pp(text, n)) for label, text in MEAN_ELEMENTS]),
+            (
+                [Identity.PIZZETTI],
+                [(label, pp(text, n)) for label, text in POLYHARMONIC_ELEMENTS[m]],
+            ),
+        ]
+        for ids, elements in cases:
+            report = run_suite(elements, d, ids, config)
+            assert report.entries == division_form_entries(elements, d, ids, config)
+        entries = run_suite(cases[0][1], d, mean_ids, config).entries
+        # the negative controls fail every mean-value and quadrature identity
+        for identity in mean_ids:
+            failed = {
+                e.element_label for e in entries if e.identity == identity.value and not e.passed
+            }
+            assert {"control-square", "control-quartic", "control-mixed"} <= failed
+        # the odd elements have empty degree sums, so every residual is 0/1
+        assert all(e.residual == "0/1" for e in entries if e.element_label.startswith("odd"))
+
+    def test_explicit_profiles_equal_division_form(self):
+        d = CubeDomain(2, Fraction(3, 2))
+        phis = tuple(map(parse_unipoly, ("t^4/24 + t^5/7", "t^6 - t^4")))
+        config = SuiteConfig(ks=(2,), m=2, phis=phis)
+        elements = [(label, pp(text, 2)) for label, text in POLYHARMONIC_ELEMENTS[2]]
+        report = run_suite(elements, d, ALL_IDENTITIES, config)
+        assert report.entries == division_form_entries(elements, d, ALL_IDENTITIES, config)
+        assert not report.all_pass  # the biharmonic elements fail the mean values
+
+    @pytest.mark.parametrize("text", ["x1", "x1*x2^3", "x1^2*x2 - x2^3", "x1^2 + x2"])
+    def test_public_residuals_return_fractions(self, text):
+        p = pp(text, 2)
+        phi = parse_unipoly("t^4/24")
+        values = [
+            residual_surface_mean(p, D21),
+            residual_volume_mean(p, D21, 1),
+            residual_weighted_quadrature(p, D21, phi),
+            residual_pizzetti(p, D21, 2, phi),
+        ]
+        assert all(type(v) is Fraction for v in values)
+
+    def test_odd_element_costs_no_fraction_work(self):
+        # the factories return the integer 0 for empty degree sums
+        sums = identities.DegreeSums(pp("x1^3*x2 - x1*x2^3", 2))
+        phi = parse_unipoly("t^4/24")
+        values = [
+            identities._surface_mean(D21)(sums),
+            identities._volume_mean(D21, 2)(sums),
+            identities._weighted_quadrature(D21, phi)(sums),
+            identities._pizzetti(D21, 1, phi)(identities._laplacian_chain(sums.poly, 1)),
+        ]
+        assert all(type(v) is int and v == 0 for v in values)
+
+    def test_odd_element_not_polyharmonic_before_profile_condition(self):
+        # x1^3 has empty degree sums, is not harmonic, and t fails phi'(0) = 0
+        with pytest.raises(NotPolyharmonicError, match="pizzetti on cubic: input is not 1"):
+            run_suite(
+                [("cubic", pp("x1^3", 2))],
+                D21,
+                [Identity.PIZZETTI],
+                SuiteConfig(m=1, phis=(parse_unipoly("t"),)),
+            )
+
+    @pytest.mark.parametrize(
+        "identity,config,match",
+        [
+            (Identity.PIZZETTI, SuiteConfig(m=1, phis=(parse_unipoly("t"),)), r"phi'\(0\)"),
+            (
+                Identity.WEIGHTED_QUADRATURE,
+                SuiteConfig(phis=(parse_unipoly("1 + t^2"),)),
+                r"phi\(0\)",
+            ),
+        ],
+    )
+    def test_odd_element_profile_condition_carries_label(self, identity, config, match):
+        elements = [("odd", pp("x1*x2", 2)), ("one", Poly.const(2, 1))]
+        with pytest.raises(WeightConditionError, match=f"{identity.value} on odd: .*{match}"):
+            run_suite(elements, D21, [identity], config)
+
+    def test_odd_first_element_carries_parameter_errors(self):
+        elements = [("odd", pp("x1", 2)), ("one", Poly.const(2, 1))]
+        with pytest.raises(ValueError, match="volume_mean on odd: weight exponent"):
+            run_suite(elements, D21, [Identity.VOLUME_MEAN], SuiteConfig(ks=(-1,)))
+        with pytest.raises(ValueError, match="pizzetti on odd: polyharmonic order"):
+            run_suite(elements, D21, [Identity.PIZZETTI], SuiteConfig(m=0))
 
 
 def dumped(report: IdentityReport) -> str:

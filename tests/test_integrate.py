@@ -14,6 +14,7 @@ from cubeharm.integrate import (
     Region,
     Weight,
     _cell_factors,
+    integral,
     integrate_boundary,
     integrate_cube,
     integrate_diagonal,
@@ -281,3 +282,53 @@ class TestDegreeSums:
             2: reference.cell_factor((2, 0), 2) + 3 * reference.cell_factor((0, 2), 2),
             4: 2 * reference.cell_factor((2, 2), 2),
         }
+
+
+ODD_POLYS = ("x1", "x1*x2", "x1^3*x2 - 2*x1*x2^5", "x2^3 + 1/3*x1^2*x2")
+
+
+class TestFoldedScale:
+    """integral(..., scale=q) folds q into each degree's radial factor: its
+    value is q times the unscaled integral, and a polynomial whose degree sums
+    are empty gives the integer 0, while the public functions give Fractions."""
+
+    @given(polys_st(3, max_degree=6), st.sampled_from(list(Region)), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_scale_multiplies_the_integral(self, p, region, k):
+        d = CubeDomain(3, Fraction(3, 2))
+        w = Weight.power(k)
+        sums = DegreeSums(p)
+        plain = integral(d, region, w)(sums)
+        for q in (Fraction(2), Fraction(-7, 3), 1 / measure(d, Region.DIAGONAL, k)):
+            assert integral(d, region, w, scale=q)(sums) == q * plain
+
+    @pytest.mark.parametrize("text", ODD_POLYS)
+    @pytest.mark.parametrize("region", list(Region))
+    def test_empty_degree_sums_give_the_integer_zero(self, text, region):
+        sums = DegreeSums(pp(text, 2))
+        value = integral(D21, region, Weight.power(1), scale=Fraction(1, 3))(sums)
+        assert value == 0 and type(value) is int
+        assert sums[1] == {} and sums[2] == {}
+
+    def test_cancelling_even_terms_give_a_fraction_zero(self):
+        # the degree sum at degree 2 is present and exactly 0
+        value = integral(D21, Region.CUBE, Weight.power(0))(DegreeSums(pp("x1^2 - x2^2", 2)))
+        assert value == 0 and type(value) is Fraction
+
+    @pytest.mark.parametrize("text", ODD_POLYS + ("x1^2 - x2^2", "1", "x1^4 + x2"))
+    def test_public_integrals_return_fractions(self, text):
+        p = pp(text, 2)
+        w = Weight.from_profile(UniPoly([0, 0, Fraction(1, 2)]))
+        values = [
+            integrate_cube(p, D21, w),
+            integrate_diagonal(p, D21, w),
+            integrate_boundary(p, D21),
+        ]
+        assert all(type(v) is Fraction for v in values)
+        if text in ODD_POLYS:
+            assert values == [0, 0, 0]
+
+    @pytest.mark.parametrize("region", list(Region))
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_measure_returns_fractions(self, region, k):
+        assert type(measure(CubeDomain(3, Fraction(1, 2)), region, k)) is Fraction

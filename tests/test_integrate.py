@@ -310,11 +310,6 @@ class TestFoldedScale:
         assert value == 0 and type(value) is int
         assert sums[1] == {} and sums[2] == {}
 
-    def test_cancelling_even_terms_give_a_fraction_zero(self):
-        # the degree sum at degree 2 is present and exactly 0
-        value = integral(D21, Region.CUBE, Weight.power(0))(DegreeSums(pp("x1^2 - x2^2", 2)))
-        assert value == 0 and type(value) is Fraction
-
     @pytest.mark.parametrize("text", ODD_POLYS + ("x1^2 - x2^2", "1", "x1^4 + x2"))
     def test_public_integrals_return_fractions(self, text):
         p = pp(text, 2)

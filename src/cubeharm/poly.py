@@ -83,6 +83,12 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.dim, self._terms)
+
     @classmethod
     def _from_clean(cls, dim: int, terms: dict[Exponent, Fraction]) -> "Poly":
         """Wrap a term map that is clean by construction: exponent tuples of
@@ -300,6 +306,12 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("UniPoly is immutable")
+
+    def __reduce__(self):
+        return UniPoly, (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "UniPoly":

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,33 @@ from hypothesis import strategies as st
 from cubeharm.integrate import CubeDomain
 from cubeharm.parser import ExprSource, parse_poly
 from cubeharm.poly import Poly
+
+
+def check_value_class(value, equal, unequal, fields: tuple[str, ...], text: str) -> None:
+    """What every immutable value class shares: equality and hashing by the
+    field tuple, no equality with another class or a plain tuple, fields in
+    positional order, refused assignment and deletion, and the repr text."""
+    assert value == equal and not value != equal
+    assert hash(value) == hash(equal)
+    assert value != unequal and not value == unequal
+    values = tuple(getattr(value, name) for name in fields)
+    assert type(value)(*values) == value
+    assert value != values and not value == values
+    assert value != types.SimpleNamespace(**dict(zip(fields, values)))
+    for name in (*fields, "unknown_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, values[0])
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == values
+    assert repr(value) == text
+
+
+def check_round_trips(value) -> None:
+    """pickle, copy.copy and copy.deepcopy give an equal value of the same class."""
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
 
 
 def pp(text: str, n: int | None = None) -> Poly:

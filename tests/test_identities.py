@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polys_st, pp
+from conftest import check_round_trips, check_value_class, polys_st, pp
 from cubeharm.identities import (
     Identity,
     IdentityReport,
@@ -157,6 +157,60 @@ class TestResidualStructure:
         lhs = residual_weighted_quadrature(p, D21, phi)
         rhs = measure(D21, Region.CUBE, k) * residual_volume_mean(p, D21, k)
         assert lhs == rhs
+
+
+ENTRY = ReportEntry("surface_mean", 2, "1/1", "", 1, "deg0[0]", "0/1", True)
+ENTRY_REPR = (
+    "ReportEntry(identity='surface_mean', n=2, r='1/1', k_or_phi='', m=1, "
+    "element_label='deg0[0]', residual='0/1', passed=True)"
+)
+
+
+class TestValueClasses:
+    def test_suite_config(self):
+        phis = (UniPoly([0, 0, 1]),)
+        check_value_class(
+            SuiteConfig(),
+            SuiteConfig((0, 1, 2, 3), 1, None),
+            SuiteConfig(phis=phis),
+            ("ks", "m", "phis"),
+            "SuiteConfig(ks=(0, 1, 2, 3), m=1, phis=None)",
+        )
+        config = SuiteConfig(m=2)
+        assert (config.ks, config.m, config.phis) == ((0, 1, 2, 3), 2, None)
+        assert SuiteConfig(phis=phis, ks=(1,)) == SuiteConfig((1,), 1, (UniPoly([0, 0, 1]),))
+
+    def test_report_entry(self):
+        check_value_class(
+            ENTRY,
+            ReportEntry(
+                identity="surface_mean",
+                n=2,
+                r="1/1",
+                k_or_phi="",
+                m=1,
+                element_label="deg0[0]",
+                residual="0/1",
+                passed=True,
+            ),
+            ReportEntry("surface_mean", 2, "1/1", "", 1, "deg0[0]", "1/3", False),
+            ("identity", "n", "r", "k_or_phi", "m", "element_label", "residual", "passed"),
+            ENTRY_REPR,
+        )
+
+    def test_identity_report(self):
+        check_value_class(
+            IdentityReport((ENTRY,)),
+            IdentityReport(entries=(ENTRY,)),
+            IdentityReport(()),
+            ("entries",),
+            f"IdentityReport(entries=({ENTRY_REPR},))",
+        )
+
+    def test_round_trips(self):
+        report = run_suite(BasisRequest(2, 2, 1), D21, [Identity.VOLUME_MEAN], SuiteConfig(ks=(1,)))
+        check_round_trips(report)
+        check_round_trips(SuiteConfig(phis=(UniPoly([0, 0, 1]),)))
 
 
 class TestRunSuite:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import polys_st, pp
+from conftest import check_round_trips, check_value_class, polys_st, pp
 from cubeharm.integrate import (
     CubeDomain,
     DegreeSums,
@@ -48,6 +48,44 @@ class TestCubeDomain:
 
     def test_radius_coerced_to_fraction(self):
         assert CubeDomain(2, "3/2").r == Fraction(3, 2)
+        assert CubeDomain(2, "1/2").r == Fraction(1, 2)
+        assert type(CubeDomain(2, 1).r) is Fraction
+
+    @pytest.mark.parametrize("n,r", [(1, 1), (0, 1), (-3, 1), (2, 0), (2, "-1/2"), (3, -1)])
+    def test_refusals(self, n, r):
+        with pytest.raises(ValueError, match="dimension|radius"):
+            CubeDomain(n, r)
+
+    def test_value_behaviour(self):
+        check_value_class(
+            CubeDomain(2, "1/2"),
+            CubeDomain(n=2, r=Fraction(1, 2)),
+            CubeDomain(3, "1/2"),
+            ("n", "r"),
+            "CubeDomain(n=2, r=Fraction(1, 2))",
+        )
+        assert CubeDomain(r=1, n=2) == CubeDomain(2, Fraction(1))
+
+    def test_round_trips(self):
+        check_round_trips(CubeDomain(3, "7/5"))
+
+
+class TestWeight:
+    def test_value_behaviour(self):
+        check_value_class(
+            Weight.power(2),
+            Weight(UniPoly.monomial(2, Fraction(1, 2)), "2"),
+            Weight.power(3),
+            ("profile", "label"),
+            "Weight(profile=UniPoly('1/2*t^2'), label='2')",
+        )
+        phi = UniPoly([0, 0, 1])
+        assert Weight(label="1/1*t^2", profile=phi) == Weight.from_profile(UniPoly([0, 0, 1]))
+        assert Weight.power(2) != Weight(UniPoly.monomial(2, Fraction(1, 2)), "t^2/2")
+
+    def test_round_trips(self):
+        check_round_trips(Weight.power(2))
+        check_round_trips(Weight.from_profile(UniPoly([0, 1, Fraction(-1, 3)])))
 
 
 class TestCube:

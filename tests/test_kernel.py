@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pp
+from conftest import check_round_trips, check_value_class, pp
 import cubeharm.kernel as kernel
 from cubeharm.kernel import (
     BasisRequest,
+    BasisSet,
     graded_basis,
     homogeneous_kernel,
     is_polyharmonic,
@@ -225,6 +226,34 @@ class TestGradedBasis:
             graded_basis(BasisRequest(2, 3, 0))
         with pytest.raises(ValueError):
             graded_basis(BasisRequest(9, 3, 1))  # default dimension limit
+
+
+class TestValueClasses:
+    def test_basis_request(self):
+        check_value_class(
+            BasisRequest(2, 3),
+            BasisRequest(n=2, max_degree=3, m=1),
+            BasisRequest(2, 3, 2),
+            ("n", "max_degree", "m"),
+            "BasisRequest(n=2, max_degree=3, m=1)",
+        )
+        assert BasisRequest(2, 3).m == 1
+        assert BasisRequest(m=2, max_degree=3, n=2) == BasisRequest(2, 3, 2)
+
+    def test_basis_set(self):
+        request = BasisRequest(2, 0)
+        check_value_class(
+            BasisSet((Poly.const(2, 1),), request),
+            BasisSet(elements=(Poly.const(2, 1),), request=BasisRequest(2, 0, 1)),
+            BasisSet((Poly.const(2, 2),), request),
+            ("elements", "request"),
+            "BasisSet(elements=(Poly(2, '1/1'),), request=BasisRequest(n=2, max_degree=0, m=1))",
+        )
+        basis = graded_basis(BasisRequest(2, 2))
+        assert len(basis) == 5 and list(basis) == list(basis.elements)
+
+    def test_round_trips(self):
+        check_round_trips(graded_basis(BasisRequest(3, 3, 1)))
 
 
 class TestIsPolyharmonic:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import polys_st, pp
+from conftest import check_round_trips, check_value_class, polys_st, pp
 from cubeharm.identities import WeightConditionError
 import cubeharm.onesided as onesided
 from cubeharm.integrate import CubeDomain
@@ -15,6 +15,8 @@ from cubeharm.onesided import (
     CERTIFIED,
     FAILED,
     HEURISTIC,
+    ApproxCertificate,
+    OneSidedness,
     certify_best_approx,
     check_onesided,
     gradient_vanishes_on_diagonal,
@@ -347,6 +349,66 @@ class TestLatticeWalk:
             negative_witness=at if best < 0 else None,
         )
         assert walked.to_dict() == brute_force_grid(p, d, npts)
+
+
+HEURISTIC_REPR = (
+    "OneSidedness(kind='heuristic', grid_points_per_axis=3, grid_min=Fraction(0, 1), "
+    "negative_witness=None, cofactor=None)"
+)
+
+
+class TestValueClasses:
+    def test_onesidedness(self):
+        check_value_class(
+            OneSidedness(HEURISTIC, 3, Fraction(0)),
+            OneSidedness(kind=HEURISTIC, grid_points_per_axis=3, grid_min=Fraction(0)),
+            OneSidedness(HEURISTIC, 5, Fraction(0)),
+            ("kind", "grid_points_per_axis", "grid_min", "negative_witness", "cofactor"),
+            HEURISTIC_REPR,
+        )
+        certified = OneSidedness(CERTIFIED, cofactor=Poly.const(2, 1))
+        assert certified.grid_points_per_axis is certified.grid_min is None
+        assert certified.negative_witness is None
+        assert certified == OneSidedness(CERTIFIED, None, None, None, Poly.const(2, 1))
+
+    def test_approx_certificate(self):
+        onesided = OneSidedness(HEURISTIC, 3, Fraction(0))
+        fields = (Poly.const(2, 1), Poly.zero(2), D21, True, False, False, onesided)
+        check_value_class(
+            ApproxCertificate(*fields, Fraction(4)),
+            ApproxCertificate(
+                f=Poly.const(2, 1),
+                h=Poly.zero(2),
+                domain=CubeDomain(2, 1),
+                harmonic_ok=True,
+                vanishes_on_diagonal=False,
+                gradient_vanishes_on_diagonal=False,
+                onesided=OneSidedness(HEURISTIC, 3, Fraction(0)),
+                l1_error=Fraction(4),
+            ),
+            ApproxCertificate(*fields, None),
+            (
+                "f",
+                "h",
+                "domain",
+                "harmonic_ok",
+                "vanishes_on_diagonal",
+                "gradient_vanishes_on_diagonal",
+                "onesided",
+                "l1_error",
+            ),
+            "ApproxCertificate(f=Poly(2, '1/1'), h=Poly(2, '0/1'), "
+            "domain=CubeDomain(n=2, r=Fraction(1, 1)), harmonic_ok=True, "
+            "vanishes_on_diagonal=False, gradient_vanishes_on_diagonal=False, "
+            f"onesided={HEURISTIC_REPR}, l1_error=Fraction(4, 1))",
+        )
+
+    def test_round_trips(self, example1, example2):
+        for f, h in (example1, example2):
+            check_round_trips(certify_best_approx(f, h, D21))
+        failed = certify_best_approx(pp("x1", 2), Poly.zero(2), D21, grid_points_per_axis=3)
+        assert failed.onesided.kind == FAILED
+        check_round_trips(failed)
 
 
 class TestCertifyBestApprox:

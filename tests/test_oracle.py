@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cubeharm.oracle as oracle
-from conftest import pp, seeded_random_polys
+from conftest import check_value_class, pp, seeded_random_polys
 from cubeharm._kernels import evaluate_terms
 from cubeharm.integrate import (
     CubeDomain,
@@ -329,6 +329,22 @@ def test_numeric_l1_names_the_extra_without_numpy(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
     with pytest.raises(ImportError, match=r"numeric_l1 needs numpy: install cubeharm\[oracle\]"):
         numeric_l1(pp("x1", 2), Poly.zero(2), D21)
+
+
+class TestQuadratureSpec:
+    def test_value_behaviour(self):
+        check_value_class(
+            QuadratureSpec(),
+            QuadratureSpec(points_per_axis=24),
+            QuadratureSpec(25),
+            ("points_per_axis",),
+            "QuadratureSpec(points_per_axis=24)",
+        )
+
+    @pytest.mark.parametrize("q", [1, 0, -5])
+    def test_refusal(self, q):
+        with pytest.raises(ValueError, match="points_per_axis must be in"):
+            QuadratureSpec(q)
 
 
 class TestBudgets:

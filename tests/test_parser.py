@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import cubeharm.parser as parser
-from conftest import polys_st
+from conftest import check_value_class, polys_st
 from cubeharm.parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
 from cubeharm.poly import Limits, Poly, UniPoly, poly_to_text
 
@@ -252,3 +252,25 @@ class TestRoundTrip:
     def test_serialization_is_stable(self, p):
         text = poly_to_text(p)
         assert poly_to_text(parse_poly(ExprSource(text, expected_dim=3))) == text
+
+
+class TestValueClasses:
+    def test_expr_source(self):
+        check_value_class(
+            ExprSource("x1", 2),
+            ExprSource(text="x1", expected_dim=2),
+            ExprSource("x1"),
+            ("text", "expected_dim"),
+            "ExprSource(text='x1', expected_dim=2)",
+        )
+        assert ExprSource("x1").expected_dim is None
+        assert ExprSource(expected_dim=3, text="x2") == ExprSource("x2", 3)
+
+    def test_token(self):
+        check_value_class(
+            parser._Token("int", "1", 0),
+            parser._Token(kind="int", text="1", position=0),
+            parser._Token("int", "1", 1),
+            ("kind", "text", "position"),
+            "_Token(kind='int', text='1', position=0)",
+        )

@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import polys_st, pp
+from conftest import check_round_trips, check_value_class, polys_st, pp
 from cubeharm.poly import (
     DimensionMismatchError,
+    Limits,
     Poly,
     UniPoly,
     divide_exact,
@@ -120,6 +121,44 @@ class TestUniPoly:
     def test_trailing_zeros_trimmed(self):
         assert UniPoly([1, 2, 0, 0]) == UniPoly([1, 2])
         assert UniPoly([0, 0]).is_zero
+
+    def test_derivative_of_sparse_profile(self):
+        phi = UniPoly([7, 0, 0, 3, 0, Fraction(1, 2)])
+        assert phi.derivative(2) == UniPoly([0, 18, 0, 10])
+        assert phi.derivative(5) == UniPoly([60])
+
+
+class TestImmutable:
+    def test_poly_and_unipoly_refuse_assignment_and_deletion(self):
+        for value, name in ((x1, "dim"), (UniPoly([1, 2]), "coeffs")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    @pytest.mark.parametrize(
+        "value",
+        [Poly.const(2, 1), Poly.zero(3), x1 * x2 - Fraction(1, 3) * x2**2, UniPoly([1, 0, -2])],
+        ids=["const", "zero", "poly", "unipoly"],
+    )
+    def test_pickle_and_copy_round_trip(self, value):
+        check_round_trips(value)
+
+
+class TestLimits:
+    def test_value_behaviour(self):
+        check_value_class(
+            Limits(),
+            Limits(8, 16),
+            Limits(max_degree=17),
+            ("max_dim", "max_degree"),
+            "Limits(max_dim=8, max_degree=16)",
+        )
+
+    def test_defaults_and_keywords(self):
+        assert (Limits().max_dim, Limits().max_degree) == (8, 16)
+        assert Limits(max_degree=3) == Limits(8, 3)
+        assert Limits(max_dim=2, max_degree=3) == Limits(2, 3)
 
 
 class TestUniNegativePoint:

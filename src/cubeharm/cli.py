@@ -16,10 +16,10 @@ for identical configurations.  All rationals in output are "p/q" strings;
 the only floats are crosscheck deviations and grid samples, printed with 17
 significant digits.
 
-Each subcommand imports only the modules it runs: this module loads the
-parser and the polynomial layer, and a `cmd_*` function imports the rest
-when it needs them, so a process spends no start-up time compiling layers
-that its subcommand never calls.
+Start-up dominates a CLI process, so this module loads only the parser and
+the polynomial layer, and a `cmd_*` function imports the rest when it needs
+them.  The value classes are plain __slots__ classes: no process imports
+`dataclasses` (with `inspect`) or execs the source a dataclass generates.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ MAX_GRID_TERM_EVALS = 1_600_000
 # Work `crosscheck` may do, in units of about 0.2-0.5 us.  One integral of
 # a polynomial of degree deg in dimension n (up to 10 random terms) costs
 # about 300 + n^3 + 5 q deg units at q points per axis: a fixed part, cell
-# sums that grow as n^3 and one-dimensional tables that grow as q deg.  Each
-# polynomial takes 1 + 2 len(--k) integrals.  Measured with 10 terms: n = 112
+# sums that grow as n^3 and one-dimensional tables that grow as q deg; a
+# power weight u^k/k! adds q k (about 3 ms an integral at k = 1000, q = 24).
+# Each polynomial takes 1 + 2 len(--k) integrals.  Measured with 10 terms: n = 112
 # at degree 6 with --k 0,1,2 took 2.4 s (9.8 M units), n = 2 at degree
 # 27,000 with --k 0 took 3.7 s (9.7 M units), n = 2 at degree 2600 with
 # --k 0 and q = 256 took 1.2 s (10.0 M units), and 300 random polynomials
@@ -73,6 +74,19 @@ MAX_CROSSCHECK_WORK = 10_000_000
 # (1+x1)^100 took 1.0 s, but 32 s at degree 200.  So this is at most about
 # 4 s of work for one expression and one profile.
 MAX_VERIFY_DEGREE = 100
+
+# The largest weight profile degree that --k (u^k/k!, u^(k+1)/(k+1)! on a
+# volume mean's diagonal) or --m (t^(2m+j)/(2m+j)!, j <= 2) may ask for, and
+# the most integrals `verify` may evaluate: per basis element (a monomial of
+# degree <= --deg, or --poly) 2 for a surface mean and per --k value or
+# quadrature profile, and m + 1 per Pizzetti profile.  Values carry factorials
+# of the degree: `integrate --n 2 --region cube --poly 1 --k 1000` prints 2,576
+# bytes, and near k = 1600 passes the 4300 digits Python prints.  As whole
+# processes, `verify --n 2 --deg 8 --identities pizzetti --m 499` (67,500
+# integrals) took 2.3 s and `verify --n 8 --deg 6 --k 0,1,...,19` (126,000
+# integrals, a 10 MB report) 0.55 s.
+MAX_WEIGHT_DEGREE = 1000
+MAX_VERIFY_INTEGRALS = 200_000
 
 # Largest --n for the commands that take a cube.  Exact values grow with the
 # dimension: `integrate --region diagonal --poly x1^2` prints 614 bytes at
@@ -107,11 +121,22 @@ def _parse_rational(text: str) -> Fraction:
     return value
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_exponents(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        ks = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}")
+    if min(ks) < 0:
+        raise UsageError("weight exponents must be >= 0")
+    return ks
+
+
+def _check_weight_degree(flag: str, value: int, degree: int) -> None:
+    if degree > MAX_WEIGHT_DEGREE:
+        raise UsageError(
+            f"{flag} {value} asks for a weight profile of degree {degree}, "
+            f"above the limit of {MAX_WEIGHT_DEGREE}"
+        )
 
 
 def _domain(args) -> CubeDomain:
@@ -232,30 +257,44 @@ def cmd_verify(args) -> int:
                 f"unknown identity {token!r}; choose from {','.join(_IDENTITY_TOKENS)}"
             )
         names.append(_IDENTITY_TOKENS[token])
-    ks = _parse_int_list(args.k)
-    if any(k < 0 for k in ks):
-        raise UsageError("weight exponents must be >= 0")
-    limit = _input_limits(args).max_degree
-    if (args.poly or args.phi) and limit > MAX_VERIFY_DEGREE:
+    ks = _parse_exponents(args.k)
+    limits = _input_limits(args)
+    if (args.poly or args.phi) and limits.max_degree > MAX_VERIFY_DEGREE:
         # checked before parsing: a power costs one product per unit of its exponent
         raise UsageError(
-            f"--deg {args.deg} raises the degree limit of --poly and --phi to {limit}, "
+            f"--deg {args.deg} raises the degree limit of --poly and --phi to {limits.max_degree}, "
             f"above the limit of {MAX_VERIFY_DEGREE}"
         )
-    phis = None
-    if args.phi:
-        phis = tuple(parse_unipoly(text, limits=_input_limits(args)) for text in args.phi)
     from .identities import Identity, SuiteConfig, run_suite
     from .kernel import BasisRequest
 
+    request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
+    if not args.poly:
+        request.validate()  # bounds the monomial count below
+    if "VOLUME_MEAN" in names:
+        _check_weight_degree("--k", max(ks), max(ks) + 1)
+    if "PIZZETTI" in names and not args.phi:
+        _check_weight_degree("--m", args.m, 2 * args.m + 2)
+    profiles = len(args.phi or ())  # else 5 default quadrature and 3 Pizzetti ones
+    per_element = {
+        "SURFACE_MEAN": 2,
+        "VOLUME_MEAN": 2 * len(ks),
+        "WEIGHTED_QUADRATURE": 2 * (profiles or 5),
+        "PIZZETTI": (args.m + 1) * (profiles or 3),
+    }
+    elements = 1 if args.poly else math.comb(args.n + args.deg, args.deg)
+    integrals = elements * sum(per_element[name] for name in names)
+    if integrals > MAX_VERIFY_INTEGRALS:
+        raise UsageError(
+            f"verify takes {integrals} integrals, above the limit of {MAX_VERIFY_INTEGRALS}"
+        )
+    phis = tuple(parse_unipoly(text, limits=limits) for text in args.phi) if args.phi else None
     identities = [Identity[name] for name in names]
     config = SuiteConfig(ks=ks, m=args.m, phis=phis)
     if args.poly:
-        p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
-        basis = [("user[0]", p)]
-        report = run_suite(basis, d, identities, config)
+        p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)
+        report = run_suite([("user[0]", p)], d, identities, config)
     else:
-        request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
         report = run_suite(request, d, identities, config)
     data = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(args, data)
@@ -280,14 +319,16 @@ def cmd_basis(args) -> int:
 
 def cmd_integrate(args) -> int:
     d = _domain(args)
+    if args.phi is None:
+        if args.k < 0:
+            raise UsageError("weight exponent must be >= 0")
+        _check_weight_degree("--k", args.k, args.k)
     p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
     from .integrate import Weight, integrate_boundary, integrate_cube, integrate_diagonal
 
     if args.phi is not None:
         weight = Weight.from_profile(parse_unipoly(args.phi))
     else:
-        if args.k < 0:
-            raise UsageError("weight exponent must be >= 0")
         weight = Weight.power(args.k)
     region = args.region
     if region == "cube":
@@ -322,7 +363,7 @@ def cmd_approx(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     d = _domain(args)
-    ks = _parse_int_list(args.k)
+    ks = _parse_exponents(args.k)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     if args.poly:
@@ -332,8 +373,9 @@ def cmd_crosscheck(args) -> int:
         if args.deg < 0:
             raise UsageError(f"--deg must be >= 0, got {args.deg}")
         count, deg = args.count, args.deg
+    _check_weight_degree("--k", max(ks), max(ks))
     q = args.points_per_axis
-    work = count * (1 + 2 * len(ks)) * (300 + args.n**3 + 5 * q * deg)
+    work = count * ((1 + 2 * len(ks)) * (300 + args.n**3 + 5 * q * deg) + 2 * q * sum(ks))
     if work > MAX_CROSSCHECK_WORK:
         raise UsageError(
             f"crosscheck of {count} polynomials of degree up to {deg} in dimension {args.n} "

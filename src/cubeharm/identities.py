@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
@@ -41,7 +40,7 @@ from .integrate import (
     measure,
 )
 from .kernel import BasisRequest, BasisSet, graded_basis
-from .poly import Poly, UniPoly, laplacian, rational_to_text, uni_to_text
+from .poly import Poly, UniPoly, Value, _set, laplacian, rational_to_text, uni_to_text
 
 
 class NotPolyharmonicError(ValueError):
@@ -194,25 +193,26 @@ def default_pizzetti_profiles(m: int) -> tuple[UniPoly, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Parameter grid for a verification run."""
+class SuiteConfig(Value):
+    """Parameter grid for a verification run (phis None for the defaults)."""
 
-    ks: tuple[int, ...] = (0, 1, 2, 3)
-    m: int = 1
-    phis: tuple[UniPoly, ...] | None = None
+    __slots__ = ("ks", "m", "phis")
+    _defaults = {"ks": (0, 1, 2, 3), "m": 1, "phis": None}
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    identity: str
-    n: int
-    r: str
-    k_or_phi: str
-    m: int
-    element_label: str
-    residual: str
-    passed: bool
+class ReportEntry(Value):
+    __slots__ = ("identity", "n", "r", "k_or_phi", "m", "element_label", "residual", "passed")
+
+    # every field a str but n and m (int) and passed (bool)
+    def __init__(self, identity, n, r, k_or_phi, m, element_label, residual, passed):
+        _set(self, "identity", identity)
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "k_or_phi", k_or_phi)
+        _set(self, "m", m)
+        _set(self, "element_label", element_label)
+        _set(self, "residual", residual)
+        _set(self, "passed", passed)
 
 
 # json.dumps(..., sort_keys=True, indent=2) of one entry, keys in sorted order
@@ -228,9 +228,8 @@ _JSON_ENTRY = """    {{
     }}"""
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    entries: tuple[ReportEntry, ...]
+class IdentityReport(Value):
+    __slots__ = ("entries",)  # tuple[ReportEntry, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -356,14 +355,7 @@ def run_suite(
                 raise type(exc)(f"{identity.value} on {label}: {exc}") from exc
             entries.append(
                 ReportEntry(
-                    identity=identity.value,
-                    n=d.n,
-                    r=r,
-                    k_or_phi=k_or_phi,
-                    m=m,
-                    element_label=label,
-                    residual=rational_to_text(value),
-                    passed=(value == 0),
+                    identity.value, d.n, r, k_or_phi, m, label, rational_to_text(value), value == 0
                 )
             )
     return IdentityReport(tuple(entries))

@@ -61,28 +61,27 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .poly import DimensionMismatchError, Exponent, Poly, UniPoly, uni_to_text
+from .poly import DimensionMismatchError, Exponent, Poly, UniPoly, Value, _set, uni_to_text
 
 RationalLike = Fraction | int | str
 
 
-@dataclass(frozen=True)
-class CubeDomain:
+class CubeDomain(Value):
     """The cube [-r, r]^n together with its boundary and diagonal set."""
 
-    n: int
-    r: Fraction
+    __slots__ = ("n", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
-        if self.r <= 0:
-            raise ValueError(f"radius must be positive, got {self.r}")
+    def __init__(self, n: int, r: RationalLike):
+        r = Fraction(r)
+        if n < 2:
+            raise ValueError(f"dimension must be >= 2, got {n}")
+        if r <= 0:
+            raise ValueError(f"radius must be positive, got {r}")
+        _set(self, "n", n)
+        _set(self, "r", r)
 
 
 class Region(enum.Enum):
@@ -91,16 +90,18 @@ class Region(enum.Enum):
     DIAGONAL = "diagonal"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """A radial weight profile evaluated at u = r - M(x).
 
     `power(k)` builds the profile u^k / k!; `from_profile` wraps an arbitrary
     polynomial profile.  Both run through the same integration path.
     """
 
-    profile: UniPoly
-    label: str
+    __slots__ = ("profile", "label")
+
+    def __init__(self, profile: UniPoly, label: str):
+        _set(self, "profile", profile)
+        _set(self, "label", label)
 
     @classmethod
     def power(cls, k: int) -> "Weight":

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (
@@ -37,6 +36,7 @@ from .poly import (
     Exponent,
     Limits,
     Poly,
+    Value,
     _laplacian_terms,
     grlex_key,
     iterated_laplacian,
@@ -62,14 +62,12 @@ def _exponent_entries(n: int, max_degree: int) -> int:
     return n * monomials
 
 
-@dataclass(frozen=True)
-class BasisRequest:
+class BasisRequest(Value):
     """Ask for all polynomials of degree <= max_degree annihilated by the
     m-fold Laplacian in dimension n (m = 1 means harmonic)."""
 
-    n: int
-    max_degree: int
-    m: int = 1
+    __slots__ = ("n", "max_degree", "m")
+    _defaults = {"m": 1}
 
     def validate(self, limits: Limits = DEFAULT_LIMITS) -> None:
         if self.n < 1:
@@ -93,10 +91,8 @@ class BasisRequest:
             )
 
 
-@dataclass(frozen=True)
-class BasisSet:
-    elements: tuple[Poly, ...]
-    request: BasisRequest
+class BasisSet(Value):
+    __slots__ = ("elements", "request")  # tuple[Poly, ...], BasisRequest
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .integrate import (
@@ -54,6 +53,8 @@ from .poly import (
     DimensionMismatchError,
     Poly,
     UniPoly,
+    Value,
+    _set,
     divide_exact,
     lattice_terms,
     partial,
@@ -220,15 +221,20 @@ def _lattice_walk(p: Poly, r: Fraction, npts: int) -> tuple[Fraction, tuple[Frac
     return Fraction(best, denom), tuple(step * ms[i] for i in best_at)
 
 
-@dataclass(frozen=True)
-class OneSidedness:
+class OneSidedness(Value):
     """Outcome of a nonnegativity check of f - h on the cube."""
 
-    kind: str  # certified | heuristic | failed
-    grid_points_per_axis: int | None = None
-    grid_min: Fraction | None = None
-    negative_witness: tuple[Fraction, ...] | None = None
-    cofactor: Poly | None = None
+    # kind: certified | heuristic | failed; the rest are a grid size, Fractions and a Poly, or None
+    __slots__ = ("kind", "grid_points_per_axis", "grid_min", "negative_witness", "cofactor")
+
+    def __init__(
+        self, kind, grid_points_per_axis=None, grid_min=None, negative_witness=None, cofactor=None
+    ):
+        _set(self, "kind", kind)
+        _set(self, "grid_points_per_axis", grid_points_per_axis)
+        _set(self, "grid_min", grid_min)
+        _set(self, "negative_witness", negative_witness)
+        _set(self, "cofactor", cofactor)
 
     def to_dict(self) -> dict:
         out: dict = {"status": self.kind}
@@ -290,18 +296,13 @@ def check_onesided(
     return OneSidedness(kind=HEURISTIC, grid_points_per_axis=npts, grid_min=best)
 
 
-@dataclass(frozen=True)
-class ApproxCertificate:
+class ApproxCertificate(Value):
     """Checked hypotheses and exact error for a candidate best approximant."""
 
-    f: Poly
-    h: Poly
-    domain: CubeDomain
-    harmonic_ok: bool
-    vanishes_on_diagonal: bool
-    gradient_vanishes_on_diagonal: bool
-    onesided: OneSidedness
-    l1_error: Fraction | None
+    __slots__ = (
+        "f", "h", "domain", "harmonic_ok", "vanishes_on_diagonal",
+        "gradient_vanishes_on_diagonal", "onesided", "l1_error"
+    )
 
     @property
     def optimality_certified(self) -> bool:

@@ -49,14 +49,13 @@ need nor load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
 from .integrate import CubeDomain, Weight
-from .poly import Poly, grlex_key
+from .poly import Poly, Value, _set, grlex_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,16 +64,15 @@ MAX_POINTS_PER_AXIS = 256  # the Newton node build is O(q^2) in Python
 MAX_CELL_POINTS = 10**6  # nodes numeric_l1 may evaluate on one cell (q^n)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    points_per_axis: int = 24
+class QuadratureSpec(Value):
+    __slots__ = ("points_per_axis",)
 
-    def __post_init__(self):
-        if not 2 <= self.points_per_axis <= MAX_POINTS_PER_AXIS:
+    def __init__(self, points_per_axis: int = 24):
+        if not 2 <= points_per_axis <= MAX_POINTS_PER_AXIS:
             raise ValueError(
-                f"points_per_axis must be in [2, {MAX_POINTS_PER_AXIS}], "
-                f"got {self.points_per_axis}"
+                f"points_per_axis must be in [2, {MAX_POINTS_PER_AXIS}], got {points_per_axis}"
             )
+        _set(self, "points_per_axis", points_per_axis)
 
 
 @lru_cache(maxsize=32)

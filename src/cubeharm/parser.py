@@ -28,10 +28,9 @@ table, so its cost grows with the length of the text, not its square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import DEFAULT_LIMITS, Limits, Poly, UniPoly
+from .poly import DEFAULT_LIMITS, Limits, Poly, UniPoly, Value
 
 
 # Terms the products and powers of one expression may expand to, counted
@@ -58,22 +57,18 @@ class ExprSyntaxError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class ExprSource:
+class ExprSource(Value):
     """An expression string plus an optional expected ambient dimension."""
 
-    text: str
-    expected_dim: int | None = None
+    __slots__ = ("text", "expected_dim")
+    _defaults = {"expected_dim": None}
 
 
 _OPERATORS = "+-*/^()"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "var", an operator character, or "end"
-    text: str
-    position: int
+class _Token(Value):
+    __slots__ = ("kind", "text", "position")  # kind: "int", "var", an operator or "end"
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -20,7 +20,6 @@ used by the parser and the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -32,8 +31,53 @@ class DimensionMismatchError(ValueError):
     """Operands or arguments live in different ambient dimensions."""
 
 
-@dataclass(frozen=True)
-class Limits:
+_set = object.__setattr__  # sets a field past Value.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes.  A subclass names its fields in
+    __slots__, in positional order, and defaults in _defaults; one built on a
+    hot path sets them in its own positional __init__ with _set, at half the
+    cost of this one.  Values compare and hash by class and field tuple, print
+    as Name(field=value, ...), refuse assignment and deletion, and pickle and
+    copy by calling the class with their fields."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, got {args} {kwargs}")
+        for name in names:
+            _set(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Limits(Value):
     """Desk-scale guardrails for user-supplied inputs.
 
     These are enforced at input boundaries (parser, basis requests), not
@@ -41,8 +85,8 @@ class Limits:
     custom instance to lift them.
     """
 
-    max_dim: int = 8
-    max_degree: int = 16
+    __slots__ = ("max_dim", "max_degree")
+    _defaults = {"max_dim": 8, "max_degree": 16}
 
 
 DEFAULT_LIMITS = Limits()
@@ -58,7 +102,7 @@ def rational_to_text(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class Poly:
+class Poly(Value):
     """Immutable sparse polynomial over Fraction coefficients."""
 
     __slots__ = ("dim", "_terms")
@@ -77,17 +121,8 @@ class Poly:
             c = Fraction(coeff)
             if c:
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return Poly, (self.dim, self._terms)
+        _set(self, "dim", dim)
+        _set(self, "_terms", clean)
 
     @classmethod
     def _from_clean(cls, dim: int, terms: dict[Exponent, Fraction]) -> "Poly":
@@ -95,8 +130,8 @@ class Poly:
         length dim with no negative entry, nonzero Fraction coefficients.
         The map is taken as is, not checked or copied."""
         p = object.__new__(cls)
-        object.__setattr__(p, "dim", dim)
-        object.__setattr__(p, "_terms", terms)
+        _set(p, "dim", dim)
+        _set(p, "_terms", terms)
         return p
 
     # -- constructors -------------------------------------------------------
@@ -289,7 +324,7 @@ def iterated_laplacian(p: Poly, m: int) -> Poly:
 # -- univariate profiles -----------------------------------------------------
 
 
-class UniPoly:
+class UniPoly(Value):
     """Univariate polynomial with Fraction coefficients, index = power.
 
     Used for radial weight profiles in the variable t.  Trailing zero
@@ -302,16 +337,7 @@ class UniPoly:
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return UniPoly, (self.coeffs,)
+        _set(self, "coeffs", tuple(cs))
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -343,11 +369,7 @@ class UniPoly:
         if order > self.degree:
             return UniPoly.zero()
         # coefficient of t^(i - order) picks up the falling factorial i!/(i-order)!
-        out = [
-            c * Fraction(math.factorial(i), math.factorial(i - order))
-            for i, c in enumerate(self.coeffs)
-            if i >= order
-        ]
+        out = [c and c * math.perm(i, order) for i, c in enumerate(self.coeffs) if i >= order]
         return UniPoly(out)
 
     def __call__(self, value: RationalLike) -> Fraction:

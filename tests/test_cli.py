@@ -210,6 +210,68 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: degree 1000 exceeds the configured limit 16\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--deg", "1", "--identities", "pizzetti", "--m", "500"],
+                "--m 500 asks for a weight profile of degree 1002, above the limit of 1000",
+            ),
+            (
+                ["--deg", "2", "--k", "100000"],
+                "--k 100000 asks for a weight profile of degree 100001, above the limit of 1000",
+            ),
+            (
+                ["--deg", "2", "--k", "0,1000"],
+                "--k 1000 asks for a weight profile of degree 1001, above the limit of 1000",
+            ),
+            (["--deg", "1", "--k", "0," * 10**5 + "0"], "verify takes 600012 integrals, "),
+            (
+                ["--deg", "1", "--identities", "pizzetti", "--m", "1000000000", "--phi", "t^2"],
+                "verify takes 3000000003 integrals, ",
+            ),
+            (
+                ["--deg", "8", "--identities", "quadrature", *["--phi", "t^2"] * 3000],
+                "verify takes 270000 integrals, ",
+            ),
+            (
+                ["--poly", "x1", "--identities", "volume", "--k", "1," * 10**5 + "1"],
+                "verify takes 200002 integrals, ",
+            ),
+        ],
+        ids=["m", "k", "k-list-max", "k-count", "m-count", "phi-count", "poly-k-count"],
+    )
+    def test_oversized_requests_refused_before_any_work(self, capsys, monkeypatch, argv, message):
+        import cubeharm.cli as cli
+        import cubeharm.identities as identities
+        import cubeharm.kernel as kernel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify started before the budget check")
+
+        for module, name in [
+            (cli, "parse_poly"), (cli, "parse_unipoly"), (identities, "run_suite"),
+            (kernel, "graded_basis"), (kernel, "homogeneous_kernel"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        code, out, err = run_cli(capsys, "verify", "--n", "2", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: " + message)
+
+    def test_requests_at_the_weight_limits_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--deg", "2", "--k", "999", "--identities", "volume"
+        )
+        assert code == 0 and json.loads(out)["all_pass"]
+        # --k and --m are bounded only where an identity uses them
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--deg", "2", "--k", "100000", "--m", "600",
+            "--identities", "surface",
+        )
+        assert code == 2 and json.loads(out)["entry_count"] == 6  # every quadratic
+
 
 class TestBasis:
     def test_line_count(self, capsys):
@@ -265,6 +327,27 @@ class TestIntegrate:
         )
         assert code == 0
         assert out == "8/315\n"
+
+    def test_weight_degree_refused_before_any_work(self, capsys, monkeypatch):
+        import cubeharm.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before the weight check")
+
+        monkeypatch.setattr(cli, "parse_poly", refuse)
+        code, out, err = run_cli(
+            capsys, "integrate", "--n", "2", "--region", "cube", "--poly", "1", "--k", "20000"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --k 20000 asks for a weight profile of degree 20000, above the limit of 1000\n"
+        )
+
+    def test_weight_at_the_degree_limit_prints(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "integrate", "--n", "2", "--region", "cube", "--poly", "1", "--k", "1000"
+        )
+        assert code == 0 and len(out) == 2576
 
     def test_boundary_rejects_weight(self, capsys):
         code, _, err = run_cli(
@@ -526,9 +609,15 @@ class TestCrosscheck:
                 ["--deg", "100000000", "--poly", "x1^100000000"],
                 "crosscheck of 1 polynomials of degree up to 100000000 ",
             ),
+            (["--k", "0,1001"], "--k 1001 asks for a weight profile of degree 1001, above the limit"),
+            (["--k", "1,-1"], "weight exponents must be >= 0"),
+            (
+                ["--k", ",".join(["1000"] * 100)],
+                "crosscheck of 20 polynomials of degree up to 6 in dimension 2 with 100 weight ",
+            ),
         ],
         ids=["count-0", "count-negative", "deg-negative", "count", "deg", "deg-one-poly", "n",
-             "k-list", "poly-degree"],
+             "k-list", "poly-degree", "k-degree", "k-negative", "k-list-of-large-k"],
     )
     def test_oversized_requests_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         import cubeharm.cli as cli

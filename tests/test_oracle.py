@@ -341,11 +341,6 @@ class TestQuadratureSpec:
             "QuadratureSpec(points_per_axis=24)",
         )
 
-    @pytest.mark.parametrize("q", [1, 0, -5])
-    def test_refusal(self, q):
-        with pytest.raises(ValueError, match="points_per_axis must be in"):
-            QuadratureSpec(q)
-
 
 class TestBudgets:
     def test_points_per_axis_capped(self):
@@ -354,6 +349,8 @@ class TestBudgets:
             QuadratureSpec(points_per_axis=MAX_POINTS_PER_AXIS + 1)
         with pytest.raises(ValueError, match="points_per_axis"):
             QuadratureSpec(points_per_axis=1)
+        with pytest.raises(ValueError, match="points_per_axis must be in"):
+            QuadratureSpec(1)
 
     def test_l1_refuses_oversized_cell(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -18,8 +18,8 @@ significant digits.
 
 Start-up dominates a CLI process, so this module loads only the parser and
 the polynomial layer, and a `cmd_*` function imports the rest when it needs
-them.  The value classes are plain __slots__ classes: no process imports
-`dataclasses` (with `inspect`) or execs the source a dataclass generates.
+them.  The value classes are hand-written __slots__ classes, so no process
+imports `inspect` or execs generated class source at start-up.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ _EXPORTS = {
     "numeric_integrate_boundary": "oracle",
     "numeric_integrate_cube": "oracle",
     "numeric_integrate_diagonal": "oracle",
-    "numeric_l1": "oracle",
     "ExprSource": "parser",
     "ExprSyntaxError": "parser",
     "parse_poly": "parser",

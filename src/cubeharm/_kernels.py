@@ -1,9 +1,12 @@
-"""Pointwise evaluation kernel for the floating-point quadrature oracle.
+"""Pointwise evaluation kernel: the tests' tensor-grid reference.
 
-The oracle sums its integrals by factorization and needs point values only
-in `numeric_l1`, whose integrand |f - h| does not separate; this kernel
-evaluates f - h on that function's cell grids.  It is a numpy loop over
-terms and accumulates in term order, so it is deterministic.
+No module of the package imports this one.  The oracle sums its rule by
+factorization; `tests/test_oracle.py` evaluates the same rule node by node
+on the full cell grids through `evaluate_terms`, to check the factorized
+sums point by point.  The module stays in the package only because the
+benchmark's tracer (`perfbench/tracing.py`) imports it and wraps
+`evaluate_terms` by name.  It is a numpy loop over terms and accumulates
+in term order, so it is deterministic.
 """
 
 from __future__ import annotations

@@ -266,11 +266,11 @@ def cmd_verify(args) -> int:
             f"above the limit of {MAX_VERIFY_DEGREE}"
         )
     from .identities import Identity, SuiteConfig, run_suite
-    from .kernel import BasisRequest
+    from .kernel import BasisRequest, graded_basis
 
     request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
     if not args.poly:
-        request.validate()  # bounds the monomial count below
+        request.validate(limits)  # bounds the monomial count below
     if "VOLUME_MEAN" in names:
         _check_weight_degree("--k", max(ks), max(ks) + 1)
     if "PIZZETTI" in names and not args.phi:
@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
         p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)
         report = run_suite([("user[0]", p)], d, identities, config)
     else:
-        report = run_suite(request, d, identities, config)
+        report = run_suite(graded_basis(request, limits), d, identities, config)
     data = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(args, data)
     return 0 if report.all_pass else 2

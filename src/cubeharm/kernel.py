@@ -42,12 +42,18 @@ from .poly import (
     iterated_laplacian,
 )
 
-# Exponent entries (n for each monomial of degree <= max_degree) a basis
-# request may span.  On a shared 2-core x86_64 VM the basis costs about
-# 0.1 ms a monomial and a verify run over it about 0.5 ms (1.5 ms with all
-# four identities), so the largest admitted request finishes in seconds; at
-# n = 8 that is degree 6 (3003 monomials).  Counting n per monomial also
-# bounds the exponent tuples of high-dimensional requests.
+# Exponent entries (n for each monomial of degree <= max_degree, times the
+# polyharmonic order m) a basis request may span.  On a shared 2-core x86_64
+# VM the basis costs about 0.1 ms a monomial and a verify run over it about
+# 0.5 ms (1.5 ms with all four identities), and the m-fold recursion and a
+# Pizzetti suite's m + 1 integrals per profile multiply that by about m:
+# `basis --n 3 --deg 40 --m 3`, admitted without the factor m, took 8.4 s.
+# As whole processes, the largest admitted request for each (n, m) with
+# n <= 20 and m <= 4 took at most 3.1 s (`verify --n 3 --deg 32
+# --identities pizzetti --m 2`; `--deg 27 --m 3` 2.5 s, and `verify --n 4
+# --deg 19 --identities surface,volume` 1.2 s).  At n = 8 and m = 1 the
+# limit is degree 6 (3003 monomials).  Counting n per monomial also bounds
+# the exponent tuples of high-dimensional requests.
 MAX_BASIS_EXPONENTS = 40_000
 
 
@@ -84,10 +90,10 @@ class BasisRequest(Value):
             raise ValueError(
                 f"degree {self.max_degree} exceeds the configured limit {limits.max_degree}"
             )
-        if _exponent_entries(self.n, self.max_degree) > MAX_BASIS_EXPONENTS:
+        if self.m * _exponent_entries(self.n, self.max_degree) > MAX_BASIS_EXPONENTS:
             raise ValueError(
                 f"basis request n={self.n}, degree <= {self.max_degree} spans more than "
-                f"{MAX_BASIS_EXPONENTS} exponent entries (n for each monomial)"
+                f"{MAX_BASIS_EXPONENTS} exponent entries (n for each monomial, times m = {self.m})"
             )
 
 

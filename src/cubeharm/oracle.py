@@ -31,19 +31,16 @@ A cell with fixed axes S and signs sigma then sums to
                       * prod_(k not in S) M[alpha_k],
 
 which is the tensor rule's value in exact arithmetic, at O(n q) work per
-term instead of O(q^n).  `numeric_l1` is the one pointwise path: |f - h|
-does not separate, so it still evaluates f - h on every node of the cell
-grid, through `_kernels.evaluate_terms`.
+term instead of O(q^n).  No point grid is built and nothing is evaluated
+pointwise.
 
 Node generation follows the classic Newton iteration on the Legendre
 recurrence rather than any table.  In the factorized path every sum over
 nodes, terms and cells is a math.fsum, so results are correctly rounded
 sums of the same products, independent of term order and stable run to
 run; the one-dimensional tables are built afresh on every call, in
-O(q * degree) work.  The nodes and weights are Python floats.  numpy is an
-optional dependency (the `oracle` extra), imported only where `numeric_l1`
-builds its point grids, so the package and the factorized integrals neither
-need nor load it.
+O(q * degree) work.  The nodes and weights are Python floats, so the
+oracle needs no numpy.
 """
 
 from __future__ import annotations
@@ -52,16 +49,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .integrate import CubeDomain, Weight
-from .poly import Poly, Value, _set, grlex_key
-
-if TYPE_CHECKING:
-    import numpy as np
+from .poly import Poly, Value, _set
 
 MAX_POINTS_PER_AXIS = 256  # the Newton node build is O(q^2) in Python
-MAX_CELL_POINTS = 10**6  # nodes numeric_l1 may evaluate on one cell (q^n)
 
 
 class QuadratureSpec(Value):
@@ -105,34 +98,6 @@ def _legendre_with_derivative(n: int, x: float) -> tuple[float, float]:
         p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
-
-
-def _poly_arrays(p: Poly) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    terms = sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-    if not terms:
-        return np.zeros((0, p.dim), dtype=np.int64), np.zeros(0)
-    exps = np.array([t[0] for t in terms], dtype=np.int64)
-    coeffs = np.array([float(t[1]) for t in terms])
-    return exps, coeffs
-
-
-def _box_grid(naxes: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference tensor grid on [-1, 1]^naxes: (q^naxes, naxes) nodes and
-    the product weights."""
-    import numpy as np
-
-    nodes, weights = map(np.array, gauss_legendre(npts))
-    if naxes == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    grids = np.meshgrid(*([nodes] * naxes), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * naxes), indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w = w * g.reshape(-1)
-    return pts, w
 
 
 def _horner(coeffs: list[float], u: float) -> float:
@@ -240,54 +205,3 @@ def numeric_integrate_diagonal(
     p: Poly, d: CubeDomain, w: Weight, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
     return numeric_integrate_diagonal_many(p, d, [w], spec)[0]
-
-
-def numeric_l1(
-    f: Poly, h: Poly, d: CubeDomain, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Quadrature of |f - h| over the cube.
-
-    The absolute value reintroduces a kink wherever f - h changes sign, so
-    away from the one-sided case this is an estimate, not an exact value.
-    |f - h| does not separate, so each cell's q^n nodes are evaluated point
-    by point; a rule that would put more than MAX_CELL_POINTS nodes on one
-    cell is refused before anything is allocated.
-    """
-    diff = f - h
-    if diff.is_zero:
-        return 0.0
-    n, q = d.n, spec.points_per_axis
-    if q**n > MAX_CELL_POINTS:
-        raise ValueError(
-            f"{q} points per axis in dimension {n} put {q**n} nodes on a cell, "
-            f"above the limit of {MAX_CELL_POINTS}"
-        )
-    try:
-        import numpy as np
-    except ImportError as exc:
-        raise ImportError("numeric_l1 needs numpy: install cubeharm[oracle]") from exc
-
-    from ._kernels import evaluate_terms
-
-    r = float(d.r)
-    exps, coeffs = _poly_arrays(diff)
-    t_nodes, t_weights = map(np.array, gauss_legendre(q))
-    t = r * (t_nodes + 1.0) / 2.0
-    wt = t_weights * r / 2.0
-    box_pts, box_w = _box_grid(n - 1, q)
-    nbox = box_pts.shape[0]
-    cells = []
-    for i in range(n):
-        others = [k for k in range(n) if k != i]
-        for sigma in (1.0, -1.0):
-            pts = np.empty((q * nbox, n))
-            wvec = np.empty(q * nbox)
-            for ti in range(q):
-                block = slice(ti * nbox, (ti + 1) * nbox)
-                pts[block, i] = sigma * t[ti]
-                for axis_pos, k in enumerate(others):
-                    pts[block, k] = t[ti] * box_pts[:, axis_pos]
-                wvec[block] = wt[ti] * (t[ti] ** (n - 1)) * box_w
-            vals = evaluate_terms(pts, exps, coeffs)
-            cells.append(float(np.dot(np.abs(vals), wvec)))
-    return math.fsum(cells)

@@ -379,12 +379,6 @@ class UniPoly(Value):
             total = total * v + c
         return total
 
-    def eval_float(self, value: float) -> float:
-        total = 0.0
-        for c in reversed(self.coeffs):
-            total = total * value + float(c)
-        return total
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 

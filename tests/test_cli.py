@@ -206,9 +206,12 @@ class TestVerify:
         assert json.loads(out)["entry_count"] == 1
 
     def test_basis_degree_errors_unchanged(self, capsys):
+        # verify refuses an oversized basis with the line `basis` prints
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--deg", "1000")
         assert (code, out) == (1, "")
-        assert err == "error: degree 1000 exceeds the configured limit 16\n"
+        assert err.count("\n") == 1
+        assert err.startswith("error: basis request n=2, degree <= 1000 spans more than ")
+        assert (code, out, err) == run_cli(capsys, "basis", "--n", "2", "--deg", "1000")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -228,7 +231,11 @@ class TestVerify:
             (["--deg", "1", "--k", "0," * 10**5 + "0"], "verify takes 600012 integrals, "),
             (
                 ["--deg", "1", "--identities", "pizzetti", "--m", "1000000000", "--phi", "t^2"],
-                "verify takes 3000000003 integrals, ",
+                "basis request n=2, degree <= 1 spans more than ",
+            ),
+            (
+                ["--poly", "x1", "--identities", "pizzetti", "--m", "1000000000", "--phi", "t^2"],
+                "verify takes 1000000001 integrals, ",
             ),
             (
                 ["--deg", "8", "--identities", "quadrature", *["--phi", "t^2"] * 3000],
@@ -239,7 +246,10 @@ class TestVerify:
                 "verify takes 200002 integrals, ",
             ),
         ],
-        ids=["m", "k", "k-list-max", "k-count", "m-count", "phi-count", "poly-k-count"],
+        ids=[
+            "m", "k", "k-list-max", "k-count", "m-count", "poly-m-count", "phi-count",
+            "poly-k-count",
+        ],
     )
     def test_oversized_requests_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         import cubeharm.cli as cli
@@ -293,6 +303,7 @@ class TestBasis:
             ["basis", "--n", "2000", "--deg", "1"],
             ["verify", "--n", "8", "--deg", "8"],
             ["verify", "--n", "8", "--deg", "16", "--identities", "pizzetti", "--m", "3"],
+            ["basis", "--n", "3", "--deg", "40", "--m", "3"],
         ],
     )
     def test_request_above_term_budget_refused(self, capsys, monkeypatch, argv):

@@ -1,7 +1,8 @@
 """What each entry point imports: `import cubeharm` loads no submodule, a
-CLI subcommand loads only the layers it runs, and none loads `dataclasses`
-or `inspect`."""
+CLI subcommand loads only the layers it runs, none loads `dataclasses`
+or `inspect`, and no module of the package but `_kernels` imports numpy."""
 
+import ast
 import json
 import os
 import subprocess
@@ -113,6 +114,41 @@ def test_benchmark_traces_every_name_it_reads():
     measured, unmeasured = json.loads(out.stdout.splitlines()[-1])
     assert unmeasured == []
     assert len(measured) == 23
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module a source file of the package imports, anywhere in its
+    code, with relative imports resolved to `cubeharm.`; `from m import x`
+    counts both m and m.x, since x may be a submodule."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"cubeharm.{module}".rstrip(".")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_test_reference_imports_numpy():
+    # numpy is no dependency of the package: `_kernels`, the tests' pointwise
+    # reference, is the one module that imports it, and no module imports
+    # `_kernels`
+    def users(target: str) -> set[str]:
+        return {
+            path.name
+            for path in Path(SRC, "cubeharm").glob("*.py")
+            if any(
+                name == target or name.startswith(target + ".")
+                for name in _imported_modules(path)
+            )
+        }
+
+    assert users("numpy") == {"_kernels.py"}
+    assert users("cubeharm._kernels") == set()
 
 
 def test_exports_are_the_submodule_objects():

@@ -201,11 +201,15 @@ class TestGradedBasis:
         assert first == second
 
     def test_monomial_budget_counts_every_degree(self, monkeypatch):
-        # n * C(n + d, n): 2 * 45 entries for n = 2, d <= 8, and 2 * 55 for d <= 9
+        # m * n * C(n + d, n): 2 * 45 entries for n = 2, d <= 8, and 2 * 55 for d <= 9;
+        # at m = 2, 2 * 2 * 21 for d <= 5 and 2 * 2 * 28 for d <= 6
         monkeypatch.setattr(kernel, "MAX_BASIS_EXPONENTS", 90)
         BasisRequest(2, 8, 1).validate()
         with pytest.raises(ValueError, match="spans more than 90 exponent entries"):
             BasisRequest(2, 9, 1).validate()
+        BasisRequest(2, 5, 2).validate()
+        with pytest.raises(ValueError, match=r"90 exponent entries \(.*, times m = 2\)"):
+            BasisRequest(2, 6, 2).validate()
 
     def test_high_dimension_within_budget(self):
         basis = graded_basis(BasisRequest(5000, 0, 1), limits=Limits(max_dim=5000))

@@ -29,9 +29,8 @@ from cubeharm.oracle import (
     numeric_integrate_cube_many,
     numeric_integrate_diagonal,
     numeric_integrate_diagonal_many,
-    numeric_l1,
 )
-from cubeharm.poly import Poly, UniPoly
+from cubeharm.poly import Poly, UniPoly, grlex_key
 
 D21 = CubeDomain(2, Fraction(1))
 
@@ -135,26 +134,6 @@ class TestNumericIntegrals:
         assert first == second
 
 
-class TestNumericL1:
-    def test_identical_functions(self, example1):
-        f, _ = example1
-        assert numeric_l1(f, f, D21) == 0.0
-
-    def test_example1(self, example1):
-        f, h = example1
-        assert abs(numeric_l1(f, h, D21) - 8 / 45) < 1e-9
-
-    def test_nonnegative_integrand(self, example1):
-        f, _ = example1
-        assert abs(numeric_l1(f, Poly.zero(2), D21) - 4 / 9) < 1e-10
-
-    def test_sign_change_is_approximate(self):
-        # |x1| kinks inside the argmax cells, so this is an estimate only
-        value = numeric_l1(pp("x1", 2), Poly.zero(2), D21)
-        assert abs(value - 2.0) < 1e-2
-        assert abs(value - 2.0) > 1e-13
-
-
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", [101, 202])
     def test_random_agreement(self, seed):
@@ -184,13 +163,38 @@ class TestOracleAgreement:
 # by point.
 
 
+def _poly_arrays(p):
+    """Exponent rows and float coefficients of p, descending graded-lex."""
+    terms = sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+    if not terms:
+        return np.zeros((0, p.dim), dtype=np.int64), np.zeros(0)
+    exps = np.array([t[0] for t in terms], dtype=np.int64)
+    coeffs = np.array([float(t[1]) for t in terms])
+    return exps, coeffs
+
+
+def _box_grid(naxes, npts):
+    """Tensor grid on [-1, 1]^naxes: (q^naxes, naxes) nodes and the product
+    weights."""
+    nodes, weights = map(np.array, gauss_legendre(npts))
+    if naxes == 0:
+        return np.zeros((1, 0)), np.ones(1)
+    grids = np.meshgrid(*([nodes] * naxes), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    wgrids = np.meshgrid(*([weights] * naxes), indexing="ij")
+    w = np.ones(pts.shape[0])
+    for g in wgrids:
+        w = w * g.reshape(-1)
+    return pts, w
+
+
 def _tensor_cells(p, d, tied, jacobian, weight, q):
     n, r = d.n, float(d.r)
-    exps, coeffs = oracle._poly_arrays(p)
+    exps, coeffs = _poly_arrays(p)
     nodes, t_weights = map(np.array, gauss_legendre(q))
     t = r * (nodes + 1.0) / 2.0
     wt = t_weights * r / 2.0
-    box_pts, box_w = oracle._box_grid(n - tied, q)
+    box_pts, box_w = _box_grid(n - tied, q)
     nbox = box_pts.shape[0]
     if weight is None:  # a face: t = r only, no radial weight
         t, wt = np.array([r]), np.array([1.0])
@@ -275,7 +279,6 @@ class TestFactorizedPath:
         def refuse(*args, **kwargs):
             raise AssertionError("pointwise path used")
 
-        monkeypatch.setattr(oracle, "_box_grid", refuse)
         monkeypatch.setattr("cubeharm._kernels.evaluate_terms", refuse)
         p = pp("x1^4*x2^2*x3 - x3^2", 3)
         d = CubeDomain(3, Fraction(1))
@@ -325,12 +328,6 @@ def test_crosscheck_does_not_load_numpy():
     assert not _numpy_loaded_after(code)
 
 
-def test_numeric_l1_names_the_extra_without_numpy(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
-    with pytest.raises(ImportError, match=r"numeric_l1 needs numpy: install cubeharm\[oracle\]"):
-        numeric_l1(pp("x1", 2), Poly.zero(2), D21)
-
-
 class TestQuadratureSpec:
     def test_value_behaviour(self):
         check_value_class(
@@ -351,15 +348,3 @@ class TestBudgets:
             QuadratureSpec(points_per_axis=1)
         with pytest.raises(ValueError, match="points_per_axis must be in"):
             QuadratureSpec(1)
-
-    def test_l1_refuses_oversized_cell(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated before the budget check")
-
-        monkeypatch.setattr(oracle, "_box_grid", refuse)
-        monkeypatch.setattr(oracle, "gauss_legendre", refuse)
-        d = CubeDomain(5, Fraction(1))
-        with pytest.raises(ValueError, match="nodes on a cell"):
-            numeric_l1(pp("x1^2", 5), Poly.zero(5), d)  # 24^5 nodes
-        with pytest.raises(ValueError, match="nodes on a cell"):
-            numeric_l1(pp("x1^2", 3), Poly.zero(3), CubeDomain(3, 1), QuadratureSpec(101))

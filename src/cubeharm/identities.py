@@ -106,10 +106,13 @@ def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[DegreeSums], 
 
 
 def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
-    """The degree sums of g, Lap g, ..., Lap^m g."""
+    """The degree sums of g, Lap g, ..., Lap^m g; once a link is zero, every
+    later link is the same object."""
     chain = [DegreeSums(g)]
     for _ in range(m):
-        chain.append(DegreeSums(laplacian(chain[-1].poly)))
+        last = chain[-1]
+        lap = laplacian(last.poly)
+        chain.append(last if last.poly.is_zero else DegreeSums(lap))
     return chain
 
 
@@ -120,10 +123,11 @@ def _pizzetti(
     if m < 1:
         raise ValueError(f"polyharmonic order must be >= 1, got {m}")
     cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2 * m)))
-    # diagonals[s] carries 2 phi^(2s+1) and applies to Lap^(m-1-s) g
+    # diagonals[s] carries 2 phi^(2s+1) and applies to Lap^(m-1-s) g; those
+    # with 2s + 1 > deg phi are identically 0 and are not built
     diagonals = [
         integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(2 * s + 1)), scale=2)
-        for s in range(m)
+        for s in range(min(m, (phi.degree + 1) // 2))
     ]
     failure = _vanishing_failure(phi, 2 * m)
 

@@ -178,7 +178,10 @@ class DegreeSums(dict):
         for alpha, coeff in self.poly.terms.items():
             if cells := _cell_factors(alpha)[s - 1]:
                 a = sum(alpha)
-                sums[a] = sums.get(a, 0) + coeff * cells
+                if a in sums:
+                    sums[a] += coeff * cells
+                else:
+                    sums[a] = coeff * cells
         return sums
 
 
@@ -193,9 +196,9 @@ def integral(
     factor 2 of a quadrature diagonal) is folded into the radial factor of
     each degree, which is computed once per degree for the life of the
     returned function; a residual is then a difference of such functionals.
-    The sum starts from the integer 0, so a parity-odd polynomial (each
-    term has an odd exponent, so its degree sums are empty) gives the exact
-    integer 0 with no Fraction arithmetic.  Any other value is a Fraction.
+    A parity-odd polynomial (each term has an odd exponent, so its degree
+    sums are empty) gives the exact integer 0 with no Fraction arithmetic.
+    Any other value is a Fraction.
     """
     s = 2 if region is Region.DIAGONAL else 1
     shift = d.n - s
@@ -208,12 +211,13 @@ def integral(
             raise DimensionMismatchError(
                 f"polynomial dimension {p.poly.dim} does not match domain dimension {d.n}"
             )
-        total = 0
+        total = None  # the first product starts the sum; 0 + Fraction builds a Fraction(0)
         for a, sums in p[s].items():
             if a not in factors:
                 factors[a] = _radial(a + shift, d.r, coeffs, scale)
-            total += sums * factors[a]
-        return total
+            term = sums * factors[a]
+            total = term if total is None else total + term
+        return 0 if total is None else total
 
     return value
 

@@ -23,6 +23,10 @@ of the reduced row echelon form and the free monomials are its free
 columns: the basis is the one exact elimination gives (pivot columns solved
 for, free coordinate 1), with no matrix built.  Nothing is normalized, so
 two runs emit byte-identical bases.
+
+The recursion runs in Python integers: each slice and each of its
+Laplacians is an integer term map over one positive denominator, and a
+Fraction is built only once per term of the finished element.
 """
 
 from __future__ import annotations
@@ -124,32 +128,43 @@ def _extend(free: Exponent, d: int, m: int) -> dict[Exponent, Fraction]:
     `free` and 0 at every other free monomial of degree d.
 
     Slices g_j (polynomials in x2..xn) are keyed by the power j of x1; only
-    those with j = free[0] (mod 2) and j >= free[0] can be nonzero.
+    those with j = free[0] (mod 2) and j >= free[0] can be nonzero.  Each is
+    held as integers G_j over a denominator D_j > 0, g_j = G_j / D_j, and so
+    is its chain of Laplacians.  With L the lcm of the D_(j+2a) in a step,
+    the recursion's coefficient -C(m,a) (j+2a)!/(j+2m)! is the integer
+    -C(m,a) perm(j+2a, 2a) L/D_(j+2a) over L perm(j+2m, 2m), and the new
+    slice is divided by the gcd of its coefficients and that denominator.
     """
     j0 = free[0]
-    slices = {j0: {free[1:]: Fraction(1)}}
-    chains: dict[int, list[dict[Exponent, Fraction]]] = {}  # j -> [g_j, Lap' g_j, ...]
+    slices = {j0: ({free[1:]: 1}, 1)}  # j -> (G_j, D_j)
+    chains: dict[int, list[dict[Exponent, int]]] = {}  # j -> [G_j, Lap' G_j, ...]
 
-    def lap_power(j: int, k: int) -> dict[Exponent, Fraction]:
-        chain = chains.setdefault(j, [slices[j]])
+    def lap_power(j: int, k: int) -> dict[Exponent, int]:
+        chain = chains.setdefault(j, [slices[j][0]])
         while len(chain) <= k:
             chain.append(_laplacian_terms(chain[-1]))
         return chain[k]
 
     for j in range(j0 % 2, d - 2 * m + 1, 2):
-        acc: dict[Exponent, Fraction] = {}
-        for a in range(m):
-            if j + 2 * a not in slices:
-                continue
-            c = Fraction(
-                -math.comb(m, a) * math.factorial(j + 2 * a), math.factorial(j + 2 * m)
-            )
+        present = [a for a in range(m) if j + 2 * a in slices]
+        if not present:
+            continue
+        lcd = math.lcm(*(slices[j + 2 * a][1] for a in present))
+        acc: dict[Exponent, int] = {}
+        for a in present:
+            c = -math.comb(m, a) * math.perm(j + 2 * a, 2 * a) * (lcd // slices[j + 2 * a][1])
             for beta, v in lap_power(j + 2 * a, m - a).items():
                 acc[beta] = acc.get(beta, 0) + c * v
         acc = {beta: v for beta, v in acc.items() if v}
         if acc:
-            slices[j + 2 * m] = acc
-    return {(j,) + beta: c for j, s in slices.items() for beta, c in s.items()}
+            denom = lcd * math.perm(j + 2 * m, 2 * m)
+            g = math.gcd(denom, *acc.values())
+            slices[j + 2 * m] = {beta: v // g for beta, v in acc.items()}, denom // g
+    return {
+        (j,) + beta: Fraction(c, denom)
+        for j, (s, denom) in slices.items()
+        for beta, c in s.items()
+    }
 
 
 def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:

@@ -272,10 +272,14 @@ def lattice_terms(p: Poly, step: Fraction) -> tuple[dict[Exponent, int], int]:
     P's coefficients are c_alpha * step^|alpha| * D, and D is the least
     common denominator of the c_alpha * step^|alpha|.
     """
-    scaled = {exps: coeff * step ** sum(exps) for exps, coeff in p.terms.items()}
-    denom = math.lcm(*(c.denominator for c in scaled.values()))
-    ints = {exps: c.numerator * (denom // c.denominator) for exps, c in scaled.items()}
-    return ints, denom
+    return _integer_terms({exps: coeff * step ** sum(exps) for exps, coeff in p.terms.items()})
+
+
+def _integer_terms(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
+    """A term map as integers over its least common denominator D > 0:
+    the integer map C with terms[e] == C[e] / D for every exponent e."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    return {exps: c.numerator * (denom // c.denominator) for exps, c in terms.items()}, denom
 
 
 def partial(p: Poly, axis: int) -> Poly:
@@ -295,9 +299,11 @@ def partial(p: Poly, axis: int) -> Poly:
     return Poly(p.dim, out)
 
 
-def _laplacian_terms(terms: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
-    """Laplacian of a term map {exponent: coefficient}, zero terms dropped."""
-    out: dict[Exponent, Fraction] = {}
+def _laplacian_terms(terms: Mapping[Exponent, int]) -> dict[Exponent, int]:
+    """Laplacian of an integer term map {exponent: coefficient}, zero terms
+    dropped.  It has integer coefficients, so a map over a common
+    denominator keeps that denominator."""
+    out: dict[Exponent, int] = {}
     for exps, coeff in terms.items():
         for i, e in enumerate(exps):
             if e > 1:
@@ -307,8 +313,17 @@ def _laplacian_terms(terms: Mapping[Exponent, Fraction]) -> dict[Exponent, Fract
 
 
 def laplacian(p: Poly) -> Poly:
-    """Sum of second partials over all axes."""
-    return Poly._from_clean(p.dim, _laplacian_terms(p.terms))
+    """Sum of second partials over all axes.
+
+    Computed in integers over the least common denominator D of p's
+    coefficients, with one Fraction(c, D) per term of the result, so a
+    harmonic p builds no Fraction.  The zero polynomial is returned as is.
+    """
+    if not p.terms:
+        return p
+    ints, denom = _integer_terms(p.terms)
+    lap = _laplacian_terms(ints)
+    return Poly._from_clean(p.dim, {e: Fraction(c, denom) for e, c in lap.items()})
 
 
 def iterated_laplacian(p: Poly, m: int) -> Poly:

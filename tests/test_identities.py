@@ -352,6 +352,39 @@ class TestSuiteMatchesResiduals:
         assert len(report.entries) == 2 * len(phis) * len(basis)
         assert len(calls) == 2 * len(basis)
 
+    def test_pizzetti_builds_only_nonzero_diagonals(self, monkeypatch):
+        calls = []
+        build = identities.integral
+
+        def counting(d, region, *args, **kwargs):
+            calls.append(region)
+            return build(d, region, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "integral", counting)
+        # phi^(2s+1) vanishes once 2s + 1 > deg phi, so t^2 needs one
+        # diagonal at any m and t^5 three; t^6/720 needs all m = 3
+        for phi, m, diagonals in (("t^2", 1000, 1), ("t^5", 4, 3), ("t^6/720", 3, 3)):
+            calls.clear()
+            identities._pizzetti(D21, m, parse_unipoly(phi))
+            assert calls == [Region.CUBE] + [Region.DIAGONAL] * diagonals
+        calls.clear()
+        identities._pizzetti(D21, 5, UniPoly.zero())
+        assert calls == [Region.CUBE]
+
+    def test_zero_links_share_degree_sums(self, monkeypatch):
+        built = []
+
+        class Counting(identities.DegreeSums):
+            def __init__(self, poly):
+                built.append(poly)
+                super().__init__(poly)
+
+        monkeypatch.setattr(identities, "DegreeSums", Counting)
+        chain = identities._laplacian_chain(pp("x1^3*x2", 2), 1000)
+        assert len(chain) == 1001
+        assert [p.total_degree for p in built] == [4, 2, 0]
+        assert built[-1].is_zero and all(link is chain[2] for link in chain[2:])
+
     def test_profile_condition_decided_once_per_parameter(self, monkeypatch):
         basis = graded_basis(BasisRequest(2, 6, 2))
         calls = []

@@ -86,6 +86,54 @@ class TestDerivatives:
             iterated_laplacian(x1, 0)
 
 
+def reference_laplacian(p: Poly) -> Poly:
+    """The Laplacian term by term in Fraction arithmetic."""
+    out: dict = {}
+    for exps, coeff in p.terms.items():
+        for i, e in enumerate(exps):
+            if e > 1:
+                key = exps[:i] + (e - 2,) + exps[i + 1 :]
+                out[key] = out.get(key, Fraction(0)) + coeff * e * (e - 1)
+    return Poly(p.dim, out)
+
+
+class TestIntegerLaplacian:
+    """laplacian runs in integers over one common denominator; it must equal
+    the Fraction computation and keep Poly's clean term map."""
+
+    @staticmethod
+    def check(p: Poly) -> Poly:
+        lap = laplacian(p)
+        assert lap == reference_laplacian(p)
+        assert all(type(c) is Fraction and c for c in lap.terms.values())
+        return lap
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_fraction_reference(self, dim, data):
+        self.check(data.draw(polys_st(dim, max_degree=6, max_terms=8)))
+
+    def test_mixed_denominators(self):
+        p = pp("x1^3/3 - 5/7*x1^2*x2^2 + x2^4/6 + 11/10*x1*x3^2 + x2/9", 3)
+        lap = self.check(p)
+        assert lap == pp("2*x1 - 10/7*x2^2 - 10/7*x1^2 + 2*x2^2 + 11/5*x1", 3)
+
+    def test_zero_is_returned_as_is(self):
+        zero = Poly.zero(3)
+        assert self.check(zero) is zero
+
+    def test_constant(self):
+        assert self.check(Poly.const(2, Fraction(-7, 3))).is_zero
+
+    def test_dimension_one(self):
+        assert self.check(pp("x1^5/10 - 2/3*x1^2 + 4", 1)) == pp("2*x1^3 - 4/3", 1)
+
+    def test_harmonic_image_is_zero(self):
+        h = pp("-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4", 2)
+        assert self.check(h).is_zero
+
+
 class TestEvaluate:
     def test_point(self):
         value = evaluate(x1**2 * x2**2, (Fraction(1, 2), Fraction(1, 2)))

@@ -386,8 +386,8 @@ def cmd_crosscheck(args) -> int:
     from .oracle import (
         QuadratureSpec,
         numeric_integrate_boundary,
-        numeric_integrate_cube,
-        numeric_integrate_diagonal,
+        numeric_integrate_cube_many,
+        numeric_integrate_diagonal_many,
     )
 
     spec = QuadratureSpec(points_per_axis=q)
@@ -398,17 +398,19 @@ def cmd_crosscheck(args) -> int:
 
         rng = random.Random(args.seed)
         polys = [random_poly(rng, args.n, max_degree=deg) for _ in range(count)]
+    weights = [Weight.power(k) for k in ks]
     worst = 0.0
     try:
         for p in polys:
             pairs = [(integrate_boundary(p, d), numeric_integrate_boundary(p, d, spec))]
-            for k in ks:
-                w = Weight.power(k)
-                pairs.append((integrate_cube(p, d, w), numeric_integrate_cube(p, d, w, spec)))
-                pairs.append(
-                    (integrate_diagonal(p, d, w), numeric_integrate_diagonal(p, d, w, spec))
-                )
+            cube = numeric_integrate_cube_many(p, d, weights, spec)
+            diagonal = numeric_integrate_diagonal_many(p, d, weights, spec)
+            for w, c, g in zip(weights, cube, diagonal):
+                pairs.append((integrate_cube(p, d, w), c))
+                pairs.append((integrate_diagonal(p, d, w), g))
             for exact, numeric in pairs:
+                if not math.isfinite(numeric):  # an oracle product overflowed
+                    raise OverflowError
                 dev = abs(float(exact) - numeric) / max(1.0, abs(float(exact)))
                 worst = max(worst, dev)
     except OverflowError:

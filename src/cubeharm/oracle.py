@@ -38,9 +38,19 @@ Node generation follows the classic Newton iteration on the Legendre
 recurrence rather than any table.  In the factorized path every sum over
 nodes, terms and cells is a math.fsum, so results are correctly rounded
 sums of the same products, independent of term order and stable run to
-run; the one-dimensional tables are built afresh on every call, in
-O(q * degree) work.  The nodes and weights are Python floats, so the
-oracle needs no numpy.
+run.  That makes two savings exact:
+
+- The signs of a cell's fixed axes are folded.  A term odd on a fixed axis
+  gives +v and -v equally often, which cancel exactly in the sum, so it is
+  skipped; a term even on them gives 2^fixed equal copies of v, which are
+  one summand scaled by a power of two, itself exact.  The free axes are
+  not folded: their odd box moments are exact zeros only where the Newton
+  nodes come out exactly symmetric, which they do not at q = 101 or 256.
+- The one-dimensional tables are shared.  The box moments depend only on
+  (q, degree) and are cached; one table of t^(e + j) serves every weight
+  of a call, and c * t^(e + j) is the same float either way.
+
+The nodes and weights are Python floats, so the oracle needs no numpy.
 """
 
 from __future__ import annotations
@@ -48,7 +58,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .integrate import CubeDomain, Weight
@@ -108,6 +119,7 @@ def _horner(coeffs: list[float], u: float) -> float:
     return value
 
 
+@lru_cache(maxsize=64)
 def _box_moments(npts: int, top: int) -> tuple[float, ...]:
     """M[e] = sum_q w_q s_q^e for e = 0..top."""
     pairs = list(zip(*gauss_legendre(npts)))
@@ -115,44 +127,52 @@ def _box_moments(npts: int, top: int) -> tuple[float, ...]:
 
 
 def _radial_sums(
-    coeffs: tuple[Fraction, ...], r: float, npts: int, jacobian: int, top: int
-) -> tuple[float, ...]:
+    profiles: Sequence[tuple[Fraction, ...]], r: float, npts: int, jacobian: int, top: int
+) -> list[tuple[float, ...]]:
     """R[e] = sum_t w_t t^(e + jacobian) phi(r - t) for e = 0..top, on the
-    rule mapped to t in [0, r], for the profile phi with the given
-    coefficients."""
+    rule mapped to t in [0, r], one table per profile phi (given by its
+    coefficients); the powers of t are shared by every profile."""
+    if not profiles:
+        return []
     nodes, weights = gauss_legendre(npts)
-    phi = [float(c) for c in coeffs]
     t = [r * (x + 1.0) / 2.0 for x in nodes]
-    wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights)]
-    return tuple(
-        math.fsum(c * x ** (e + jacobian) for c, x in zip(wphi, t)) for e in range(top + 1)
-    )
+    powers = [[x ** (e + jacobian) for x in t] for e in range(top + 1)]
+    tables = []
+    for coeffs in profiles:
+        phi = [float(c) for c in coeffs]
+        wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights)]
+        tables.append(tuple(math.fsum(map(mul, wphi, row)) for row in powers))
+    return tables
 
 
 def _cell_sums(
-    p: Poly, fixed: int, box: Sequence[float], radials: list[Sequence[float]]
+    p: Poly, fixed: int, box: Sequence[float], radials: Sequence[Sequence[float]]
 ) -> list[float]:
     """The factorized rule over every cell, once per radial table R.
 
     A cell fixes `fixed` axes with a sign each (1: the 2n argmax cells or
     faces; 2: the diagonal sheets); term alpha contributes
     c * (+-1)^(alpha on the fixed axes) * R[|alpha|] * prod_free M[alpha_k].
+    The signs are folded, with the same floats as summing every sign
+    pattern: a term odd on a fixed axis gives +v and -v equally often, which
+    cancel exactly, and one even on them gives 2^fixed copies of v, summed as
+    one v scaled by 2^fixed, which is exact (ldexp raises OverflowError where
+    it is not).  fsum rounds the exact sum once, so it does not change.
     """
     n = p.dim
-    sums: list[list[float]] = [[] for _ in radials]
+    terms = [(alpha, sum(alpha), float(c)) for alpha, c in p.terms.items()]
+    parts = []  # (|alpha|, c * prod_free M[alpha_k]) for the even tied terms
     for axes in combinations(range(n), fixed):
         free = [k for k in range(n) if k not in axes]
-        parts = []  # (|alpha|, c * prod_free M[alpha_k], alpha on the fixed axes)
-        for alpha, c in p.terms.items():
-            value = float(c)
+        for alpha, e, value in terms:
+            if any(alpha[k] % 2 for k in axes):
+                continue
             for k in free:
                 value *= box[alpha[k]]
-            parts.append((sum(alpha), value, [alpha[k] for k in axes]))
-        for signs in product((1, -1), repeat=fixed):
-            signed = [(e, value * math.prod(map(pow, signs, tied))) for e, value, tied in parts]
-            for table, out in zip(radials, sums):
-                out.extend(value * table[e] for e, value in signed)
-    return [math.fsum(s) for s in sums]
+            parts.append((e, value))
+    return [
+        math.fsum(math.ldexp(value * table[e], fixed) for e, value in parts) for table in radials
+    ]
 
 
 def _check_dim(p: Poly, d: CubeDomain) -> None:
@@ -167,7 +187,7 @@ def _weighted_sums(
     the box scaling leaves the Jacobian t^(n - fixed)."""
     _check_dim(p, d)
     q, r, top = spec.points_per_axis, float(d.r), p.total_degree
-    radials = [_radial_sums(w.profile.coeffs, r, q, d.n - fixed, top) for w in weights]
+    radials = _radial_sums([w.profile.coeffs for w in weights], r, q, d.n - fixed, top)
     return _cell_sums(p, fixed, _box_moments(q, top), radials)
 
 

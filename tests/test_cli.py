@@ -543,8 +543,21 @@ class TestFloatRange:
                 "crosscheck values at",
             ),
             (["crosscheck", "--n", "2", "--r", "1e200", "--count", "2"], "crosscheck values at"),
+            # an oracle product overflows to +-inf: no "-inf + inf in fsum" leak
+            (
+                ["crosscheck", "--n", "3", "--r", "1e40", "--count", "2", "--seed", "1",
+                 "--k", "0"],
+                "crosscheck values at",
+            ),
+            # an oracle value is nan: no deviation that max() computed around it
+            (
+                ["crosscheck", "--n", "4", "--r", "1e60", "--count", "2", "--seed", "7",
+                 "--deg", "2", "--k", "0"],
+                "crosscheck values at",
+            ),
         ],
-        ids=["grid", "grid-zero", "grid-values", "crosscheck", "crosscheck-values"],
+        ids=["grid", "grid-zero", "grid-values", "crosscheck", "crosscheck-values",
+             "crosscheck-inf", "crosscheck-nan"],
     )
     def test_refused_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -655,6 +668,33 @@ class TestCrosscheck:
             capsys, "crosscheck", "--n", "3", "--count", "200", "--deg", "4", "--tol", "1e-9"
         )
         assert code == 0
+
+    def test_one_oracle_call_per_polynomial_and_region(self, capsys, monkeypatch):
+        import cubeharm.oracle as oracle
+
+        calls = []
+
+        def counted(name):
+            real = getattr(oracle, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, wrapper)
+
+        for name in ("numeric_integrate_cube", "numeric_integrate_diagonal",
+                     "numeric_integrate_cube_many", "numeric_integrate_diagonal_many",
+                     "numeric_integrate_boundary"):
+            counted(name)
+        code, _, _ = run_cli(
+            capsys, "crosscheck", "--n", "3", "--count", "4", "--k", "0,1,2,3", "--tol", "1e-9"
+        )
+        assert code == 0
+        assert sorted(calls) == sorted(
+            ["numeric_integrate_boundary", "numeric_integrate_cube_many",
+             "numeric_integrate_diagonal_many"] * 4
+        )
 
     def test_points_per_axis_above_cap_refused(self, capsys):
         from cubeharm.oracle import MAX_POINTS_PER_AXIS

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubeharm.oracle as oracle
-from conftest import check_value_class, pp, seeded_random_polys
+from conftest import check_value_class, polys_st, pp, seeded_random_polys
 from cubeharm._kernels import evaluate_terms
 from cubeharm.integrate import (
     CubeDomain,
@@ -300,6 +302,107 @@ class TestFactorizedPath:
         d = CubeDomain(3, Fraction(1))
         assert numeric_integrate_cube_many(Poly.zero(3), d, [Weight.power(0)]) == [0.0]
         assert numeric_integrate_boundary(Poly.zero(3), d) == 0.0
+
+
+# -- sign-enumerating reference -------------------------------------------------
+# The oracle folds each cell's fixed-axis signs and builds one power table for
+# all the weights.  These are the unfolded forms: one radial table per profile,
+# and every term summed once per sign pattern.  An odd term's +v and -v cancel
+# exactly and an even term's 2^fixed copies scale exactly, and fsum rounds the
+# exact sum once, so both forms give the same floats bit for bit.  q = 101 and
+# q = 256 have Newton nodes that are not exactly symmetric.
+
+
+def _enumerated_box(npts, top):
+    pairs = list(zip(*gauss_legendre(npts)))
+    return [math.fsum(w * s**e for s, w in pairs) for e in range(top + 1)]
+
+
+def _enumerated_radial_sums(coeffs, r, npts, jacobian, top):
+    nodes, weights = gauss_legendre(npts)
+    phi = [float(c) for c in coeffs]
+    t = [r * (x + 1.0) / 2.0 for x in nodes]
+    wphi = [w * r / 2.0 * oracle._horner(phi, r - x) for x, w in zip(t, weights)]
+    return tuple(
+        math.fsum(c * x ** (e + jacobian) for c, x in zip(wphi, t)) for e in range(top + 1)
+    )
+
+
+def _enumerated_cell_sums(p, fixed, box, radials):
+    n = p.dim
+    sums = [[] for _ in radials]
+    for axes in combinations(range(n), fixed):
+        free = [k for k in range(n) if k not in axes]
+        parts = []
+        for alpha, c in p.terms.items():
+            value = float(c)
+            for k in free:
+                value *= box[alpha[k]]
+            parts.append((sum(alpha), value, [alpha[k] for k in axes]))
+        for signs in product((1, -1), repeat=fixed):
+            signed = [(e, value * math.prod(map(pow, signs, tied))) for e, value, tied in parts]
+            for table, out in zip(radials, sums):
+                out.extend(value * table[e] for e, value in signed)
+    return [math.fsum(s) for s in sums]
+
+
+def enumerated(p, d, weights, q, fixed):
+    r, top = float(d.r), p.total_degree
+    radials = [_enumerated_radial_sums(w.profile.coeffs, r, q, d.n - fixed, top) for w in weights]
+    return _enumerated_cell_sums(p, fixed, _enumerated_box(q, top), radials)
+
+
+def enumerated_boundary(p, d, q):
+    r, top = float(d.r), p.total_degree
+    radial = [r ** (e + d.n - 1) for e in range(top + 1)]
+    return _enumerated_cell_sums(p, 1, _enumerated_box(q, top), [radial])[0]
+
+
+def bits(values):
+    """Hex forms, so that 0.0 and -0.0 differ too."""
+    return [v.hex() for v in values]
+
+
+class TestSignFold:
+    @given(
+        st.data(),
+        st.integers(2, 5),
+        st.sampled_from([2, 5, 24, 101, 256]),
+        st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_bitwise_equal_to_sign_enumeration(self, data, n, q, r):
+        p = data.draw(polys_st(n, max_degree=8))
+        d, spec = CubeDomain(n, r), QuadratureSpec(q)
+        cube = numeric_integrate_cube_many(p, d, REFERENCE_WEIGHTS, spec)
+        assert bits(cube) == bits(enumerated(p, d, REFERENCE_WEIGHTS, q, 1))
+        diagonal = numeric_integrate_diagonal_many(p, d, REFERENCE_WEIGHTS, spec)
+        assert bits(diagonal) == bits(enumerated(p, d, REFERENCE_WEIGHTS, q, 2))
+        boundary = numeric_integrate_boundary(p, d, spec)
+        assert bits([boundary]) == bits([enumerated_boundary(p, d, q)])
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("q,jacobian,top", [(5, 1, 6), (24, 2, 8), (101, 0, 3)])
+    def test_radial_sums_share_the_powers(self, q, jacobian, top):
+        profiles = [w.profile.coeffs for w in REFERENCE_WEIGHTS]
+        shared = oracle._radial_sums(profiles, 1.5, q, jacobian, top)
+        singles = [oracle._radial_sums([c], 1.5, q, jacobian, top)[0] for c in profiles]
+        assert [bits(t) for t in shared] == [bits(t) for t in singles]
+        reference = [_enumerated_radial_sums(c, 1.5, q, jacobian, top) for c in profiles]
+        assert [bits(t) for t in shared] == [bits(t) for t in reference]
+
+    def test_no_weights_builds_no_powers(self):
+        # t^(e + j) would leave the float range at this radius
+        d = CubeDomain(3, Fraction(10) ** 200)
+        assert numeric_integrate_cube_many(pp("x1^4", 3), d, []) == []
+
+    def test_box_moments_cached_and_bounded(self):
+        first = oracle._box_moments(24, 6)
+        assert oracle._box_moments(24, 6) is first
+        assert bits(first) == bits(_enumerated_box(24, 6))
+        maxsize = oracle._box_moments.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256
 
 
 def _numpy_loaded_after(code: str) -> bool:

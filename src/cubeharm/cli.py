@@ -95,6 +95,20 @@ MAX_VERIFY_INTEGRALS = 200_000
 # n = 14,260 at r = 1 and n = 3,745 at r = 7/5.
 MAX_DIM = 2000
 
+# Python reads and prints no integer of more than 4300 digits, and `verify`
+# and `approx` print r, so its numerator and denominator must stay below
+# 10^4300.  The exact values of `verify` and `integrate` carry powers of r up
+# to r^(n + degree limit + largest weight degree), and a value costs more
+# than its bits (a gcd of such numbers normalises each Fraction).  As whole
+# processes, `verify --n 2000 --poly x1^2-x2^2 --identities surface,volume
+# --k 0` (r^2032) took 2.0 s at --r 1e400 (2.7 M bits), 3.3 s at 1e592
+# (4.0 M bits), 5.6 s at 1e800 and 10 s at 1e1200.  So such a request takes
+# at most about 4 s; the bound is per value, so one with many weight profiles
+# or degrees takes a multiple of that.  `approx`, `grid` and `crosscheck` are
+# bound by the digit limit, their grid and the float range.
+MAX_RADIUS_DIGITS = 4300
+MAX_RADIUS_POWER_BITS = 4_000_000
+
 # --identities token -> name of its identities.Identity member
 _IDENTITY_TOKENS = {
     "surface": "SURFACE_MEAN",
@@ -113,12 +127,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational: {text!r} ({exc})")
-    return value
+def _parse_radius(text: str) -> Fraction:
+    """r, refused when its numerator or denominator has more than
+    MAX_RADIUS_DIGITS digits.  Fraction("1e<k>") builds 10**k first, so an
+    exponent that puts every nonzero r past the limit (each part of the
+    mantissa has at most 4300 digits) is refused before it is built."""
+    _, e, exponent = text.lower().rpartition("e")
+    too_long = False
+    with contextlib.suppress(ValueError):  # no integer exponent: Fraction decides
+        too_long = bool(e) and abs(int(exponent)) > 3 * MAX_RADIUS_DIGITS
+    if not too_long:
+        try:
+            r = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"not a rational: {text!r} ({exc})")
+        too_long = max(abs(r.numerator), r.denominator) >= 10**MAX_RADIUS_DIGITS
+    if too_long:
+        raise UsageError(
+            f"radius has more than {MAX_RADIUS_DIGITS} digits in its numerator or denominator"
+        )
+    return r
+
+
+def _check_radius_power(d: CubeDomain, degree: int) -> None:
+    bits = max(d.r.numerator.bit_length(), d.r.denominator.bit_length()) * degree
+    if bits > MAX_RADIUS_POWER_BITS:
+        raise UsageError(
+            f"r^{degree} at this radius has about {bits} bits, "
+            f"above the limit of {MAX_RADIUS_POWER_BITS}"
+        )
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
@@ -131,16 +168,17 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
     return ks
 
 
-def _check_weight_degree(flag: str, value: int, degree: int) -> None:
+def _check_weight_degree(flag: str, value: int, degree: int) -> int:
     if degree > MAX_WEIGHT_DEGREE:
         raise UsageError(
             f"{flag} {value} asks for a weight profile of degree {degree}, "
             f"above the limit of {MAX_WEIGHT_DEGREE}"
         )
+    return degree
 
 
 def _domain(args) -> CubeDomain:
-    r = _parse_rational(args.r)
+    r = _parse_radius(args.r)
     if args.n < 2:
         raise UsageError(f"dimension must be >= 2, got {args.n}")
     if args.n > MAX_DIM:
@@ -271,10 +309,12 @@ def cmd_verify(args) -> int:
     request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
     if not args.poly:
         request.validate(limits)  # bounds the monomial count below
+    # the degree limit also bounds a --phi profile and the default quadrature ones
+    weight_degree = limits.max_degree
     if "VOLUME_MEAN" in names:
-        _check_weight_degree("--k", max(ks), max(ks) + 1)
+        weight_degree = max(weight_degree, _check_weight_degree("--k", max(ks), max(ks) + 1))
     if "PIZZETTI" in names and not args.phi:
-        _check_weight_degree("--m", args.m, 2 * args.m + 2)
+        weight_degree = max(weight_degree, _check_weight_degree("--m", args.m, 2 * args.m + 2))
     profiles = len(args.phi or ())  # else 5 default quadrature and 3 Pizzetti ones
     per_element = {
         "SURFACE_MEAN": 2,
@@ -288,6 +328,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"verify takes {integrals} integrals, above the limit of {MAX_VERIFY_INTEGRALS}"
         )
+    _check_radius_power(d, args.n + limits.max_degree + weight_degree)
     phis = tuple(parse_unipoly(text, limits=limits) for text in args.phi) if args.phi else None
     identities = [Identity[name] for name in names]
     config = SuiteConfig(ks=ks, m=args.m, phis=phis)
@@ -302,8 +343,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"dimension must be >= 1, got {args.n}")
     from .kernel import BasisRequest, graded_basis
 
     request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
@@ -323,13 +362,15 @@ def cmd_integrate(args) -> int:
         if args.k < 0:
             raise UsageError("weight exponent must be >= 0")
         _check_weight_degree("--k", args.k, args.k)
-    p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))
+    limits = _input_limits(args)
+    p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)
     from .integrate import Weight, integrate_boundary, integrate_cube, integrate_diagonal
 
     if args.phi is not None:
         weight = Weight.from_profile(parse_unipoly(args.phi))
     else:
         weight = Weight.power(args.k)
+    _check_radius_power(d, args.n + limits.max_degree + weight.profile.degree)
     region = args.region
     if region == "cube":
         value = integrate_cube(p, d, weight)
@@ -547,28 +588,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXPR_FLAGS = {"--poly", "--f", "--h", "--phi"}
-
-
-def _merge_expression_flags(argv: list[str]) -> list[str]:
-    """Join "--f" "-1/4*x1^4..." into "--f=-1/4*x1^4..." so argparse does not
-    mistake a leading-minus expression for an option."""
+def _join_flag_values(argv: list[str]) -> list[str]:
+    """Join "--f" "-1/4*x1^4" into "--f=-1/4*x1^4": every option takes a value
+    and none is short, so a token with one leading "-" after a "--flag"
+    without "=" is that flag's value, which argparse would take for an option."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in _EXPR_FLAGS
-            and nxt is not None
-            and nxt.startswith("-")
-            and not nxt.startswith("--")
-        ):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -576,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_expression_flags(list(argv))
+    argv = _join_flag_values(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -128,12 +128,6 @@ def _vanishing_failure(phi: UniPoly, order: int) -> str | None:
     return None
 
 
-def _require_vanishing(phi: UniPoly, order: int) -> None:
-    failure = _vanishing_failure(phi, order)
-    if failure is not None:
-        raise WeightConditionError(failure)
-
-
 @functools.lru_cache(maxsize=4096)
 def _cell_factors(alpha: Exponent) -> tuple[Fraction, Fraction]:
     """(C_1(alpha), C_2(alpha)) with C_s = B(alpha) * e_s(alpha_k + 1), in

@@ -45,7 +45,7 @@ from .integrate import (
     CubeDomain,
     Weight,
     WeightConditionError,
-    _require_vanishing,
+    _vanishing_failure,
     integrate_cube,
 )
 from .kernel import is_polyharmonic
@@ -54,7 +54,6 @@ from .poly import (
     Poly,
     UniPoly,
     Value,
-    _set,
     divide_exact,
     lattice_terms,
     partial,
@@ -226,15 +225,7 @@ class OneSidedness(Value):
 
     # kind: certified | heuristic | failed; the rest are a grid size, Fractions and a Poly, or None
     __slots__ = ("kind", "grid_points_per_axis", "grid_min", "negative_witness", "cofactor")
-
-    def __init__(
-        self, kind, grid_points_per_axis=None, grid_min=None, negative_witness=None, cofactor=None
-    ):
-        _set(self, "kind", kind)
-        _set(self, "grid_points_per_axis", grid_points_per_axis)
-        _set(self, "grid_min", grid_min)
-        _set(self, "negative_witness", negative_witness)
-        _set(self, "cofactor", cofactor)
+    _defaults = dict.fromkeys(__slots__[1:])
 
     def to_dict(self) -> dict:
         out: dict = {"status": self.kind}
@@ -253,15 +244,14 @@ def check_onesided(
     f_minus_h: Poly,
     d: CubeDomain,
     grid_points_per_axis: int = DEFAULT_GRID,
-    max_grid_points: int = MAX_GRID_POINTS,
 ) -> OneSidedness:
     """Decide (or sample) nonnegativity of f - h on the cube.
 
     The certified path divides out the squared pairwise factor shared by all
     diagonal-vanishing squares; the heuristic path is an exact integer walk
     over the scaled lattice of a uniform rational grid, shrunk if its total
-    size would exceed max_grid_points.  A ValueError refuses the request
-    before any walk when even 2 points per axis exceed max_grid_points.  The
+    size would exceed MAX_GRID_POINTS.  A ValueError refuses the request
+    before any walk when even 2 points per axis exceed MAX_GRID_POINTS.  The
     walk stops at the first negative value in C order (reported with its
     point); otherwise grid_min is the first minimum.
     """
@@ -273,17 +263,17 @@ def check_onesided(
     if cofactor is not None and _certified_nonnegative(cofactor):
         return OneSidedness(kind=CERTIFIED, cofactor=cofactor)
 
-    if 2**d.n > max_grid_points:
+    if 2**d.n > MAX_GRID_POINTS:
         raise ValueError(
             f"the one-sided grid needs at least 2^{d.n} = {2**d.n} points, "
-            f"above the limit of {max_grid_points}"
+            f"above the limit of {MAX_GRID_POINTS}"
         )
     npts = max(2, grid_points_per_axis)
-    if npts**d.n > max_grid_points:
+    if npts**d.n > MAX_GRID_POINTS:
         # the largest side within the cap; int() of the float root is at most
         # one below it
-        npts = int(max_grid_points ** (1 / d.n)) + 1
-        while npts**d.n > max_grid_points:
+        npts = int(MAX_GRID_POINTS ** (1 / d.n)) + 1
+        while npts**d.n > MAX_GRID_POINTS:
             npts -= 1
     best, witness = _lattice_walk(f_minus_h, d.r, npts)
     if best < 0:
@@ -389,7 +379,9 @@ def _weighted_error(
 ) -> Fraction:
     """weighted_l1_error of diff = f - h, given check_onesided's verdict on
     diff, or None to walk the grid once the weight conditions hold."""
-    _require_vanishing(phi, 2)
+    failure = _vanishing_failure(phi, 2)
+    if failure is not None:
+        raise WeightConditionError(failure)
     d2 = phi.derivative(2)
     for name, g in (("phi'", phi.derivative(1)), ("phi''", d2)):
         u = uni_negative_point(g, Fraction(0), d.r)

@@ -115,7 +115,6 @@ class _Parser:
         self.univariate = univariate
         self.limits = limits
         self.expanded = 0  # terms the products and powers so far may expand to
-        self.max_axis_seen = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -253,7 +252,6 @@ class _Parser:
             raise ExprSyntaxError(
                 f"variable x{axis} exceeds dimension {self.dim}", tok.position
             )
-        self.max_axis_seen = max(self.max_axis_seen, axis)
         return Poly.variable(self.dim, axis)
 
 
@@ -275,18 +273,17 @@ def _max_var_index(tokens: list[_Token]) -> int:
     return best
 
 
-def parse_poly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> Poly:
-    """Parse a multivariate polynomial expression.
-
-    The ambient dimension is expected_dim when provided, otherwise the
-    largest variable index appearing in the text (1 for pure constants).
-    """
+def _parse(src: ExprSource | str, limits: Limits, univariate: bool) -> Poly:
+    """The polynomial of src, its empty text refused first and its degree
+    checked against the limit last; a profile in t has dimension 1."""
     if isinstance(src, str):
         src = ExprSource(src)
     if not src.text.strip():
         raise ExprSyntaxError("empty expression", 0)
     tokens = _tokenize(src.text)
-    if src.expected_dim is not None:
+    if univariate:
+        dim = 1
+    elif src.expected_dim is not None:
         dim = src.expected_dim
         if dim < 1:
             raise ValueError(f"expected_dim must be >= 1, got {dim}")
@@ -296,7 +293,7 @@ def parse_poly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> Poly:
             raise ExprSyntaxError(
                 f"variable index {dim} exceeds the configured limit {limits.max_dim}", 0
             )
-    poly = _Parser(tokens, dim, univariate=False, limits=limits).parse()
+    poly = _Parser(tokens, dim, univariate, limits).parse()
     if poly.total_degree > limits.max_degree:
         raise ExprSyntaxError(
             f"degree {poly.total_degree} exceeds the configured limit {limits.max_degree}",
@@ -305,20 +302,16 @@ def parse_poly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> Poly:
     return poly
 
 
+def parse_poly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> Poly:
+    """Parse a multivariate polynomial expression.
+
+    The ambient dimension is expected_dim when provided, otherwise the
+    largest variable index appearing in the text (1 for pure constants).
+    """
+    return _parse(src, limits, univariate=False)
+
+
 def parse_unipoly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> UniPoly:
     """Parse a univariate profile in the variable t."""
-    if isinstance(src, str):
-        src = ExprSource(src)
-    if not src.text.strip():
-        raise ExprSyntaxError("empty expression", 0)
-    tokens = _tokenize(src.text)
-    poly = _Parser(tokens, 1, univariate=True, limits=limits).parse()
-    if poly.total_degree > limits.max_degree:
-        raise ExprSyntaxError(
-            f"degree {poly.total_degree} exceeds the configured limit {limits.max_degree}",
-            0,
-        )
-    coeffs = [Fraction(0)] * (poly.total_degree + 1)
-    for exps, coeff in poly.terms.items():
-        coeffs[exps[0]] = coeff
-    return UniPoly(coeffs)
+    poly = _parse(src, limits, univariate=True)
+    return UniPoly(poly.terms.get((i,), 0) for i in range(poly.total_degree + 1))

@@ -231,16 +231,7 @@ class Poly(Value):
                 f"dimension mismatch: {self.dim} vs {other.dim}"
             )
 
-    # -- equality ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.dim == other.dim
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # Value's hash of the fields fails on the term dict
         return hash((self.dim, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
@@ -394,12 +385,6 @@ class UniPoly(Value):
             total = total * v + c
         return total
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"UniPoly({uni_to_text(self)!r})"
 
@@ -473,40 +458,30 @@ def _term_to_text(exps: Exponent, coeff: Fraction, var: str = "x") -> str:
     return "*".join(parts)
 
 
+def _terms_to_text(terms: Iterable[tuple[Exponent, Fraction]], var: str = "x") -> str:
+    """Nonzero terms, leading term first, joined by their signs; "0/1" when
+    there are none."""
+    pieces: list[str] = []
+    for exps, coeff in terms:
+        if not pieces:
+            pieces.append(_term_to_text(exps, coeff, var))
+        else:
+            pieces.append(("- " if coeff < 0 else "+ ") + _term_to_text(exps, abs(coeff), var))
+    return " ".join(pieces) or "0/1"
+
+
 def poly_to_text(p: Poly) -> str:
     """Canonical text form: descending graded-lex terms, coefficients as "p/q".
 
     The empty polynomial serializes as "0/1".  parse_poly inverts this
     byte-exactly.
     """
-    if p.is_zero:
-        return "0/1"
-    pieces: list[str] = []
-    for exps, coeff in p.sorted_terms():
-        if not pieces:
-            pieces.append(_term_to_text(exps, coeff))
-        elif coeff < 0:
-            pieces.append("- " + _term_to_text(exps, -coeff))
-        else:
-            pieces.append("+ " + _term_to_text(exps, coeff))
-    return " ".join(pieces)
+    return _terms_to_text(p.sorted_terms())
 
 
 def uni_to_text(phi: UniPoly) -> str:
     """Canonical text form of a univariate profile in the variable t."""
-    if phi.is_zero:
-        return "0/1"
-    pieces: list[str] = []
-    for power in range(phi.degree, -1, -1):
-        c = phi.coeff(power)
-        if not c:
-            continue
-        text = _term_to_text((power,), abs(c), var="t")
-        if not pieces:
-            pieces.append(text if c > 0 else "-" + text)
-        else:
-            pieces.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(pieces)
+    return _terms_to_text((((i,), c) for i, c in reversed(list(enumerate(phi.coeffs))) if c), "t")
 
 
 # -- generic polynomial algorithms ---------------------------------------------

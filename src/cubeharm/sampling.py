@@ -13,10 +13,9 @@ def random_poly(
     dim: int,
     max_degree: int = 6,
     max_terms: int = 10,
-    coeff_bound: int = 10,
 ) -> Poly:
-    """A random sparse polynomial with rational coefficients in
-    [-coeff_bound, coeff_bound]."""
+    """A random sparse polynomial whose terms have coefficients p/q with
+    |p| <= 10 and 1 <= q <= 10."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         remaining = rng.randint(0, max_degree)
@@ -27,7 +26,7 @@ def random_poly(
             remaining -= e
         exps.append(remaining)
         rng.shuffle(exps)
-        coeff = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, coeff_bound))
+        coeff = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
         if coeff:
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
     return Poly(dim, terms)

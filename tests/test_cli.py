@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -903,6 +904,161 @@ class TestGrid:
         assert err.startswith(
             f"error: grid resolution {res} gives {res * res} points of {per_point} term evaluations"
         )
+
+
+class TestRadiusBound:
+    """A radius past Python's 4300-digit integer limit, or whose powers in
+    an exact value pass cli.MAX_RADIUS_POWER_BITS, is refused before any
+    integral is taken."""
+
+    @pytest.fixture(autouse=True)
+    def no_integrals(self, monkeypatch):
+        import cubeharm.identities as identities
+        import cubeharm.integrate as integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integral taken before the radius check")
+
+        monkeypatch.setattr(integrate, "integral", refuse)
+        monkeypatch.setattr(identities, "integral", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["integrate", "--n", "2", "--region", "cube", "--poly", "1", "--r", "1e10000000"],
+                "radius has more than 4300 digits in its numerator or denominator",
+            ),
+            (
+                ["approx", "--n", "2", "--f", "x1^2", "--h", "0", "--r", "1e3000000"],
+                "radius has more than 4300 digits in its numerator or denominator",
+            ),
+            (
+                ["integrate", "--n", "2000", "--region", "diagonal", "--poly", "x1^2",
+                 "--r", "1e4200"],
+                "r^2016 at this radius has about 28129248 bits, above the limit of 4000000",
+            ),
+            (
+                ["verify", "--n", "2000", "--poly", "x1^2-x2^2", "--identities",
+                 "surface,volume", "--k", "0", "--r", "1e4200"],
+                "r^2032 at this radius has about 28352496 bits, above the limit of 4000000",
+            ),
+        ],
+        ids=["integrate-digits", "approx-digits", "integrate-power", "verify-power"],
+    )
+    def test_slow_radii_refused_with_one_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "r", ["1e20000", "-1e-20000", "1e99999999999999999999", "12.5e13000"]
+    )
+    def test_large_exponent_refused_before_the_radius_is_built(self, capsys, monkeypatch, r):
+        import cubeharm.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(cli, "Fraction", refuse)
+        code, out, err = run_cli(
+            capsys, "integrate", "--n", "2", "--region", "cube", "--poly", "1", "--r", r
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: radius has more than 4300 digits in its numerator or denominator\n"
+
+    @pytest.mark.parametrize(
+        "r, admitted",
+        [
+            ("9" * 4300, True),
+            ("1/" + "9" * 4300, True),
+            ("9" * 4300 + "e0", True),
+            ("1e4299", True),
+            ("1e-4299", True),
+            ("5e-4300", True),  # 1/(2 * 10^4299): reduced, 4300 digits
+            ("1e12900", False),  # built, then refused
+            ("9" * 4300 + ".5", False),  # (2 * 10^4300 - 1)/2: each part is read
+            ("1e4300", False),
+            ("1e-4300", False),
+        ],
+        ids=["4300-nines", "over-4300-nines", "4300-nines-e0", "1e4299", "1e-4299", "5e-4300",
+             "1e12900", "nines-and-a-half", "1e4300", "1e-4300"],
+    )
+    def test_digit_limit(self, r, admitted):
+        from cubeharm.cli import UsageError, _parse_radius
+
+        if admitted:
+            assert _parse_radius(r) == Fraction(r)
+        else:
+            with pytest.raises(UsageError, match="more than 4300 digits"):
+                _parse_radius(r)
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            ("integrate --n 3 --region cube --poly 1", 3 + 16),
+            ("integrate --n 3 --region diagonal --poly 1 --k 7", 3 + 16 + 7),
+            ("integrate --n 3 --region cube --poly 1 --phi t^5", 3 + 16 + 5),
+            ("verify --n 3 --deg 0 --identities surface", 3 + 16 + 16),
+            ("verify --n 3 --deg 20 --identities surface", 3 + 20 + 20),
+            ("verify --n 3 --deg 0 --k 0,999", 3 + 16 + 1000),
+            ("verify --n 3 --deg 0 --identities pizzetti --m 40", 3 + 16 + 82),
+        ],
+    )
+    def test_power_bound_counts_dimension_degree_and_weight(
+        self, capsys, monkeypatch, argv, degree
+    ):
+        # r = 3 has 2 bits, so r^degree counts 2 * degree of them
+        import cubeharm.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_RADIUS_POWER_BITS", 2 * degree - 1)
+        argv = [*argv.split(), "--r", "3"]
+        assert run_cli(capsys, *argv) == (
+            1,
+            "",
+            f"error: r^{degree} at this radius has about {2 * degree} bits, "
+            f"above the limit of {2 * degree - 1}\n",
+        )
+        monkeypatch.setattr(cli, "MAX_RADIUS_POWER_BITS", 2 * degree)
+        with pytest.raises(AssertionError, match="integral taken"):
+            main(argv)
+
+
+class TestFlagValues:
+    # every option takes a value and none is short, so a token with one
+    # leading "-" right after a "--flag" is that flag's value
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["integrate", "--n", "2", "--region", "cube", "--poly", "1", "--r", "-1/2"],
+                "radius must be positive, got -1/2",
+            ),
+            (
+                ["integrate", "--n", "2", "--region", "cube", "--poly", "1", "--r", "-1"],
+                "radius must be positive, got -1",
+            ),
+            (["verify", "--n", "2", "--k", "-1,2"], "weight exponents must be >= 0"),
+        ],
+        ids=["fraction-radius", "integer-radius", "exponent-list"],
+    )
+    def test_negative_value_reaches_the_command(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_leading_minus_expression(self, capsys):
+        argv = ["grid", "--n", "2", "--f", "x1^2", "--res", "3"]
+        joined = run_cli(capsys, *argv, "--h=-x2^2")
+        assert joined[0] == 0
+        assert run_cli(capsys, *argv, "--h", "-x2^2") == joined
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["integrate", "--n", "2", "-h"], ["integrate", "--n=2", "-h"], ["-h"]],
+        ids=["after-value", "after-joined-flag", "alone"],
+    )
+    def test_short_help_after_a_value(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cubeharm")
 
 
 class TestDeterminism:

@@ -180,3 +180,33 @@ def test_star_import_and_unknown_names():
         cubeharm.no_such_name
     with pytest.raises(ImportError):
         exec("from cubeharm import no_such_name", {})
+
+
+def test_value_equality_is_defined_once():
+    # Value compares and hashes every subclass by its class and fields, so a
+    # subclass's own __eq__ or __hash__ is a second copy of that rule; Poly
+    # keeps only __hash__, because its term dict is unhashable
+    bases: dict[str, set[str]] = {}
+    defines: dict[str, set[str]] = {}
+    for path in Path(SRC, "cubeharm").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    b.id for b in node.bases if isinstance(b, ast.Name)
+                )
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names = {item.name}
+                    elif isinstance(item, ast.Assign):
+                        names = {t.id for t in item.targets if isinstance(t, ast.Name)}
+                    else:
+                        continue
+                    defines.setdefault(node.name, set()).update(names & {"__eq__", "__hash__"})
+
+    def is_value(name: str) -> bool:
+        return any(base == "Value" or is_value(base) for base in bases.get(name, ()))
+
+    values = {name for name in bases if is_value(name)}
+    assert {"Poly", "UniPoly", "OneSidedness", "Weight", "CubeDomain"} <= values
+    own = {name: sorted(defines[name]) for name in values if defines.get(name)}
+    assert own == {"Poly": ["__hash__"]}

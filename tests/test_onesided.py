@@ -160,21 +160,21 @@ class TestCheckOnesided:
         assert result.grid_points_per_axis == 11
         assert result.grid_min == 0
 
-    def test_grid_cap_shrinks_resolution(self):
-        result = check_onesided(
-            pp("x1^2 + x2^2 + 1"), D21, grid_points_per_axis=41, max_grid_points=100
-        )
+    def test_grid_cap_shrinks_resolution(self, monkeypatch):
+        monkeypatch.setattr(onesided, "MAX_GRID_POINTS", 100)
+        result = check_onesided(pp("x1^2 + x2^2 + 1"), D21, grid_points_per_axis=41)
         assert result.kind == HEURISTIC
         assert result.grid_points_per_axis == 10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_shrunk_grid_is_the_largest_within_the_cap(self, n):
+    def test_shrunk_grid_is_the_largest_within_the_cap(self, n, monkeypatch):
         # asking for 10**9 points per axis shrinks in one step, not 10**9
         d = CubeDomain(n, Fraction(1))
         # float roots of exact powers can fall just below: (10**6)**(1/3) and
         # (5**6)**(1/6) do
         for cap in (2**n, 3**n - 1, 3**n, 5**n) + ((10**6,) if n <= 3 else ()):
-            npts = check_onesided(Poly.const(n, 1), d, 10**9, cap).grid_points_per_axis
+            monkeypatch.setattr(onesided, "MAX_GRID_POINTS", cap)
+            npts = check_onesided(Poly.const(n, 1), d, 10**9).grid_points_per_axis
             assert npts**n <= cap < (npts + 1) ** n
 
     def test_grid_below_two_points_per_axis_refused(self, monkeypatch):
@@ -182,11 +182,13 @@ class TestCheckOnesided:
             raise AssertionError("grid walked before the cap check")
 
         monkeypatch.setattr(onesided, "_lattice_walk", refuse)
+        monkeypatch.setattr(onesided, "MAX_GRID_POINTS", 7)
         with pytest.raises(ValueError, match=r"2\^3 = 8 points, above the limit of 7"):
-            check_onesided(pp("x1^2 + 1", 3), D31, max_grid_points=7)
+            check_onesided(pp("x1^2 + 1", 3), D31)
 
-    def test_two_points_per_axis_at_the_cap(self):
-        result = check_onesided(pp("x1^2 + 1", 3), D31, max_grid_points=8)
+    def test_two_points_per_axis_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(onesided, "MAX_GRID_POINTS", 8)
+        result = check_onesided(pp("x1^2 + 1", 3), D31)
         assert result.kind == HEURISTIC
         assert result.grid_points_per_axis == 2
 
@@ -198,8 +200,9 @@ class TestCheckOnesided:
 
         monkeypatch.setattr(onesided, "pair_square_product", refuse)
         monkeypatch.setattr(onesided, "divide_exact", refuse)
+        monkeypatch.setattr(onesided, "MAX_GRID_POINTS", 3**7)
         d7 = CubeDomain(7, Fraction(1))
-        result = check_onesided(pp("x1^2 + 1", 7), d7, max_grid_points=3**7)
+        result = check_onesided(pp("x1^2 + 1", 7), d7)
         assert result.kind == HEURISTIC
         assert result.grid_points_per_axis == 3
         assert result.grid_min == 1

@@ -19,6 +19,7 @@ from cubeharm.poly import (
     poly_sqrt,
     poly_to_text,
     uni_negative_point,
+    uni_to_text,
 )
 
 x1 = Poly.variable(2, 1)
@@ -174,6 +175,23 @@ class TestUniPoly:
         phi = UniPoly([7, 0, 0, 3, 0, Fraction(1, 2)])
         assert phi.derivative(2) == UniPoly([0, 18, 0, 10])
         assert phi.derivative(5) == UniPoly([60])
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ([], "0/1"),
+            ([0], "0/1"),
+            ([5], "5/1"),
+            ([-3], "-3/1"),
+            ([0, 1], "1/1*t"),
+            ([0, 0, -1], "-1/1*t^2"),
+            ([1, 0, 0, -2], "-2/1*t^3 + 1/1"),
+            ([Fraction(-1, 2), 0, Fraction(3, 4), 0, -1], "-1/1*t^4 + 3/4*t^2 - 1/2"),
+            ([0, Fraction(-7, 3), 0, Fraction(2, 5)], "2/5*t^3 - 7/3*t"),
+        ],
+    )
+    def test_text_bytes(self, coeffs, text):
+        assert uni_to_text(UniPoly(coeffs)) == text
 
 
 class TestImmutable:

@@ -11,10 +11,10 @@ Subcommands map one-to-one onto library capabilities:
 
 Exit codes are a stable contract: 0 all good, 1 usage or input error,
 2 verification failure (a nonzero residual, or a crosscheck above --tol).
-Reports are written atomically (temp file + rename) and are byte-identical
-for identical configurations.  All rationals in output are "p/q" strings;
-the only floats are crosscheck deviations and grid samples, printed with 17
-significant digits.
+Reports are written atomically (temp file + rename; a device or FIFO is
+written in place) and are byte-identical for identical configurations.  All
+rationals in output are "p/q" strings; the only floats are crosscheck
+deviations and grid samples, printed with 17 significant digits.
 
 Start-up dominates a CLI process, so this module loads only the parser and
 the polynomial layer, and a `cmd_*` function imports the rest when it needs
@@ -97,9 +97,10 @@ MAX_DIM = 2000
 
 # Python reads and prints no integer of more than 4300 digits, and `verify`
 # and `approx` print r, so its numerator and denominator must stay below
-# 10^4300.  The exact values of `verify` and `integrate` carry powers of r up
-# to r^(n + degree limit + largest weight degree), and a value costs more
-# than its bits (a gcd of such numbers normalises each Fraction).  As whole
+# 10^4300 (poly.rational_to_text refuses an exact value past that).  The
+# exact values of `verify` and `integrate` carry powers of r up to
+# r^(n + degree limit + largest weight degree), and a value costs more than
+# its bits (a gcd of such numbers normalises each Fraction).  As whole
 # processes, `verify --n 2000 --poly x1^2-x2^2 --identities surface,volume
 # --k 0` (r^2032) took 2.0 s at --r 1e400 (2.7 M bits), 3.3 s at 1e592
 # (4.0 M bits), 5.6 s at 1e800 and 10 s at 1e1200.  So such a request takes
@@ -199,7 +200,13 @@ def _input_limits(args) -> Limits:
 @contextlib.contextmanager
 def _write_atomic(path: str):
     """A file to write to that replaces `path` only once the block ends
-    without error; on an error it is removed and `path` is left as it was."""
+    without error; on an error it is removed and `path` is left as it was.
+    A `path` that exists and is not a regular file (a device or a FIFO) is
+    written in place, never replaced."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            yield fh
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cubeharm-")
     try:

@@ -64,7 +64,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .poly import DimensionMismatchError, Exponent, Poly, UniPoly, Value, _set, uni_to_text
+from .poly import DimensionMismatchError, Exponent, Poly, UniPoly, Value, _set
 
 RationalLike = Fraction | int | str
 
@@ -97,21 +97,20 @@ class Weight(Value):
     polynomial profile.  Both run through the same integration path.
     """
 
-    __slots__ = ("profile", "label")
+    __slots__ = ("profile",)
 
-    def __init__(self, profile: UniPoly, label: str):
+    def __init__(self, profile: UniPoly):
         _set(self, "profile", profile)
-        _set(self, "label", label)
 
     @classmethod
     def power(cls, k: int) -> "Weight":
         if k < 0:
             raise ValueError(f"weight exponent must be >= 0, got {k}")
-        return cls(UniPoly.monomial(k, Fraction(1, math.factorial(k))), str(k))
+        return cls(UniPoly.monomial(k, Fraction(1, math.factorial(k))))
 
     @classmethod
     def from_profile(cls, phi: UniPoly) -> "Weight":
-        return cls(phi, uni_to_text(phi))
+        return cls(phi)
 
 
 class WeightConditionError(ValueError):

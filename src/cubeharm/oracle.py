@@ -31,21 +31,19 @@ A cell with fixed axes S and signs sigma then sums to
                       * prod_(k not in S) M[alpha_k],
 
 which is the tensor rule's value in exact arithmetic, at O(n q) work per
-term instead of O(q^n).  No point grid is built and nothing is evaluated
-pointwise.
+term instead of O(q^n), with no point grid and no pointwise evaluation.
 
-Node generation follows the classic Newton iteration on the Legendre
-recurrence rather than any table.  In the factorized path every sum over
-nodes, terms and cells is a math.fsum, so results are correctly rounded
-sums of the same products, independent of term order and stable run to
-run.  That makes two savings exact:
+Newton iteration on the Legendre recurrence finds the positive nodes; the
+rule adds their mirror images (and 0 at odd sizes), so it is exactly
+symmetric (Golub and Welsch 1969, Math. Comp. 23) and every odd box moment
+is an exact zero.  Every sum over nodes, terms and cells is a math.fsum, a
+correctly rounded sum of the same products in any term order, which makes
+two savings exact:
 
-- The signs of a cell's fixed axes are folded.  A term odd on a fixed axis
-  gives +v and -v equally often, which cancel exactly in the sum, so it is
-  skipped; a term even on them gives 2^fixed equal copies of v, which are
-  one summand scaled by a power of two, itself exact.  The free axes are
-  not folded: their odd box moments are exact zeros only where the Newton
-  nodes come out exactly symmetric, which they do not at q = 101 or 256.
+- Only terms even on every axis are summed.  An odd free exponent has the
+  box moment 0, and an odd fixed one gives +v and -v equally often, which
+  cancel.  An even term gives 2^fixed equal copies of v per cell, which are
+  one summand scaled by a power of two, itself exact.
 - The one-dimensional tables are shared.  The box moments depend only on
   (q, degree) and are cached; one table of t^(e + j) serves every weight
   of a call, and c * t^(e + j) is the same float either way.
@@ -83,13 +81,13 @@ class QuadratureSpec(Value):
 def gauss_legendre(npts: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes and weights of the npts-point rule on [-1, 1], nodes ascending.
 
-    Newton iteration on P_n with the cosine initial guess; converges to
-    machine precision in a handful of steps.
+    Newton iteration on P_n from the cosine guess finds the positive nodes;
+    the rest are their mirror images (same weights) and, for odd npts, 0.
     """
     if npts < 1:
         raise ValueError("need at least one node")
-    rule = []
-    for i in range(npts):
+    positive = []
+    for i in range(npts // 2):
         x = math.cos(math.pi * (i + 0.75) / (npts + 0.5))
         for _ in range(100):
             pn, dpn = _legendre_with_derivative(npts, x)
@@ -97,10 +95,13 @@ def gauss_legendre(npts: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             x += dx
             if abs(dx) < 1e-15:
                 break
-        pn, dpn = _legendre_with_derivative(npts, x)
-        rule.append((x, 2.0 / ((1.0 - x * x) * dpn * dpn)))
-    nodes, weights = zip(*sorted(rule))
-    return nodes, weights
+        positive.append(x)
+    rule = []
+    for x in positive + [0.0] * (npts % 2):
+        _, dpn = _legendre_with_derivative(npts, x)
+        w = 2.0 / ((1.0 - x * x) * dpn * dpn)
+        rule += [(x, w), (-x, w)] if x else [(x, w)]
+    return tuple(zip(*sorted(rule)))
 
 
 def _legendre_with_derivative(n: int, x: float) -> tuple[float, float]:
@@ -153,26 +154,24 @@ def _cell_sums(
     A cell fixes `fixed` axes with a sign each (1: the 2n argmax cells or
     faces; 2: the diagonal sheets); term alpha contributes
     c * (+-1)^(alpha on the fixed axes) * R[|alpha|] * prod_free M[alpha_k].
-    The signs are folded, with the same floats as summing every sign
-    pattern: a term odd on a fixed axis gives +v and -v equally often, which
-    cancel exactly, and one even on them gives 2^fixed copies of v, summed as
-    one v scaled by 2^fixed, which is exact (ldexp raises OverflowError where
-    it is not).  fsum rounds the exact sum once, so it does not change.
+    Only terms even on every axis are summed, and each once, scaled by
+    2^fixed: the same floats as every term and sign pattern, since the rest
+    are exact zeros or cancel exactly and fsum rounds the exact sum once.
+    An overflow raises OverflowError: from ldexp, or for fsum's -inf + inf.
     """
     n = p.dim
-    terms = [(alpha, sum(alpha), float(c)) for alpha, c in p.terms.items()]
-    parts = []  # (|alpha|, c * prod_free M[alpha_k]) for the even tied terms
+    terms = [(a, sum(a), float(c)) for a, c in p.terms.items() if not any(e % 2 for e in a)]
+    parts = []  # (|alpha|, c * prod_free M[alpha_k]) per cell and even term
     for axes in combinations(range(n), fixed):
         free = [k for k in range(n) if k not in axes]
         for alpha, e, value in terms:
-            if any(alpha[k] % 2 for k in axes):
-                continue
             for k in free:
                 value *= box[alpha[k]]
             parts.append((e, value))
-    return [
-        math.fsum(math.ldexp(value * table[e], fixed) for e, value in parts) for table in radials
-    ]
+    try:
+        return [math.fsum(math.ldexp(v * table[e], fixed) for e, v in parts) for table in radials]
+    except ValueError:  # parts that overflowed to opposite infinities
+        raise OverflowError("oracle parts overflow to opposite infinities") from None
 
 
 def _check_dim(p: Poly, d: CubeDomain) -> None:

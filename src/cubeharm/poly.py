@@ -98,8 +98,12 @@ def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
 
 
 def rational_to_text(q: Fraction) -> str:
-    """Render a rational as "p/q" with the sign on the numerator."""
-    return f"{q.numerator}/{q.denominator}"
+    """Render a rational as "p/q" with the sign on the numerator.  Python
+    prints no integer of more than 4300 digits."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ValueError("exact value has more than 4300 digits in its numerator or denominator")
 
 
 class Poly(Value):
@@ -210,9 +214,6 @@ class Poly(Value):
             return Poly(self.dim, out)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
@@ -225,11 +226,11 @@ class Poly(Value):
         c = Fraction(c)
         return Poly(self.dim, {e: c * v for e, v in self._terms.items()})
 
+    __rmul__ = scale
+
     def _check_same_dim(self, other: "Poly") -> None:
         if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
-            )
+            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __hash__(self):  # Value's hash of the fields fails on the term dict
         return hash((self.dim, frozenset(self._terms.items())))

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -544,21 +546,16 @@ class TestFloatRange:
                 "crosscheck values at",
             ),
             (["crosscheck", "--n", "2", "--r", "1e200", "--count", "2"], "crosscheck values at"),
-            # an oracle product overflows to +-inf: no "-inf + inf in fsum" leak
+            # two even oracle parts overflow to opposite infinities (the exact
+            # value is 0): no "-inf + inf in fsum" leak
             (
-                ["crosscheck", "--n", "3", "--r", "1e40", "--count", "2", "--seed", "1",
+                ["crosscheck", "--n", "2", "--poly", "10*x1^4 - 10*x2^4", "--r", "3e51",
                  "--k", "0"],
-                "crosscheck values at",
-            ),
-            # an oracle value is nan: no deviation that max() computed around it
-            (
-                ["crosscheck", "--n", "4", "--r", "1e60", "--count", "2", "--seed", "7",
-                 "--deg", "2", "--k", "0"],
                 "crosscheck values at",
             ),
         ],
         ids=["grid", "grid-zero", "grid-values", "crosscheck", "crosscheck-values",
-             "crosscheck-inf", "crosscheck-nan"],
+             "crosscheck-opposite-inf"],
     )
     def test_refused_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -566,6 +563,31 @@ class TestFloatRange:
         assert err.count("\n") == 1
         assert err.startswith("error: " + message)
         assert err.rstrip().endswith("leave the float range")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "3", "--r", "1e40", "--count", "2", "--seed", "1", "--k", "0"],
+            ["--n", "4", "--r", "1e60", "--count", "2", "--seed", "7", "--deg", "2", "--k", "0"],
+        ],
+        ids=["crosscheck-inf", "crosscheck-nan"],
+    )
+    def test_large_radius_passes_with_odd_terms_dropped(self, capsys, argv):
+        # the oracle's overflowing and inf * 0 products came only from terms
+        # with an odd exponent, which it no longer sums
+        code, out, _ = run_cli(capsys, "crosscheck", *argv)
+        assert code == 0
+        assert float(out) <= 1e-9
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_oracle_value_refused(self, capsys, monkeypatch, value):
+        # a nan is not dropped by max(), nor an inf printed as a deviation
+        import cubeharm.oracle as oracle
+
+        monkeypatch.setattr(oracle, "numeric_integrate_boundary", lambda *args: value)
+        code, out, err = run_cli(capsys, "crosscheck", "--n", "2", "--count", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: crosscheck values at radius 1 leave the float range\n"
 
     def test_grid_just_inside_the_float_range(self, capsys):
         code, out, _ = run_cli(capsys, "grid", "--n", "2", "--r", "1e150", "--f", "x1^2", "--res", "3")
@@ -611,6 +633,18 @@ class TestCrosscheck:
             "crosscheck", "--n", "3", "--count", "3", "--seed", "7", "--tol", "1e-9",
         )
         assert code == 0
+
+    def test_asymmetric_newton_size_folds_odd_terms(self, capsys):
+        # per-node Newton nodes at 101 points were not exactly mirrored, so
+        # odd box moments of about 1e-18, scaled by powers of r = 1e20, gave
+        # a deviation of 3.7e34
+        code, out, _ = run_cli(
+            capsys,
+            "crosscheck", "--n", "3", "--r", "1e20", "--deg", "6", "--k", "3", "--seed", "1",
+            "--count", "2", "--points-per-axis", "101",
+        )
+        assert code == 0
+        assert float(out) <= 1e-14
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -906,6 +940,28 @@ class TestGrid:
         )
 
 
+class TestExactValueDigits:
+    """An exact value that Python cannot print (more than 4300 digits in its
+    numerator or denominator) ends in one line that states the bound."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "integrate --n 2 --region cube --poly 1 --r 1e4299",
+            "integrate --n 2 --region cube --poly 1 --k 1000 --r 1e100",
+            "approx --n 2 --f x1^2 --h 0 --r 1e4299",
+            "verify --n 2 --poly x1^2 --identities surface --r 1e4299",
+        ],
+        ids=["integrate", "integrate-k", "approx", "verify"],
+    )
+    def test_refused_with_one_line(self, capsys, argv):
+        assert run_cli(capsys, *argv.split()) == (
+            1,
+            "",
+            "error: exact value has more than 4300 digits in its numerator or denominator\n",
+        )
+
+
 class TestRadiusBound:
     """A radius past Python's 4300-digit integer limit, or whose powers in
     an exact value pass cli.MAX_RADIUS_POWER_BITS, is refused before any
@@ -1084,3 +1140,20 @@ class TestDeterminism:
         assert json.loads(target.read_text())["all_pass"] is True
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".cubeharm-")]
         assert leftovers == []
+
+    def test_non_regular_target_written_in_place(self, capsys, tmp_path):
+        # a FIFO stands in for a device such as /dev/null, which must not be
+        # replaced by a regular file
+        argv = ["basis", "--n", "2", "--deg", "2"]
+        _, expected, _ = run_cli(capsys, *argv)
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main([*argv, "--out", str(fifo)]) == 0
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert received.decode() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]

@@ -71,14 +71,15 @@ class TestWeight:
     def test_value_behaviour(self):
         check_value_class(
             Weight.power(2),
-            Weight(UniPoly.monomial(2, Fraction(1, 2)), "2"),
+            Weight(UniPoly.monomial(2, Fraction(1, 2))),
             Weight.power(3),
-            ("profile", "label"),
-            "Weight(profile=UniPoly('1/2*t^2'), label='2')",
+            ("profile",),
+            "Weight(profile=UniPoly('1/2*t^2'))",
         )
-        phi = UniPoly([0, 0, 1])
-        assert Weight(label="1/1*t^2", profile=phi) == Weight.from_profile(UniPoly([0, 0, 1]))
-        assert Weight.power(2) != Weight(UniPoly.monomial(2, Fraction(1, 2)), "t^2/2")
+        assert Weight(profile=UniPoly([0, 0, 1])) == Weight.from_profile(UniPoly([0, 0, 1]))
+        # a weight is its profile, however it was built
+        assert Weight.power(2) == Weight.from_profile(UniPoly([0, 0, Fraction(1, 2)]))
+        assert Weight.power(2) != Weight.from_profile(UniPoly([0, 0, 1]))
 
     def test_round_trips(self):
         check_round_trips(Weight.power(2))

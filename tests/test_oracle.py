@@ -64,6 +64,59 @@ class TestGaussLegendre:
         assert list(nodes) == sorted(nodes)
 
 
+def _per_node_newton(npts):
+    """The rule as built before it was mirrored: every node by its own Newton
+    iteration from the cosine guess, each stopped where the scalar loop
+    stopped.  The iterations run for all nodes at once in numpy, whose
+    float64 +, -, * and / round as Python's do."""
+    x = np.array([math.cos(math.pi * (i + 0.75) / (npts + 0.5)) for i in range(npts)])
+
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, npts + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, npts * (x * p - p_prev) / (x * x - 1.0)
+
+    active = np.arange(npts)
+    for _ in range(100):
+        pn, dpn = legendre(x[active])
+        dx = -pn / dpn
+        x[active] += dx
+        active = active[np.abs(dx) >= 1e-15]
+        if not active.size:
+            break
+    _, dpn = legendre(x)
+    w = 2.0 / ((1.0 - x * x) * dpn * dpn)
+    order = np.argsort(x)
+    return tuple(map(float, x[order])), tuple(map(float, w[order]))
+
+
+def _is_mirrored(nodes, weights):
+    return nodes == tuple(-x for x in reversed(nodes)) and weights == weights[::-1]
+
+
+class TestMirroredRule:
+    def test_mirrored_at_every_size(self):
+        for q in range(2, MAX_POINTS_PER_AXIS + 1):
+            nodes, weights = gauss_legendre(q)
+            half = q // 2
+            assert bits(nodes[:half]) == bits(-x for x in reversed(nodes[q - half :]))
+            assert bits(nodes[half : q - half]) == bits([0.0] * (q % 2))
+            assert bits(weights) == bits(reversed(weights))
+            assert not any(oracle._box_moments(q, 9)[1::2])
+
+    def test_same_rule_where_per_node_newton_was_mirrored(self):
+        mirrored = []
+        for q in range(2, MAX_POINTS_PER_AXIS + 1):
+            old = _per_node_newton(q)
+            if _is_mirrored(*old):
+                mirrored.append(q)
+                assert [bits(column) for column in gauss_legendre(q)] == [bits(c) for c in old]
+        assert len(mirrored) == 91
+        assert {5, 24, 41} <= set(mirrored)
+        assert not {12, 13, 101, 256} & set(mirrored)
+
+
 class TestKernelBackends:
     def test_backends_agree(self):
         rng = np.random.default_rng(5)
@@ -305,12 +358,13 @@ class TestFactorizedPath:
 
 
 # -- sign-enumerating reference -------------------------------------------------
-# The oracle folds each cell's fixed-axis signs and builds one power table for
-# all the weights.  These are the unfolded forms: one radial table per profile,
-# and every term summed once per sign pattern.  An odd term's +v and -v cancel
-# exactly and an even term's 2^fixed copies scale exactly, and fsum rounds the
-# exact sum once, so both forms give the same floats bit for bit.  q = 101 and
-# q = 256 have Newton nodes that are not exactly symmetric.
+# The oracle sums only terms even on every axis, once per cell scaled by
+# 2^fixed, and builds one power table for all the weights.  These are the
+# unfolded forms: one radial table per profile, and every term summed once per
+# sign pattern.  An odd free exponent's box moment is an exact zero on the
+# mirrored rule, an odd fixed one's +v and -v cancel exactly, an even term's
+# 2^fixed copies scale exactly, and fsum rounds the exact sum once, so both
+# forms give the same floats bit for bit, at every rule size.
 
 
 def _enumerated_box(npts, top):

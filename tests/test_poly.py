@@ -18,6 +18,7 @@ from cubeharm.poly import (
     partial,
     poly_sqrt,
     poly_to_text,
+    rational_to_text,
     uni_negative_point,
     uni_to_text,
 )
@@ -45,6 +46,22 @@ class TestArithmetic:
     def test_scale(self):
         assert x1.scale(Fraction(3, 4)) == Poly(2, {(1, 0): Fraction(3, 4)})
         assert x1.scale(0).is_zero
+
+
+class TestRationalText:
+    @pytest.mark.parametrize("q", [Fraction(10**4300 - 1), Fraction(1, 10**4300 - 1)])
+    def test_4300_digits_printed(self, q):
+        assert len(rational_to_text(q)) == 4302
+
+    @pytest.mark.parametrize(
+        "q", [Fraction(10**4300), Fraction(-(10**4300)), Fraction(1, 10**4300)]
+    )
+    def test_past_4300_digits_refused(self, q):
+        with pytest.raises(ValueError) as exc:
+            rational_to_text(q)
+        assert str(exc.value) == (
+            "exact value has more than 4300 digits in its numerator or denominator"
+        )
 
 
 class TestDerivatives:

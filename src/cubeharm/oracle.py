@@ -44,9 +44,10 @@ two savings exact:
   box moment 0, and an odd fixed one gives +v and -v equally often, which
   cancel.  An even term gives 2^fixed equal copies of v per cell, which are
   one summand scaled by a power of two, itself exact.
-- The one-dimensional tables are shared.  The box moments depend only on
-  (q, degree) and are cached; one table of t^(e + j) serves every weight
-  of a call, and c * t^(e + j) is the same float either way.
+- The one-dimensional tables are shared, and radial rows are built only
+  for the degrees of the even terms, so no unread row can overflow.  The
+  box moments are cached per (q, degree); one table of t^(e + j) serves
+  every weight of a call, the same c * t^(e + j) floats either way.
 
 The nodes and weights are Python floats, so the oracle needs no numpy.
 """
@@ -112,14 +113,6 @@ def _legendre_with_derivative(n: int, x: float) -> tuple[float, float]:
     return p, dp
 
 
-def _horner(coeffs: list[float], u: float) -> float:
-    """phi(u) for the profile with the given float coefficients."""
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * u + c
-    return value
-
-
 @lru_cache(maxsize=64)
 def _box_moments(npts: int, top: int) -> tuple[float, ...]:
     """M[e] = sum_q w_q s_q^e for e = 0..top."""
@@ -128,39 +121,45 @@ def _box_moments(npts: int, top: int) -> tuple[float, ...]:
 
 
 def _radial_sums(
-    profiles: Sequence[tuple[Fraction, ...]], r: float, npts: int, jacobian: int, top: int
-) -> list[tuple[float, ...]]:
-    """R[e] = sum_t w_t t^(e + jacobian) phi(r - t) for e = 0..top, on the
-    rule mapped to t in [0, r], one table per profile phi (given by its
+    profiles: Sequence[tuple[Fraction, ...]], r: float, npts: int, jacobian: int, degrees: list
+) -> list[dict[int, float]]:
+    """R[e] = sum_t w_t t^(e + jacobian) phi(r - t) for each e in degrees, on
+    the rule mapped to t in [0, r], one table per profile phi (given by its
     coefficients); the powers of t are shared by every profile."""
-    if not profiles:
-        return []
+    if not (profiles and degrees):
+        return [{} for _ in profiles]
     nodes, weights = gauss_legendre(npts)
     t = [r * (x + 1.0) / 2.0 for x in nodes]
-    powers = [[x ** (e + jacobian) for x in t] for e in range(top + 1)]
+    us = [r - x for x in t]
+    powers = {e: [x ** (e + jacobian) for x in t] for e in degrees}
     tables = []
     for coeffs in profiles:
-        phi = [float(c) for c in coeffs]
-        wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights)]
-        tables.append(tuple(math.fsum(map(mul, wphi, row)) for row in powers))
+        phi = [0.0] * npts
+        for c in map(float, reversed(coeffs)):  # Horner, one pass over the nodes each
+            phi = [v * u + c for v, u in zip(phi, us)]
+        wphi = [w * r / 2.0 * v for w, v in zip(weights, phi)]
+        tables.append({e: math.fsum(map(mul, wphi, row)) for e, row in powers.items()})
     return tables
 
 
+def _even_terms(p: Poly) -> tuple[list, list[int]]:
+    """(alpha, |alpha|, c) for the terms even on every axis, and their degrees."""
+    terms = [(a, sum(a), float(c)) for a, c in p.terms.items() if not any(e % 2 for e in a)]
+    return terms, sorted({e for _, e, _ in terms})
+
+
 def _cell_sums(
-    p: Poly, fixed: int, box: Sequence[float], radials: Sequence[Sequence[float]]
+    terms: list, n: int, fixed: int, box: Sequence[float], radials: Sequence[dict[int, float]]
 ) -> list[float]:
     """The factorized rule over every cell, once per radial table R.
 
     A cell fixes `fixed` axes with a sign each (1: the 2n argmax cells or
     faces; 2: the diagonal sheets); term alpha contributes
     c * (+-1)^(alpha on the fixed axes) * R[|alpha|] * prod_free M[alpha_k].
-    Only terms even on every axis are summed, and each once, scaled by
-    2^fixed: the same floats as every term and sign pattern, since the rest
-    are exact zeros or cancel exactly and fsum rounds the exact sum once.
-    An overflow raises OverflowError: from ldexp, or for fsum's -inf + inf.
+    Each even term is summed once per cell, scaled by 2^fixed: the same
+    floats as every term and sign pattern (see the module docstring).
+    ldexp's overflow and fsum's -inf + inf raise OverflowError; an inf product stays inf.
     """
-    n = p.dim
-    terms = [(a, sum(a), float(c)) for a, c in p.terms.items() if not any(e % 2 for e in a)]
     parts = []  # (|alpha|, c * prod_free M[alpha_k]) per cell and even term
     for axes in combinations(range(n), fixed):
         free = [k for k in range(n) if k not in axes]
@@ -185,9 +184,10 @@ def _weighted_sums(
     """Cube (fixed = 1) or diagonal (fixed = 2) integrals, one per weight;
     the box scaling leaves the Jacobian t^(n - fixed)."""
     _check_dim(p, d)
-    q, r, top = spec.points_per_axis, float(d.r), p.total_degree
-    radials = _radial_sums([w.profile.coeffs for w in weights], r, q, d.n - fixed, top)
-    return _cell_sums(p, fixed, _box_moments(q, top), radials)
+    terms, degrees = _even_terms(p)
+    q, profiles = spec.points_per_axis, [w.profile.coeffs for w in weights]
+    radials = _radial_sums(profiles, float(d.r), q, d.n - fixed, degrees)
+    return _cell_sums(terms, d.n, fixed, _box_moments(q, p.total_degree), radials)
 
 
 def numeric_integrate_cube_many(
@@ -208,9 +208,9 @@ def numeric_integrate_boundary(
 ) -> float:
     """Surface integral of p over the 2n faces; a face is the cell end t = r."""
     _check_dim(p, d)
-    r, top = float(d.r), p.total_degree
-    radial = [r ** (e + d.n - 1) for e in range(top + 1)]
-    return _cell_sums(p, 1, _box_moments(spec.points_per_axis, top), [radial])[0]
+    r, (terms, degrees) = float(d.r), _even_terms(p)
+    box = _box_moments(spec.points_per_axis, p.total_degree)
+    return _cell_sums(terms, d.n, 1, box, [{e: r ** (e + d.n - 1) for e in degrees}])[0]
 
 
 def numeric_integrate_diagonal_many(

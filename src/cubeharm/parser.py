@@ -9,10 +9,11 @@ Grammar (whitespace-insensitive):
     atom    := INTEGER | VARIABLE | "(" expr ")"
 
 Variables are x1, x2, ... for multivariate input and t for univariate
-profiles.  "^" requires a constant non-negative integer exponent.  "/"
-requires a constant nonzero right operand, which covers rational literals
-like 3/4; dividing by a polynomial is rejected.  Decimal literals are
-rejected to keep everything exact.
+profiles.  Digits are the ASCII 0-9 only, at most MAX_DIGIT_RUN in a row.
+"^" requires a constant non-negative integer exponent.  "/" requires a
+constant nonzero right operand, which covers rational literals like 3/4;
+dividing by a polynomial is rejected.  Decimal literals are rejected to
+keep everything exact.
 
 Errors raise ExprSyntaxError carrying the byte offset of the offending
 token, so callers can produce pointed diagnostics without the process ever
@@ -47,6 +48,10 @@ MAX_EXPANDED_TERMS = 10_000
 # no report could show a larger coefficient.
 MAX_CONSTANT_BITS = 14_000
 
+# Digits in a row, in a literal or a variable index: int() reads no integer
+# of more than 4300 digits.
+MAX_DIGIT_RUN = 4300
+
 
 class ExprSyntaxError(ValueError):
     """Malformed expression; .position is the byte offset in the source."""
@@ -71,6 +76,18 @@ class _Token(Value):
     __slots__ = ("kind", "text", "position")  # kind: "int", "var", an operator or "end"
 
 
+def _digits_end(text: str, i: int) -> int:
+    """The end of the run of ASCII digits that starts at i."""
+    start = i
+    while i < len(text) and "0" <= text[i] <= "9":
+        i += 1
+    if i - start > MAX_DIGIT_RUN:
+        raise ExprSyntaxError(
+            f"{i - start} digits in a row, above the limit of {MAX_DIGIT_RUN}", start
+        )
+    return i
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -80,10 +97,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             start = i
-            while i < n and text[i].isdigit():
-                i += 1
+            i = _digits_end(text, i)
             if i < n and text[i] == ".":
                 raise ExprSyntaxError(
                     "decimal literals are not supported; use rationals like 3/4", i
@@ -93,7 +109,7 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isalpha():
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
+                i = _digits_end(text, i + 1)  # bounds the digits of x<index> too
             tokens.append(_Token("var", text[start:i], start))
             continue
         if c in _OPERATORS:
@@ -243,9 +259,9 @@ class _Parser:
             raise ExprSyntaxError(
                 "variable t is reserved for univariate profiles", tok.position
             )
-        if name[0] != "x" or not name[1:].isdigit():
+        axis = _index(name)
+        if axis is None:
             raise ExprSyntaxError(f"unknown variable {name!r}", tok.position)
-        axis = int(name[1:])
         if axis < 1:
             raise ExprSyntaxError("variable indices start at x1", tok.position)
         if axis > self.dim:
@@ -265,12 +281,14 @@ def _constant_value(p: Poly) -> Fraction | None:
     return None
 
 
+def _index(name: str) -> int | None:
+    """k for a variable named x<k>, k in ASCII digits; None for any other name."""
+    digits = name[1:]
+    return int(digits) if name[0] == "x" and digits.isascii() and digits.isdigit() else None
+
+
 def _max_var_index(tokens: list[_Token]) -> int:
-    best = 0
-    for tok in tokens:
-        if tok.kind == "var" and tok.text[0] == "x" and tok.text[1:].isdigit():
-            best = max(best, int(tok.text[1:]))
-    return best
+    return max((_index(tok.text) or 0 for tok in tokens if tok.kind == "var"), default=0)
 
 
 def _parse(src: ExprSource | str, limits: Limits, univariate: bool) -> Poly:

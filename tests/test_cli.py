@@ -422,6 +422,20 @@ class TestIntegrate:
         assert err.count("\n") == 1
         assert err.startswith(f"error: invalid expression {reason}")
 
+    @pytest.mark.parametrize(
+        "poly,reason",
+        [
+            ("1" * 5000, "at offset 0: 5000 digits in a row, above the limit of 4300"),
+            ("x" + "1" * 5000, "at offset 1: 5000 digits in a row, above the limit of 4300"),
+            ("x1^" + "1" * 5000, "at offset 3: 5000 digits in a row, above the limit of 4300"),
+        ],
+        ids=["literal", "index", "exponent"],
+    )
+    def test_long_digit_run_refused_by_the_parser(self, capsys, poly, reason):
+        code, out, err = run_cli(capsys, "integrate", "--region", "cube", "--n", "2", "--poly", poly)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid expression {reason}\n"
+
 
 class TestApprox:
     def test_example1_certificate(self, capsys):
@@ -569,12 +583,14 @@ class TestFloatRange:
         [
             ["--n", "3", "--r", "1e40", "--count", "2", "--seed", "1", "--k", "0"],
             ["--n", "4", "--r", "1e60", "--count", "2", "--seed", "7", "--deg", "2", "--k", "0"],
+            ["--n", "2", "--poly", "x1^5*x2 + 1", "--r", "1e60", "--k", "0"],
         ],
-        ids=["crosscheck-inf", "crosscheck-nan"],
+        ids=["crosscheck-inf", "crosscheck-nan", "crosscheck-unread-rows"],
     )
     def test_large_radius_passes_with_odd_terms_dropped(self, capsys, argv):
         # the oracle's overflowing and inf * 0 products came only from terms
-        # with an odd exponent, which it no longer sums
+        # with an odd exponent, which it no longer sums; nor does it build the
+        # radial rows t^(e + j) that only such terms would read
         code, out, _ = run_cli(capsys, "crosscheck", *argv)
         assert code == 0
         assert float(out) <= 1e-9

@@ -372,11 +372,18 @@ def _enumerated_box(npts, top):
     return [math.fsum(w * s**e for s, w in pairs) for e in range(top + 1)]
 
 
+def _horner(coeffs, u):
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * u + c
+    return value
+
+
 def _enumerated_radial_sums(coeffs, r, npts, jacobian, top):
     nodes, weights = gauss_legendre(npts)
     phi = [float(c) for c in coeffs]
     t = [r * (x + 1.0) / 2.0 for x in nodes]
-    wphi = [w * r / 2.0 * oracle._horner(phi, r - x) for x, w in zip(t, weights)]
+    wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights)]
     return tuple(
         math.fsum(c * x ** (e + jacobian) for c, x in zip(wphi, t)) for e in range(top + 1)
     )
@@ -437,14 +444,26 @@ class TestSignFold:
 
 
 class TestSharedTables:
-    @pytest.mark.parametrize("q,jacobian,top", [(5, 1, 6), (24, 2, 8), (101, 0, 3)])
-    def test_radial_sums_share_the_powers(self, q, jacobian, top):
+    @pytest.mark.parametrize(
+        "q,jacobian,degrees",
+        [(5, 1, [0, 2, 6]), (24, 2, [4, 8]), (101, 0, [3])],
+        ids=["5-1-6", "24-2-8", "101-0-3"],  # q, jacobian, top degree
+    )
+    def test_radial_sums_share_the_powers(self, q, jacobian, degrees):
         profiles = [w.profile.coeffs for w in REFERENCE_WEIGHTS]
-        shared = oracle._radial_sums(profiles, 1.5, q, jacobian, top)
-        singles = [oracle._radial_sums([c], 1.5, q, jacobian, top)[0] for c in profiles]
-        assert [bits(t) for t in shared] == [bits(t) for t in singles]
+        shared = oracle._radial_sums(profiles, 1.5, q, jacobian, degrees)
+        singles = [oracle._radial_sums([c], 1.5, q, jacobian, degrees)[0] for c in profiles]
+        assert [sorted(t) for t in shared] == [degrees] * len(profiles)
+        assert [bits(t.values()) for t in shared] == [bits(t.values()) for t in singles]
+        top = degrees[-1]
         reference = [_enumerated_radial_sums(c, 1.5, q, jacobian, top) for c in profiles]
-        assert [bits(t) for t in shared] == [bits(t) for t in reference]
+        expected = [[table[e] for e in degrees] for table in reference]
+        assert [bits(t.values()) for t in shared] == [bits(t) for t in expected]
+
+    def test_no_even_term_builds_no_radial_table(self):
+        # every row t^(e + j) would leave the float range at this radius
+        d = CubeDomain(3, Fraction(10) ** 200)
+        assert numeric_integrate_cube_many(pp("x1^3*x2", 3), d, [Weight.power(0)]) == [0.0]
 
     def test_no_weights_builds_no_powers(self):
         # t^(e + j) would leave the float range at this radius

@@ -111,6 +111,35 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError):
             parse_poly("(x1 + x2")
 
+    @pytest.mark.parametrize(
+        "text,position,reason",
+        [
+            ("x²", 0, "unknown variable 'x²'"),
+            ("x1*²", 3, "unexpected character '²'"),
+            ("x1*٣", 3, "unexpected character '٣'"),  # was read as 3*x1
+        ],
+    )
+    def test_only_ascii_digits(self, text, position, reason):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(text)
+        assert (err.value.position, err.value.reason) == (position, reason)
+
+    def test_literal_digit_run_bounded(self):
+        digits = "1" * parser.MAX_DIGIT_RUN
+        assert parse_poly(f"x1 + {digits}") == parse_poly("x1") + Poly.const(1, int(digits))
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(f"x1 + {digits}1")
+        assert err.value.position == 5
+        assert err.value.reason == "4301 digits in a row, above the limit of 4300"
+
+    def test_variable_index_digit_run_bounded(self):
+        zeros = "0" * (parser.MAX_DIGIT_RUN - 1)
+        assert parse_poly(f"x{zeros}1") == parse_poly("x1")
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(f"x1 * x0{zeros}1")
+        assert err.value.position == 6
+        assert err.value.reason == "4301 digits in a row, above the limit of 4300"
+
     def test_limits_enforced(self):
         with pytest.raises(ExprSyntaxError):
             parse_poly("x9")  # default max_dim is 8

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
-from .poly import Limits, Poly, lattice_terms, poly_to_text, rational_to_text
+from .poly import MAX_DIGITS, Limits, Poly, lattice_terms, poly_to_text, rational_to_text
 
 if TYPE_CHECKING:
     from .integrate import CubeDomain
@@ -95,10 +95,9 @@ MAX_VERIFY_INTEGRALS = 200_000
 # n = 14,260 at r = 1 and n = 3,745 at r = 7/5.
 MAX_DIM = 2000
 
-# Python reads and prints no integer of more than 4300 digits, and `verify`
-# and `approx` print r, so its numerator and denominator must stay below
-# 10^4300 (poly.rational_to_text refuses an exact value past that).  The
-# exact values of `verify` and `integrate` carry powers of r up to
+# `verify` and `approx` print r, so its numerator and denominator must have
+# at most MAX_DIGITS digits, as every printed exact value must.  The exact
+# values of `verify` and `integrate` carry powers of r up to
 # r^(n + degree limit + largest weight degree), and a value costs more than
 # its bits (a gcd of such numbers normalises each Fraction).  As whole
 # processes, `verify --n 2000 --poly x1^2-x2^2 --identities surface,volume
@@ -107,8 +106,10 @@ MAX_DIM = 2000
 # at most about 4 s; the bound is per value, so one with many weight profiles
 # or degrees takes a multiple of that.  `approx`, `grid` and `crosscheck` are
 # bound by the digit limit, their grid and the float range.
-MAX_RADIUS_DIGITS = 4300
 MAX_RADIUS_POWER_BITS = 4_000_000
+
+# Characters of a job file; a job is a few hundred.
+MAX_JOB_CHARS = 1_000_000
 
 # --identities token -> name of its identities.Identity member
 _IDENTITY_TOKENS = {
@@ -119,7 +120,7 @@ _IDENTITY_TOKENS = {
 }
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -130,22 +131,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_radius(text: str) -> Fraction:
     """r, refused when its numerator or denominator has more than
-    MAX_RADIUS_DIGITS digits.  Fraction("1e<k>") builds 10**k first, so an
+    MAX_DIGITS digits.  Fraction("1e<k>") builds 10**k first, so an
     exponent that puts every nonzero r past the limit (each part of the
-    mantissa has at most 4300 digits) is refused before it is built."""
+    mantissa has at most MAX_DIGITS digits) is refused before it is built."""
     _, e, exponent = text.lower().rpartition("e")
     too_long = False
     with contextlib.suppress(ValueError):  # no integer exponent: Fraction decides
-        too_long = bool(e) and abs(int(exponent)) > 3 * MAX_RADIUS_DIGITS
+        too_long = bool(e) and abs(int(exponent)) > 3 * MAX_DIGITS
     if not too_long:
         try:
             r = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"not a rational: {text!r} ({exc})")
-        too_long = max(abs(r.numerator), r.denominator) >= 10**MAX_RADIUS_DIGITS
+        too_long = max(abs(r.numerator), r.denominator) >= 10**MAX_DIGITS
     if too_long:
         raise UsageError(
-            f"radius has more than {MAX_RADIUS_DIGITS} digits in its numerator or denominator"
+            f"radius has more than {MAX_DIGITS} digits in its numerator or denominator"
         )
     return r
 
@@ -180,12 +181,8 @@ def _check_weight_degree(flag: str, value: int, degree: int) -> int:
 
 def _domain(args) -> CubeDomain:
     r = _parse_radius(args.r)
-    if args.n < 2:
-        raise UsageError(f"dimension must be >= 2, got {args.n}")
     if args.n > MAX_DIM:
         raise UsageError(f"dimension must be <= {MAX_DIM}, got {args.n}")
-    if r <= 0:
-        raise UsageError(f"radius must be positive, got {args.r}")
     from .integrate import CubeDomain
 
     return CubeDomain(args.n, r)
@@ -265,12 +262,16 @@ def _load_job(args) -> None:
     "k": [0, 1], "m": 1, "identities": ["surface"], "phi": ["t^2/2"],
     "poly": "x1^2", "format": "json", "out": "report.json"}.  Unknown keys
     are rejected so typos fail loudly, and so is a value of the wrong JSON
-    type.
+    type.  A file of more than MAX_JOB_CHARS characters, or one nested
+    deeper than the JSON reader recurses, cannot be read.
     """
     try:
         with open(args.job) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = fh.read(MAX_JOB_CHARS + 1)  # a device such as /dev/zero never ends
+        if len(text) > MAX_JOB_CHARS:
+            raise ValueError(f"more than {MAX_JOB_CHARS} characters")
+        payload = json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise UsageError(f"cannot read job file {args.job!r}: {exc}")
     if not isinstance(payload, dict):
         raise UsageError("job file must hold a JSON object")
@@ -366,8 +367,6 @@ def cmd_basis(args) -> int:
 def cmd_integrate(args) -> int:
     d = _domain(args)
     if args.phi is None:
-        if args.k < 0:
-            raise UsageError("weight exponent must be >= 0")
         _check_weight_degree("--k", args.k, args.k)
     limits = _input_limits(args)
     p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)
@@ -414,9 +413,9 @@ def cmd_crosscheck(args) -> int:
     ks = _parse_exponents(args.k)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
+    limits = _input_limits(args)
     if args.poly:
-        # --deg above 16 raises the parser's degree limit to it
-        count, deg = 1, max(16, args.deg)
+        count, deg = 1, limits.max_degree
     else:
         if args.deg < 0:
             raise UsageError(f"--deg must be >= 0, got {args.deg}")
@@ -440,7 +439,7 @@ def cmd_crosscheck(args) -> int:
 
     spec = QuadratureSpec(points_per_axis=q)
     if args.poly:
-        polys = [parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=_input_limits(args))]
+        polys = [parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)]
     else:
         from .sampling import random_poly
 
@@ -617,9 +616,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ExprSyntaxError as exc:
         print(f"error: invalid expression {exc}", file=sys.stderr)
         return 1

@@ -39,7 +39,7 @@ from .integrate import (
     integral,
     measure,
 )
-from .kernel import BasisRequest, BasisSet, graded_basis
+from .kernel import BasisSet
 from .poly import Poly, UniPoly, Value, _set, laplacian, rational_to_text, uni_to_text
 
 
@@ -266,22 +266,11 @@ class IdentityReport(Value):
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["identity", "n", "r", "k_or_phi", "m", "element_label", "residual", "pass"]
+        # the columns are the entry's fields, with "passed" written as "pass"
+        writer.writerow([*ReportEntry.__slots__[:-1], "pass"])
+        writer.writerows(
+            [*e._fields()[:-1], "true" if e.passed else "false"] for e in self.entries
         )
-        for e in self.entries:
-            writer.writerow(
-                [
-                    e.identity,
-                    e.n,
-                    e.r,
-                    e.k_or_phi,
-                    e.m,
-                    e.element_label,
-                    e.residual,
-                    "true" if e.passed else "false",
-                ]
-            )
         return buf.getvalue()
 
 
@@ -320,20 +309,17 @@ def _parameters(
 
 
 def run_suite(
-    basis: BasisSet | BasisRequest | Sequence[tuple[str, Poly]],
+    basis: BasisSet | Sequence[tuple[str, Poly]],
     d: CubeDomain,
     identities: Sequence[Identity],
     config: SuiteConfig = SuiteConfig(),
 ) -> IdentityReport:
     """Evaluate the selected residuals on every element; exact pass/fail.
 
-    Elements may be a generated basis, a request for one, or explicit
-    (label, polynomial) pairs.  Evaluation order, and therefore report
-    order, is fixed: identities in the order given, then parameter, then
-    element.
+    Elements may be a generated basis or explicit (label, polynomial)
+    pairs.  Evaluation order, and therefore report order, is fixed:
+    identities in the order given, then parameter, then element.
     """
-    if isinstance(basis, BasisRequest):
-        basis = graded_basis(basis)
     elements = _labelled_elements(basis)
     cases = [
         (identity, k_or_phi, build)

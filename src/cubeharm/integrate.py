@@ -83,6 +83,13 @@ class CubeDomain(Value):
         _set(self, "n", n)
         _set(self, "r", r)
 
+    def check_dim(self, p: Poly) -> None:
+        """Refuse a polynomial whose dimension is not the cube's."""
+        if p.dim != self.n:
+            raise DimensionMismatchError(
+                f"polynomial dimension {p.dim} does not match domain dimension {self.n}"
+            )
+
 
 class Region(enum.Enum):
     CUBE = "cube"
@@ -201,9 +208,7 @@ def integral(
 
     def value(p: DegreeSums) -> Fraction | int:
         if p.poly.dim != d.n:
-            raise DimensionMismatchError(
-                f"polynomial dimension {p.poly.dim} does not match domain dimension {d.n}"
-            )
+            d.check_dim(p.poly)
         total = None  # the first product starts the sum; 0 + Fraction builds a Fraction(0)
         for a, sums in p[s].items():
             if a not in factors:

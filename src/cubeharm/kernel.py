@@ -102,7 +102,7 @@ class BasisRequest(Value):
 
 
 class BasisSet(Value):
-    __slots__ = ("elements", "request")  # tuple[Poly, ...], BasisRequest
+    __slots__ = ("elements",)  # tuple[Poly, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -178,7 +178,7 @@ def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
         for e in monomials_of_degree(n, d)
         if e[0] < 2 * m
     )
-    return BasisSet(elements, BasisRequest(n, d, m))
+    return BasisSet(elements)
 
 
 def graded_basis(req: BasisRequest, limits: Limits = DEFAULT_LIMITS) -> BasisSet:
@@ -187,7 +187,7 @@ def graded_basis(req: BasisRequest, limits: Limits = DEFAULT_LIMITS) -> BasisSet
     elements: list[Poly] = []
     for d in range(req.max_degree + 1):
         elements.extend(homogeneous_kernel(req.n, d, req.m).elements)
-    return BasisSet(tuple(elements), req)
+    return BasisSet(tuple(elements))
 
 
 def is_polyharmonic(p: Poly, m: int) -> bool:

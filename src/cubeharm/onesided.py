@@ -50,7 +50,6 @@ from .integrate import (
 )
 from .kernel import is_polyharmonic
 from .poly import (
-    DimensionMismatchError,
     Poly,
     UniPoly,
     Value,
@@ -80,10 +79,7 @@ def vanishes_on_diagonal(p: Poly, d: CubeDomain) -> bool:
     decides both sheets, and the first pair with a nonzero sum ends the
     check.
     """
-    if p.dim != d.n:
-        raise DimensionMismatchError(
-            f"polynomial dimension {p.dim} does not match domain dimension {d.n}"
-        )
+    d.check_dim(p)
     terms = p.terms.items()
     for i in range(d.n):
         for j in range(i + 1, d.n):
@@ -255,10 +251,7 @@ def check_onesided(
     walk stops at the first negative value in C order (reported with its
     point); otherwise grid_min is the first minimum.
     """
-    if f_minus_h.dim != d.n:
-        raise ValueError(
-            f"polynomial dimension {f_minus_h.dim} does not match domain {d.n}"
-        )
+    d.check_dim(f_minus_h)
     cofactor = _pair_square_cofactor(f_minus_h)
     if cofactor is not None and _certified_nonnegative(cofactor):
         return OneSidedness(kind=CERTIFIED, cofactor=cofactor)

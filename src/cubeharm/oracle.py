@@ -158,7 +158,7 @@ def _cell_sums(
     c * (+-1)^(alpha on the fixed axes) * R[|alpha|] * prod_free M[alpha_k].
     Each even term is summed once per cell, scaled by 2^fixed: the same
     floats as every term and sign pattern (see the module docstring).
-    ldexp's overflow and fsum's -inf + inf raise OverflowError; an inf product stays inf.
+    Raises OverflowError whenever a value it would return is not finite.
     """
     parts = []  # (|alpha|, c * prod_free M[alpha_k]) per cell and even term
     for axes in combinations(range(n), fixed):
@@ -168,14 +168,12 @@ def _cell_sums(
                 value *= box[alpha[k]]
             parts.append((e, value))
     try:
-        return [math.fsum(math.ldexp(v * table[e], fixed) for e, v in parts) for table in radials]
+        sums = [math.fsum(math.ldexp(v * table[e], fixed) for e, v in parts) for table in radials]
     except ValueError:  # parts that overflowed to opposite infinities
-        raise OverflowError("oracle parts overflow to opposite infinities") from None
-
-
-def _check_dim(p: Poly, d: CubeDomain) -> None:
-    if p.dim != d.n:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {d.n}")
+        sums = [math.nan]
+    if all(map(math.isfinite, sums)):
+        return sums
+    raise OverflowError("an oracle value leaves the float range")
 
 
 def _weighted_sums(
@@ -183,7 +181,7 @@ def _weighted_sums(
 ) -> list[float]:
     """Cube (fixed = 1) or diagonal (fixed = 2) integrals, one per weight;
     the box scaling leaves the Jacobian t^(n - fixed)."""
-    _check_dim(p, d)
+    d.check_dim(p)
     terms, degrees = _even_terms(p)
     q, profiles = spec.points_per_axis, [w.profile.coeffs for w in weights]
     radials = _radial_sums(profiles, float(d.r), q, d.n - fixed, degrees)
@@ -207,7 +205,7 @@ def numeric_integrate_boundary(
     p: Poly, d: CubeDomain, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """Surface integral of p over the 2n faces; a face is the cell end t = r."""
-    _check_dim(p, d)
+    d.check_dim(p)
     r, (terms, degrees) = float(d.r), _even_terms(p)
     box = _box_moments(spec.points_per_axis, p.total_degree)
     return _cell_sums(terms, d.n, 1, box, [{e: r ** (e + d.n - 1) for e in degrees}])[0]

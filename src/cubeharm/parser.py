@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive):
     atom    := INTEGER | VARIABLE | "(" expr ")"
 
 Variables are x1, x2, ... for multivariate input and t for univariate
-profiles.  Digits are the ASCII 0-9 only, at most MAX_DIGIT_RUN in a row.
+profiles.  Digits are the ASCII 0-9 only, at most MAX_DIGITS in a row.
 "^" requires a constant non-negative integer exponent.  "/" requires a
 constant nonzero right operand, which covers rational literals like 3/4;
 dividing by a polynomial is rejected.  Decimal literals are rejected to
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import DEFAULT_LIMITS, Limits, Poly, UniPoly, Value
+from .poly import DEFAULT_LIMITS, MAX_DIGITS, Limits, Poly, UniPoly, Value
 
 
 # Terms the products and powers of one expression may expand to, counted
@@ -47,10 +47,6 @@ MAX_EXPANDED_TERMS = 10_000
 # Python prints no integer of more than 4300 digits (about 14,300 bits), so
 # no report could show a larger coefficient.
 MAX_CONSTANT_BITS = 14_000
-
-# Digits in a row, in a literal or a variable index: int() reads no integer
-# of more than 4300 digits.
-MAX_DIGIT_RUN = 4300
 
 
 class ExprSyntaxError(ValueError):
@@ -77,13 +73,14 @@ class _Token(Value):
 
 
 def _digits_end(text: str, i: int) -> int:
-    """The end of the run of ASCII digits that starts at i."""
+    """The end of the run of ASCII digits that starts at i, a literal or a
+    variable index, which int() must read."""
     start = i
     while i < len(text) and "0" <= text[i] <= "9":
         i += 1
-    if i - start > MAX_DIGIT_RUN:
+    if i - start > MAX_DIGITS:
         raise ExprSyntaxError(
-            f"{i - start} digits in a row, above the limit of {MAX_DIGIT_RUN}", start
+            f"{i - start} digits in a row, above the limit of {MAX_DIGITS}", start
         )
     return i
 

@@ -26,6 +26,10 @@ from typing import Iterable, Mapping, Sequence
 Exponent = tuple[int, ...]
 RationalLike = Fraction | int | str
 
+# Python reads and prints no integer of more than 4300 digits, so no input
+# literal, radius or printed exact value may have more.
+MAX_DIGITS = 4300
+
 
 class DimensionMismatchError(ValueError):
     """Operands or arguments live in different ambient dimensions."""
@@ -98,12 +102,14 @@ def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
 
 
 def rational_to_text(q: Fraction) -> str:
-    """Render a rational as "p/q" with the sign on the numerator.  Python
-    prints no integer of more than 4300 digits."""
+    """Render a rational as "p/q" with the sign on the numerator, refused
+    past MAX_DIGITS digits."""
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
-        raise ValueError("exact value has more than 4300 digits in its numerator or denominator")
+        raise ValueError(
+            f"exact value has more than {MAX_DIGITS} digits in its numerator or denominator"
+        )
 
 
 class Poly(Value):

@@ -153,6 +153,23 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: job file field {field!r} must be")
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            # valid JSON, refused for its length; /dev/zero is in test_hostile_inputs.py
+            (" " * 1_000_000 + "{}", "more than 1000000 characters"),
+            ("[" * 100_000, "maximum recursion depth exceeded while decoding a JSON array"),
+        ],
+        ids=["too-long", "deep-nesting"],
+    )
+    def test_job_file_read_with_a_bound(self, capsys, tmp_path, text, reason):
+        job = tmp_path / "job.json"
+        job.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--job", str(job))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read job file {str(job)!r}: {reason}")
+        assert len(err.splitlines()) == 1
+
     def test_missing_dimension_without_job(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--deg", "2")
         assert code == 1
@@ -1109,8 +1126,16 @@ class TestFlagValues:
                 "radius must be positive, got -1",
             ),
             (["verify", "--n", "2", "--k", "-1,2"], "weight exponents must be >= 0"),
+            (
+                ["integrate", "--n", "2", "--region", "cube", "--poly", "1", "--r", "-0.5"],
+                "radius must be positive, got -1/2",
+            ),
+            (
+                ["integrate", "--n", "2", "--region", "cube", "--poly", "1", "--k", "-1"],
+                "weight exponent must be >= 0, got -1",
+            ),
         ],
-        ids=["fraction-radius", "integer-radius", "exponent-list"],
+        ids=["fraction-radius", "integer-radius", "exponent-list", "decimal-radius", "exponent"],
     )
     def test_negative_value_reaches_the_command(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -208,7 +208,8 @@ class TestValueClasses:
         )
 
     def test_round_trips(self):
-        report = run_suite(BasisRequest(2, 2, 1), D21, [Identity.VOLUME_MEAN], SuiteConfig(ks=(1,)))
+        basis = graded_basis(BasisRequest(2, 2, 1))
+        report = run_suite(basis, D21, [Identity.VOLUME_MEAN], SuiteConfig(ks=(1,)))
         check_round_trips(report)
         check_round_trips(SuiteConfig(phis=(UniPoly([0, 0, 1]),)))
 
@@ -216,7 +217,7 @@ class TestValueClasses:
 class TestRunSuite:
     def test_all_pass_report(self):
         report = run_suite(
-            BasisRequest(2, 8, 1),
+            graded_basis(BasisRequest(2, 8, 1)),
             D21,
             [Identity.SURFACE_MEAN, Identity.VOLUME_MEAN],
             SuiteConfig(ks=(0, 1, 2, 3)),
@@ -238,14 +239,15 @@ class TestRunSuite:
 
     def test_constant_basis(self):
         report = run_suite(
-            BasisRequest(2, 0, 1), D21, [Identity.SURFACE_MEAN], SuiteConfig()
+            graded_basis(BasisRequest(2, 0, 1)), D21, [Identity.SURFACE_MEAN], SuiteConfig()
         )
         assert report.all_pass
         assert len(report.entries) == 1
         assert report.entries[0].element_label == "deg0[0]"
 
     def test_json_shape_and_determinism(self):
-        args = (BasisRequest(2, 3, 1), D21, [Identity.VOLUME_MEAN], SuiteConfig(ks=(0, 1)))
+        basis = graded_basis(BasisRequest(2, 3, 1))
+        args = (basis, D21, [Identity.VOLUME_MEAN], SuiteConfig(ks=(0, 1)))
         first = run_suite(*args).to_json()
         second = run_suite(*args).to_json()
         assert first == second
@@ -266,7 +268,7 @@ class TestRunSuite:
 
     def test_csv_header(self):
         report = run_suite(
-            BasisRequest(2, 1, 1), D21, [Identity.SURFACE_MEAN], SuiteConfig()
+            graded_basis(BasisRequest(2, 1, 1)), D21, [Identity.SURFACE_MEAN], SuiteConfig()
         )
         lines = report.to_csv().splitlines()
         assert lines[0] == "identity,n,r,k_or_phi,m,element_label,residual,pass"
@@ -402,7 +404,7 @@ class TestSuiteMatchesResiduals:
         assert calls == [2] * len(phis) + [4] * len(phis)
 
     def test_identities_may_be_an_iterator(self):
-        args = (BasisRequest(2, 4, 2), D21)
+        args = (graded_basis(BasisRequest(2, 4, 2)), D21)
         config = SuiteConfig(m=2)
         ids = [Identity.VOLUME_MEAN, Identity.PIZZETTI]
         assert run_suite(*args, iter(ids), config) == run_suite(*args, ids, config)
@@ -686,7 +688,8 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("ids", [[Identity.VOLUME_MEAN], ALL_IDENTITIES])
     def test_suite_reports(self, ids):
-        passing = run_suite(BasisRequest(3, 4, 2), CubeDomain(3, Fraction(3, 2)), ids, SuiteConfig(m=2))
+        basis = graded_basis(BasisRequest(3, 4, 2))
+        passing = run_suite(basis, CubeDomain(3, Fraction(3, 2)), ids, SuiteConfig(m=2))
         failing = run_suite(
             [("sq", pp("-x1^2", 2)), ("\u00e9\"\\", pp("x2^4 - x1", 2))],
             D21,

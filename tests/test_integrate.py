@@ -20,6 +20,12 @@ from cubeharm.integrate import (
     integrate_diagonal,
     measure,
 )
+from cubeharm.onesided import check_onesided, vanishes_on_diagonal
+from cubeharm.oracle import (
+    numeric_integrate_boundary,
+    numeric_integrate_cube_many,
+    numeric_integrate_diagonal_many,
+)
 from cubeharm.poly import DimensionMismatchError, Poly, UniPoly
 from cubeharm.sampling import random_poly
 
@@ -65,6 +71,25 @@ class TestCubeDomain:
 
     def test_round_trips(self):
         check_round_trips(CubeDomain(3, "7/5"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: integrate_cube(p, D21, Weight.power(0)),
+            lambda p: integrate_boundary(p, D21),
+            lambda p: numeric_integrate_cube_many(p, D21, [Weight.power(0)]),
+            lambda p: numeric_integrate_diagonal_many(p, D21, [Weight.power(0)]),
+            lambda p: numeric_integrate_boundary(p, D21),
+            lambda p: check_onesided(p, D21),
+            lambda p: vanishes_on_diagonal(p, D21),
+        ],
+        ids=["cube", "boundary", "oracle-cube", "oracle-diagonal", "oracle-boundary",
+             "check_onesided", "vanishes_on_diagonal"],
+    )
+    def test_one_dimension_refusal(self, call):
+        with pytest.raises(DimensionMismatchError) as err:
+            call(pp("x1^2", 3))
+        assert str(err.value) == "polynomial dimension 3 does not match domain dimension 2"
 
 
 class TestWeight:

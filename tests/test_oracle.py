@@ -470,6 +470,13 @@ class TestSharedTables:
         d = CubeDomain(3, Fraction(10) ** 200)
         assert numeric_integrate_cube_many(pp("x1^4", 3), d, []) == []
 
+    @pytest.mark.parametrize("r", [10**40, 10**45], ids=["product", "row"])
+    def test_overflow_raises(self, r):
+        # at 10^40 a product v * R[e] overflows to inf, at 10^45 a radial row
+        p, weights = pp("9*x1^4*x2^2 + 1", 2), [Weight.power(0), Weight.power(2)]
+        with pytest.raises(OverflowError):
+            numeric_integrate_cube_many(p, CubeDomain(2, r), weights)
+
     def test_box_moments_cached_and_bounded(self):
         first = oracle._box_moments(24, 6)
         assert oracle._box_moments(24, 6) is first

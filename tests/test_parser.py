@@ -125,7 +125,7 @@ class TestParseErrors:
         assert (err.value.position, err.value.reason) == (position, reason)
 
     def test_literal_digit_run_bounded(self):
-        digits = "1" * parser.MAX_DIGIT_RUN
+        digits = "1" * parser.MAX_DIGITS
         assert parse_poly(f"x1 + {digits}") == parse_poly("x1") + Poly.const(1, int(digits))
         with pytest.raises(ExprSyntaxError) as err:
             parse_poly(f"x1 + {digits}1")
@@ -133,7 +133,7 @@ class TestParseErrors:
         assert err.value.reason == "4301 digits in a row, above the limit of 4300"
 
     def test_variable_index_digit_run_bounded(self):
-        zeros = "0" * (parser.MAX_DIGIT_RUN - 1)
+        zeros = "0" * (parser.MAX_DIGITS - 1)
         assert parse_poly(f"x{zeros}1") == parse_poly("x1")
         with pytest.raises(ExprSyntaxError) as err:
             parse_poly(f"x1 * x0{zeros}1")

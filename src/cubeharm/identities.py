@@ -22,7 +22,6 @@ and a silent pass would poison every report downstream.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 from fractions import Fraction
@@ -264,6 +263,8 @@ class IdentityReport(Value):
         )
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # the columns are the entry's fields, with "passed" written as "pass"

@@ -9,6 +9,9 @@ import pytest
 from cubeharm.cli import main
 
 
+K_1000 = ",".join(map(str, range(1000)))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -186,31 +189,32 @@ class TestVerify:
         ids=["poly-huge", "poly-one-above", "phi-huge", "both"],
     )
     def test_expression_degree_refused_before_parsing(self, capsys, monkeypatch, argv):
-        import cubeharm.cli as cli
+        import cubeharm._cli_verify as verify
+        import cubeharm.parser as parser
 
         def refuse(*args, **kwargs):
             raise AssertionError("parsed before the degree check")
 
-        monkeypatch.setattr(cli, "parse_poly", refuse)
-        monkeypatch.setattr(cli, "parse_unipoly", refuse)
+        monkeypatch.setattr(parser, "parse_poly", refuse)
+        monkeypatch.setattr(parser, "parse_unipoly", refuse)
         code, out, err = run_cli(capsys, "verify", "--n", "2", *argv)
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith(
             f"error: --deg {argv[1]} raises the degree limit of --poly and --phi to {argv[1]}, "
-            f"above the limit of {cli.MAX_VERIFY_DEGREE}"
+            f"above the limit of {verify.MAX_VERIFY_DEGREE}"
         )
 
     def test_job_file_expression_degree_refused_before_parsing(
         self, capsys, monkeypatch, tmp_path
     ):
-        import cubeharm.cli as cli
+        import cubeharm.parser as parser
 
         def refuse(*args, **kwargs):
             raise AssertionError("parsed before the degree check")
 
-        monkeypatch.setattr(cli, "parse_poly", refuse)
+        monkeypatch.setattr(parser, "parse_poly", refuse)
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"n": 2, "deg": 10**8, "poly": "x1^100000000"}))
         code, out, err = run_cli(capsys, "verify", "--job", str(job))
@@ -272,15 +276,15 @@ class TestVerify:
         ],
     )
     def test_oversized_requests_refused_before_any_work(self, capsys, monkeypatch, argv, message):
-        import cubeharm.cli as cli
         import cubeharm.identities as identities
         import cubeharm.kernel as kernel
+        import cubeharm.parser as parser
 
         def refuse(*args, **kwargs):
             raise AssertionError("verify started before the budget check")
 
         for module, name in [
-            (cli, "parse_poly"), (cli, "parse_unipoly"), (identities, "run_suite"),
+            (parser, "parse_poly"), (parser, "parse_unipoly"), (identities, "run_suite"),
             (kernel, "graded_basis"), (kernel, "homogeneous_kernel"),
         ]:
             monkeypatch.setattr(module, name, refuse)
@@ -289,6 +293,45 @@ class TestVerify:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: " + message)
+
+    @pytest.mark.parametrize(
+        "argv, bits",
+        [
+            ("--n 2 --deg 8 --identities volume --r 1e30 --k " + K_1000, 612_600_000),
+            ("--n 2 --deg 8 --identities volume --r 1e100 --k " + K_1000, 2_039_958_000),
+            ("--n 8 --deg 6 --r 1e4299 --k " + ",".join(map(str, range(20))), 71_976_240),
+        ],
+        ids=["k1000-1e30", "k1000-1e100", "n8-k20-1e4299"],
+    )
+    def test_radial_factors_above_the_bit_budget_refused(self, capsys, monkeypatch, argv, bits):
+        # each factor is far inside MAX_RADIUS_POWER_BITS, but together they
+        # took 16 s, 66 s and 9 s
+        import cubeharm.identities as identities
+        import cubeharm.kernel as kernel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify started before the radial bit budget")
+
+        monkeypatch.setattr(identities, "run_suite", refuse)
+        monkeypatch.setattr(kernel, "graded_basis", refuse)
+        assert run_cli(capsys, "verify", *argv.split()) == (
+            1,
+            "",
+            f"error: verify builds radial factors with about {bits} bits of powers of r "
+            "in all, above the limit of 50000000\n",
+        )
+
+    def test_benchmark_requests_far_below_the_bit_budget(self, capsys, monkeypatch):
+        # the benchmark's verify items, with a thousandth of the budget
+        import cubeharm._cli_verify as verify
+
+        monkeypatch.setattr(verify, "MAX_VERIFY_RADIAL_BITS", verify.MAX_VERIFY_RADIAL_BITS // 1000)
+        for argv in (
+            ["--n", "2", "--deg", "6", "--r", "3"],
+            ["--n", "3", "--deg", "4", "--identities", "pizzetti", "--format", "csv"],
+        ):
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert (code, err) == (0, "")
 
     def test_requests_at_the_weight_limits_run(self, capsys):
         code, out, _ = run_cli(
@@ -360,12 +403,12 @@ class TestIntegrate:
         assert out == "8/315\n"
 
     def test_weight_degree_refused_before_any_work(self, capsys, monkeypatch):
-        import cubeharm.cli as cli
+        import cubeharm.parser as parser
 
         def refuse(*args, **kwargs):
             raise AssertionError("integrated before the weight check")
 
-        monkeypatch.setattr(cli, "parse_poly", refuse)
+        monkeypatch.setattr(parser, "parse_poly", refuse)
         code, out, err = run_cli(
             capsys, "integrate", "--n", "2", "--region", "cube", "--poly", "1", "--k", "20000"
         )
@@ -397,7 +440,7 @@ class TestIntegrate:
         assert "offset" in err
 
     def test_dimension_bound(self, capsys):
-        from cubeharm.cli import MAX_DIM
+        from cubeharm._cli_common import MAX_DIM
 
         argv = ["integrate", "--region", "diagonal", "--poly", "x1^2", "--n"]
         code, out, _ = run_cli(capsys, *argv, str(MAX_DIM))
@@ -712,14 +755,14 @@ class TestCrosscheck:
              "k-list", "poly-degree", "k-degree", "k-negative", "k-list-of-large-k"],
     )
     def test_oversized_requests_refused_before_any_work(self, capsys, monkeypatch, argv, message):
-        import cubeharm.cli as cli
         import cubeharm.oracle as oracle
+        import cubeharm.parser as parser
         import cubeharm.sampling as sampling
 
         def refuse(*args, **kwargs):
             raise AssertionError("crosscheck started before the budget check")
 
-        monkeypatch.setattr(cli, "parse_poly", refuse)
+        monkeypatch.setattr(parser, "parse_poly", refuse)
         monkeypatch.setattr(sampling, "random_poly", refuse)
         monkeypatch.setattr(oracle, "QuadratureSpec", refuse)
         if "--n" not in argv:
@@ -851,10 +894,10 @@ class TestGrid:
         assert peak < sink.size // 10
 
     def test_out_is_atomic_when_a_row_fails(self, capsys, monkeypatch, tmp_path):
-        import cubeharm.cli as cli
+        import cubeharm._cli_grid as grid
 
         calls = []
-        float17 = cli._float17
+        float17 = grid._float17
 
         def failing(x):
             calls.append(x)
@@ -862,7 +905,7 @@ class TestGrid:
                 raise OSError("disk full")
             return float17(x)
 
-        monkeypatch.setattr(cli, "_float17", failing)
+        monkeypatch.setattr(grid, "_float17", failing)
         target = tmp_path / "grid.csv"
         target.write_text("old\n")
         code, _, err = run_cli(
@@ -931,13 +974,13 @@ class TestGrid:
         assert code == 1
 
     def test_resolution_above_point_budget_refused(self, capsys, monkeypatch):
-        import cubeharm.cli as cli
+        import cubeharm._cli_grid as grid
         from cubeharm.onesided import MAX_GRID_POINTS
 
         def refuse(*args):
             raise AssertionError("grid built before the budget check")
 
-        monkeypatch.setattr(cli, "lattice_terms", refuse)
+        monkeypatch.setattr(grid, "lattice_terms", refuse)
         res = math.isqrt(MAX_GRID_POINTS) + 1
         code, out, err = run_cli(capsys, "grid", "--n", "2", "--f", "x1", "--res", str(res))
         assert code == 1
@@ -957,13 +1000,13 @@ class TestGrid:
         ids=["linear", "example", "dense16"],
     )
     def test_resolution_above_term_budget_refused(self, capsys, monkeypatch, f, h, res, per_point):
-        import cubeharm.cli as cli
+        import cubeharm._cli_grid as grid
 
         def refuse(*args):
             raise AssertionError("grid built before the budget check")
 
-        monkeypatch.setattr(cli, "lattice_terms", refuse)
-        assert res * res * per_point > cli.MAX_GRID_TERM_EVALS
+        monkeypatch.setattr(grid, "lattice_terms", refuse)
+        assert res * res * per_point > grid.MAX_GRID_TERM_EVALS
         code, out, err = run_cli(capsys, "grid", "--n", "2", "--f", f, "--h", h, "--res", str(res))
         assert code == 1
         assert out == ""
@@ -997,7 +1040,7 @@ class TestExactValueDigits:
 
 class TestRadiusBound:
     """A radius past Python's 4300-digit integer limit, or whose powers in
-    an exact value pass cli.MAX_RADIUS_POWER_BITS, is refused before any
+    an exact value pass _cli_common.MAX_RADIUS_POWER_BITS, is refused before any
     integral is taken."""
 
     @pytest.fixture(autouse=True)
@@ -1042,12 +1085,12 @@ class TestRadiusBound:
         "r", ["1e20000", "-1e-20000", "1e99999999999999999999", "12.5e13000"]
     )
     def test_large_exponent_refused_before_the_radius_is_built(self, capsys, monkeypatch, r):
-        import cubeharm.cli as cli
+        import cubeharm._cli_common as common
 
         def refuse(*args):
             raise AssertionError("Fraction built")
 
-        monkeypatch.setattr(cli, "Fraction", refuse)
+        monkeypatch.setattr(common, "Fraction", refuse)
         code, out, err = run_cli(
             capsys, "integrate", "--n", "2", "--region", "cube", "--poly", "1", "--r", r
         )
@@ -1072,7 +1115,7 @@ class TestRadiusBound:
              "1e12900", "nines-and-a-half", "1e4300", "1e-4300"],
     )
     def test_digit_limit(self, r, admitted):
-        from cubeharm.cli import UsageError, _parse_radius
+        from cubeharm._cli_common import UsageError, _parse_radius
 
         if admitted:
             assert _parse_radius(r) == Fraction(r)
@@ -1096,9 +1139,9 @@ class TestRadiusBound:
         self, capsys, monkeypatch, argv, degree
     ):
         # r = 3 has 2 bits, so r^degree counts 2 * degree of them
-        import cubeharm.cli as cli
+        import cubeharm._cli_common as common
 
-        monkeypatch.setattr(cli, "MAX_RADIUS_POWER_BITS", 2 * degree - 1)
+        monkeypatch.setattr(common, "MAX_RADIUS_POWER_BITS", 2 * degree - 1)
         argv = [*argv.split(), "--r", "3"]
         assert run_cli(capsys, *argv) == (
             1,
@@ -1106,7 +1149,7 @@ class TestRadiusBound:
             f"error: r^{degree} at this radius has about {2 * degree} bits, "
             f"above the limit of {2 * degree - 1}\n",
         )
-        monkeypatch.setattr(cli, "MAX_RADIUS_POWER_BITS", 2 * degree)
+        monkeypatch.setattr(common, "MAX_RADIUS_POWER_BITS", 2 * degree)
         with pytest.raises(AssertionError, match="integral taken"):
             main(argv)
 
@@ -1198,3 +1241,41 @@ class TestDeterminism:
             os.close(reader)
         assert received.decode() == expected
         assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--n", "2", "--deg", "2", "--k", "0"], ["basis", "--n", "2", "--deg", "2"]],
+        ids=["verify", "basis"],
+    )
+    def test_out_error_names_the_given_path(self, capsys, argv):
+        # the OS reason and the user's path, not the random temp file's name
+        code, out, err = run_cli(capsys, *argv, "--out", "/nonexistent/x")
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err == "error: [Errno 2] No such file or directory: '/nonexistent/x'\n"
+        assert ".cubeharm-" not in err
+
+
+class TestHelp:
+    # sha256 of each --help text at COLUMNS=80, as the CLI printed it before
+    # its handlers moved out of cli.py
+    DIGESTS = {
+        "": "c4397e681ac8982526413906fc584ab88e9843e07481cace896ebf7927d91b42",
+        "verify": "7e9ba4bfd05a94bf9a8194feb8e774a995404ceb10e84d8320de8d5dc17ee9c4",
+        "basis": "e6c82fe5007bdc4218c96aeab82f203ad8958e5faa0f31b4f20ad9adab7a3066",
+        "integrate": "8a7c913b34d0d8cff7c780e4dab077efa3400e2553cb69ca499b04ccfdc093ee",
+        "approx": "497f8b3c4ff3919c9e0702db8cfcf0c1a2263df48f62f37de9ea137c1607b60f",
+        "crosscheck": "2a01192c51a0faee22f6c92fa57740cee84b47e5f00e9ca9148e86a5c76017ea",
+        "grid": "463f9733c1309ec6b3241c9aa99230a5bb5cfe0252a483c14582702769f17403",
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS), ids=lambda c: c or "cubeharm")
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        import hashlib
+
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == self.DIGESTS[command]

@@ -69,7 +69,7 @@ def _cases():
             for i, value in enumerate(VALUES + extra):
                 name = f"{command} {flag} #{i} {value[:16]}"
                 yield name, [command, *_with_flag(base, flag, value)]
-    from cubeharm.cli import _JOB_FIELDS
+    from cubeharm._cli_verify import _JOB_FIELDS
 
     for field in _JOB_FIELDS:
         for i, value in enumerate(JOB_VALUES):

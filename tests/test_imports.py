@@ -1,12 +1,14 @@
 """What each entry point imports: `import cubeharm` loads no submodule, a
-CLI subcommand loads only the layers it runs, none loads `dataclasses`
-or `inspect`, and no module of the package but `_kernels` imports numpy."""
+CLI subcommand loads exactly its own handler and the layers it runs, none
+loads `dataclasses` or `inspect`, and no module of the package but
+`_kernels` imports numpy."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -20,15 +22,18 @@ PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 # (which imports `inspect`) and the exec'd source of each decorated class
 # cost every CLI process about 15-25 ms of start-up.
 SLOW_STDLIB = {"dataclasses", "inspect"}
+# Standard-library modules that only some subcommands use: `json` costs
+# about 1.1 ms to import and `csv` about 0.3 ms.
+CHECKED_STDLIB = SLOW_STDLIB | {"json", "csv"}
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The cubeharm submodules, and the modules of SLOW_STDLIB, that a fresh
-    interpreter holds after running code."""
+    """The cubeharm submodules, and the modules of CHECKED_STDLIB, that a
+    fresh interpreter holds after running code."""
     code += (
         "\nimport sys"
         "\nprint(' '.join(m for m in sys.modules"
-        f" if m.startswith('cubeharm.') or m in {sorted(SLOW_STDLIB)}))"
+        f" if m.startswith('cubeharm.') or m in {sorted(CHECKED_STDLIB)}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -54,40 +59,66 @@ def test_package_import_loads_no_submodule():
     assert _loaded_after("import cubeharm") == set()
 
 
-def test_cli_import_loads_parser_and_poly_only():
-    assert _loaded_after("import cubeharm.cli") == {"cli", "parser", "poly"}
+# what every subcommand loads: the dispatcher, the shared helpers and the
+# polynomial layer
+DISPATCH = {"cli", "_cli_common", "poly"}
+
+
+def test_cli_import_loads_common_and_poly_only():
+    # no handler, no expression parser, no json or csv
+    assert _loaded_after("import cubeharm.cli") == DISPATCH
 
 
 @pytest.mark.parametrize(
-    "argv,unused",
+    "argv,loaded",
     [
         (
             ["integrate", "--n", "2", "--region", "cube", "--poly", "x1^2"],
-            {"identities", "kernel", "onesided", "oracle", "sampling"},
+            {"_cli_integrate", "parser", "integrate"},
         ),
-        (["basis", "--n", "2", "--deg", "3"], {"identities", "onesided", "oracle"}),
+        (["basis", "--n", "2", "--deg", "3"], {"_cli_basis", "kernel"}),
+        (
+            ["basis", "--n", "2", "--deg", "3", "--format", "json"],
+            {"_cli_basis", "kernel", "json"},
+        ),
         (
             ["crosscheck", "--n", "3", "--count", "2", "--deg", "4"],
-            {"identities", "kernel", "onesided"},
+            {"_cli_crosscheck", "integrate", "oracle", "sampling"},
+        ),
+        (
+            ["crosscheck", "--n", "3", "--poly", "x1^2", "--k", "0"],
+            {"_cli_crosscheck", "parser", "integrate", "oracle"},
         ),
         (
             ["approx", "--n", "2", "--f", "x1^2 + 1", "--h", "0", "--phi", "t^2/2"],
-            {"identities", "oracle"},
+            {"_cli_approx", "parser", "integrate", "kernel", "onesided", "json"},
         ),
         (
             ["grid", "--n", "2", "--f", "x1^2*x2^2", "--h", "x1*x2", "--res", "5"],
-            {"onesided", "kernel", "identities", "oracle", "sampling"},
+            {"_cli_grid", "parser", "integrate", "csv"},
         ),
         (
             ["verify", "--n", "2", "--deg", "3", "--k", "0,1"],
-            {"onesided", "oracle", "sampling"},
+            {"_cli_verify", "identities", "integrate", "kernel", "json"},
+        ),
+        (
+            ["verify", "--n", "2", "--deg", "3", "--k", "0,1", "--format", "csv"],
+            {"_cli_verify", "identities", "integrate", "kernel", "json", "csv"},
+        ),
+        (
+            ["verify", "--n", "2", "--poly", "x1*x2", "--k", "0"],
+            {"_cli_verify", "parser", "identities", "integrate", "kernel", "json"},
         ),
     ],
-    ids=["integrate", "basis", "crosscheck", "approx-phi", "grid", "verify"],
+    ids=[
+        "integrate", "basis", "basis-json", "crosscheck", "crosscheck-poly", "approx-phi",
+        "grid", "verify", "verify-csv", "verify-poly",
+    ],
 )
-def test_subcommand_loads_only_what_it_runs(argv, unused):
-    loaded = _loaded_by_cli(*argv)
-    assert loaded.isdisjoint(unused | SLOW_STDLIB), sorted(loaded & (unused | SLOW_STDLIB))
+def test_subcommand_loads_only_what_it_runs(argv, loaded):
+    # exactly its own handler module and the layers it runs; `json` comes
+    # with `identities` and `onesided`, which write JSON
+    assert _loaded_by_cli(*argv) == DISPATCH | loaded
 
 
 def test_benchmark_traces_every_name_it_reads():
@@ -114,6 +145,21 @@ def test_benchmark_traces_every_name_it_reads():
     measured, unmeasured = json.loads(out.stdout.splitlines()[-1])
     assert unmeasured == []
     assert len(measured) == 23
+
+
+def test_every_module_is_below_the_token_step():
+    # CPython's parser grows its token buffer past 4096 tokens, and a module
+    # above that step costs each process that compiles it about 0.26 MB more
+    # peak memory; every CLI process compiles the modules it imports
+    counts = {}
+    for path in sorted(Path(SRC, "cubeharm").glob("*.py")):
+        with path.open("rb") as fh:
+            counts[path.name] = sum(
+                tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                for tok in tokenize.tokenize(fh.readline)
+            )
+    assert "poly.py" in counts
+    assert {name: n for name, n in counts.items() if n >= 4096} == {}
 
 
 def _imported_modules(path: Path) -> set[str]:

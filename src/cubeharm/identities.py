@@ -53,55 +53,72 @@ class Identity(enum.Enum):
     PIZZETTI = "pizzetti"
 
 
-# Each factory below makes one parameter's integrals and masses once and
-# returns the residual of one element, given as its degree sums.  A residual
-# is one linear functional of those sums: each mass it divides by, and the
-# factor 2 on a diagonal, is folded into that integral's radial factors
-# (computed once per degree), so it reads cube - diagonal, or cube minus the
-# sum of the diagonals, with no division per element.  A parity-odd element
-# (every term has an odd exponent) has empty degree sums and gets the exact
-# integer 0 with no Fraction arithmetic; the public residual_* functions
-# return it as a Fraction.  A profile condition is decided once per factory
-# and raised from the residual, so it surfaces at an element and after the
-# polyharmonic check.  The public residual_* functions and run_suite both go
-# through them.
+# Every residual is one row: (functional, link) terms over an element's
+# Laplacian chain [g, Lap g, ..., Lap^m g], summed.  Each functional is an
+# `integral` with its mass, the factor 2 of a diagonal and its sign folded
+# into its radial factors (computed once per degree), so a row divides
+# nothing per element.  By the paper's Green identity three identities are
+# one row, `_green`: the quadrature is Pizzetti at m = 1 without the
+# polyharmonic check, and the volume mean at power k is the quadrature at
+# u^(k+2)/(k+2)! over the cube mass; the surface mean is a boundary term
+# and a diagonal term.  A parity-odd element (every term has an odd
+# exponent) has empty degree sums and gets the exact integer 0 with no
+# Fraction arithmetic.  A profile condition is decided once per row and
+# raised from the residual, after the polyharmonic check.
 
 
-def _surface_mean(d: CubeDomain) -> Callable[[DegreeSums], Fraction | int]:
-    boundary = integral(d, Region.BOUNDARY, scale=1 / measure(d, Region.BOUNDARY, 0))
-    diagonal = integral(
-        d, Region.DIAGONAL, Weight.power(0), scale=1 / measure(d, Region.DIAGONAL, 0)
-    )
+def _row(terms: list[tuple[Callable, int]]) -> Callable[[list[DegreeSums]], Fraction | int]:
+    """The residual of one element's Laplacian chain: the sum of each
+    term's functional of its link of the chain."""
+    (first, link), *rest = terms
 
-    def residual(h: DegreeSums) -> Fraction | int:
-        return boundary(h) - diagonal(h)
-
-    return residual
-
-
-def _volume_mean(d: CubeDomain, k: int) -> Callable[[DegreeSums], Fraction | int]:
-    cube = integral(d, Region.CUBE, Weight.power(k), scale=1 / measure(d, Region.CUBE, k))
-    diagonal = integral(
-        d, Region.DIAGONAL, Weight.power(k + 1), scale=1 / measure(d, Region.DIAGONAL, k + 1)
-    )
-
-    def residual(h: DegreeSums) -> Fraction | int:
-        return cube(h) - diagonal(h)
+    def residual(chain: list[DegreeSums]) -> Fraction | int:
+        value = first(chain[link])
+        for functional, j in rest:
+            value += functional(chain[j])
+        return value
 
     return residual
 
 
-def _weighted_quadrature(d: CubeDomain, phi: UniPoly) -> Callable[[DegreeSums], Fraction | int]:
-    cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2)))
-    diagonal = integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(1)), scale=2)
-    failure = _vanishing_failure(phi, 2)
+def _green(
+    d: CubeDomain, phi: UniPoly, m: int, scale: Fraction | int = 1, check: bool = False
+) -> Callable[[list[DegreeSums]], Fraction | int]:
+    """The row of scale * (int_cube phi^(2m)(r-M) g - 2 sum_{s<m} int_diag
+    phi^(2s+1)(r-M) Lap^(m-1-s) g); with check, a g whose Lap^m is not zero
+    is refused before the profile condition."""
+    if m < 1:
+        raise ValueError(f"polyharmonic order must be >= 1, got {m}")
+    # the diagonals with 2s + 1 > deg phi are identically 0 and are not built
+    row = _row(
+        [(integral(d, Region.CUBE, Weight(phi.derivative(2 * m)), scale), 0)]
+        + [
+            (integral(d, Region.DIAGONAL, Weight(phi.derivative(2 * s + 1)), -2 * scale), m - 1 - s)
+            for s in range(min(m, (phi.degree + 1) // 2))
+        ]
+    )
+    failure = _vanishing_failure(phi, 2 * m)
+    if failure is None and not check:
+        return row
 
-    def residual(h: DegreeSums) -> Fraction | int:
+    def residual(chain: list[DegreeSums]) -> Fraction | int:
+        if check and not chain[m].poly.is_zero:
+            raise NotPolyharmonicError(f"input is not {m}-polyharmonic: Laplacian^{m} != 0")
         if failure is not None:
             raise WeightConditionError(failure)
-        return cube(h) - diagonal(h)
+        return row(chain)
 
     return residual
+
+
+def _surface_row(d: CubeDomain) -> Callable[[list[DegreeSums]], Fraction | int]:
+    boundary = integral(d, Region.BOUNDARY, scale=1 / measure(d, Region.BOUNDARY))
+    diagonal = integral(d, Region.DIAGONAL, Weight.power(0), -1 / measure(d, Region.DIAGONAL))
+    return _row([(boundary, 0), (diagonal, 0)])
+
+
+def _volume_row(d: CubeDomain, k: int) -> Callable[[list[DegreeSums]], Fraction | int]:
+    return _green(d, Weight.power(k + 2).profile, 1, 1 / measure(d, Region.CUBE, k))
 
 
 def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
@@ -115,44 +132,14 @@ def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
     return chain
 
 
-def _pizzetti(
-    d: CubeDomain, m: int, phi: UniPoly
-) -> Callable[[list[DegreeSums]], Fraction | int]:
-    """Residual of one element given as its Laplacian chain [g, ..., Lap^m g]."""
-    if m < 1:
-        raise ValueError(f"polyharmonic order must be >= 1, got {m}")
-    cube = integral(d, Region.CUBE, Weight.from_profile(phi.derivative(2 * m)))
-    # diagonals[s] carries 2 phi^(2s+1) and applies to Lap^(m-1-s) g; those
-    # with 2s + 1 > deg phi are identically 0 and are not built
-    diagonals = [
-        integral(d, Region.DIAGONAL, Weight.from_profile(phi.derivative(2 * s + 1)), scale=2)
-        for s in range(min(m, (phi.degree + 1) // 2))
-    ]
-    failure = _vanishing_failure(phi, 2 * m)
-
-    def residual(chain: list[DegreeSums]) -> Fraction | int:
-        if not chain[m].poly.is_zero:
-            raise NotPolyharmonicError(
-                f"input is not {m}-polyharmonic: Laplacian^{m} != 0"
-            )
-        if failure is not None:
-            raise WeightConditionError(failure)
-        value = cube(chain[0])
-        for s, diagonal in enumerate(diagonals):
-            value -= diagonal(chain[m - 1 - s])
-        return value
-
-    return residual
-
-
 def residual_surface_mean(h: Poly, d: CubeDomain) -> Fraction:
     """Boundary mean minus diagonal mean (both unweighted)."""
-    return Fraction(_surface_mean(d)(DegreeSums(h)))
+    return Fraction(_surface_row(d)([DegreeSums(h)]))
 
 
 def residual_volume_mean(h: Poly, d: CubeDomain, k: int = 0) -> Fraction:
     """Weighted cube mean (power k) minus weighted diagonal mean (power k+1)."""
-    return Fraction(_volume_mean(d, k)(DegreeSums(h)))
+    return Fraction(_volume_row(d, k)([DegreeSums(h)]))
 
 
 def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fraction:
@@ -160,7 +147,7 @@ def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fracti
 
     Requires phi(0) = phi'(0) = 0, checked symbolically on the coefficients.
     """
-    return Fraction(_weighted_quadrature(d, phi)(DegreeSums(h)))
+    return Fraction(_green(d, phi, 1)([DegreeSums(h)]))
 
 
 def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
@@ -171,7 +158,7 @@ def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
     vanish to order 2m at 0 and g to be m-polyharmonic; the two failures
     raise distinct errors, and the polyharmonic check comes first.
     """
-    return Fraction(_pizzetti(d, m, phi)(_laplacian_chain(g, m)))
+    return Fraction(_green(d, phi, m, check=True)(_laplacian_chain(g, m)))
 
 
 # -- suite runner --------------------------------------------------------------
@@ -293,19 +280,20 @@ def _labelled_elements(
 def _parameters(
     identity: Identity, d: CubeDomain, config: SuiteConfig
 ) -> list[tuple[str, Callable[[], Callable]]]:
-    """(k_or_phi label, factory of the residual of one element) for each
-    parameter, in order.  Pizzetti residuals take an element's Laplacian
-    chain, the others the element itself."""
+    """(k_or_phi label, factory of the row of one element's chain) for each
+    parameter, in order."""
     if identity is Identity.SURFACE_MEAN:
-        return [("", lambda: _surface_mean(d))]
+        return [("", lambda: _surface_row(d))]
     if identity is Identity.VOLUME_MEAN:
-        return [(str(k), lambda k=k: _volume_mean(d, k)) for k in config.ks]
+        return [(str(k), lambda k=k: _volume_row(d, k)) for k in config.ks]
     if identity is Identity.WEIGHTED_QUADRATURE:
         phis = config.phis or default_quadrature_profiles()
-        return [(uni_to_text(phi), lambda phi=phi: _weighted_quadrature(d, phi)) for phi in phis]
+        return [(uni_to_text(phi), lambda phi=phi: _green(d, phi, 1)) for phi in phis]
     if identity is Identity.PIZZETTI:
         phis = config.phis or default_pizzetti_profiles(config.m)
-        return [(uni_to_text(phi), lambda phi=phi: _pizzetti(d, config.m, phi)) for phi in phis]
+        return [
+            (uni_to_text(phi), lambda phi=phi: _green(d, phi, config.m, check=True)) for phi in phis
+        ]
     raise ValueError(f"unknown identity {identity!r}")
 
 
@@ -327,21 +315,20 @@ def run_suite(
         for identity in identities
         for k_or_phi, build in _parameters(identity, d, config)
     ]
-    # each element's Laplacian chain, shared by every Pizzetti profile; the
-    # degree sums of each link are built once, on first use
+    # each element's Laplacian chain, shared by every row, with links past g
+    # only for Pizzetti; the degree sums of each link are built on first use
     pizzetti = any(identity is Identity.PIZZETTI for identity, _, _ in cases)
     chains = [_laplacian_chain(p, config.m if pizzetti else 0) for _, p in elements]
     r = rational_to_text(d.r)
     entries = []
     for identity, k_or_phi, build in cases:
         m = config.m if identity is Identity.PIZZETTI else 1
-        inputs = chains if identity is Identity.PIZZETTI else [chain[0] for chain in chains]
         residual = None
-        for (label, _), x in zip(elements, inputs):
+        for (label, _), chain in zip(elements, chains):
             try:
                 # built at the first element, so parameter errors carry its label
                 residual = residual or build()
-                value = residual(x)
+                value = residual(chain)
             except ValueError as exc:
                 raise type(exc)(f"{identity.value} on {label}: {exc}") from exc
             entries.append(

@@ -192,10 +192,10 @@ def integral(
     * r^(a + n - 1) on the boundary (where w is ignored), as one linear
     functional of a polynomial's degree sums.
 
-    The constant `scale` (the reciprocal of a mass for a mean, or the
-    factor 2 of a quadrature diagonal) is folded into the radial factor of
-    each degree, which is computed once per degree for the life of the
-    returned function; a residual is then a difference of such functionals.
+    The constant `scale` (a term's reciprocal mass, the factor 2 of a
+    diagonal and the term's sign) is folded into the radial factor of each
+    degree, which is computed once per degree for the life of the returned
+    function; a residual is then the sum of its row's functionals.
     A parity-odd polynomial (each term has an odd exponent, so its degree
     sums are empty) gives the exact integer 0 with no Fraction arithmetic.
     Any other value is a Fraction.

@@ -5,6 +5,7 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from cubeharm.integrate import CubeDomain
@@ -63,6 +64,11 @@ def example2():
 
 
 # -- hypothesis strategies ----------------------------------------------------
+
+# every @given draws the same examples on each run, seeded from the test
+# itself, so a tier-1 result does not depend on the run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 fractions_st = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=10

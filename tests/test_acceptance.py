@@ -53,7 +53,7 @@ from cubeharm.oracle import (
     numeric_integrate_diagonal,
     numeric_integrate_diagonal_many,
 )
-from cubeharm.poly import UniPoly
+from cubeharm.poly import UniPoly, laplacian
 
 RADII = (Fraction(1, 2), Fraction(1), Fraction(3))
 KS = (0, 1, 2, 3)
@@ -163,6 +163,17 @@ def test_criterion_5_companion_recomputed_error_value():
     record(5, True, "companion: error exactly 128/75, oracle agrees to 1e-10")
 
 
+def test_criterion_5_companion_from_green_form():
+    """128/75 from f alone, with no h: a harmonic minorant interpolating f on
+    the diagonal set has error int_cube (f - h) = int_cube (1-M)^2/2 Lap f,
+    the quadrature residual of f at phi = t^2/2."""
+    f = pp("x1^8 + 14*x1^4*x2^4 + x2^8")
+    t2 = Weight.power(2).profile  # t^2/2
+    error = residual_weighted_quadrature(f, CubeDomain(2, Fraction(1)), t2)
+    assert error == Fraction(128, 75)
+    record(5, True, "companion: the quadrature residual of f is 128/75, with no h")
+
+
 def test_criterion_6_mass_closed_forms():
     """Region masses match the closed forms for n <= 6, k <= 4."""
     checked = 0
@@ -211,6 +222,17 @@ def test_criterion_7_companion_recomputed_value():
     )
     assert abs(numeric - 1 / 6) < 1e-10
     record(7, True, "companion: residual exactly +1/6, oracle agrees to 1e-10")
+
+
+def test_criterion_7_companion_from_green_form():
+    """+1/6 from the Green form of the volume residual, with no diagonal
+    integral: int_cube (1-M)^2/2 Lap x1^2 over Mc(0) = (2/3) / 4."""
+    d = CubeDomain(2, Fraction(1))
+    residual = integrate_cube(laplacian(pp("x1^2", 2)), d, Weight.power(2)) / measure(
+        d, Region.CUBE, 0
+    )
+    assert residual == Fraction(1, 6)
+    record(7, True, "companion: the Green form gives +1/6")
 
 
 def test_criterion_8_oracle_agreement():

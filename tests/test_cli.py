@@ -627,9 +627,15 @@ class TestFloatRange:
                  "--k", "0"],
                 "crosscheck values at",
             ),
+            # a coefficient above the largest float that rounds to it is read
+            # by the oracle without error, so it is not what overflows
+            (
+                ["crosscheck", "--n", "2", "--poly", f"{2**1024 - 2**970 - 1}*x1^2", "--k", "0"],
+                "crosscheck values at radius 1 ",
+            ),
         ],
         ids=["grid", "grid-zero", "grid-values", "crosscheck", "crosscheck-values",
-             "crosscheck-opposite-inf"],
+             "crosscheck-opposite-inf", "crosscheck-coefficient-rounds-to-max"],
     )
     def test_refused_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -664,6 +670,34 @@ class TestFloatRange:
         code, out, err = run_cli(capsys, "crosscheck", "--n", "2", "--count", "2")
         assert (code, out) == (1, "")
         assert err == "error: crosscheck values at radius 1 leave the float range\n"
+
+    @pytest.mark.parametrize(
+        "poly,r,term",
+        [
+            ("1" * 4300 + "*x1^2", "1", "x1^2"),
+            ("-" + "9" * 400 + "*x1^2*x2^4 + " + "9" * 400 + " + x1", "1", "x1^2*x2^4"),
+            ("9" * 400 + " + x1", "1e-300", "1"),
+        ],
+        ids=["square", "first-even-term", "constant"],
+    )
+    def test_coefficient_beyond_the_float_range_named(self, capsys, poly, r, term):
+        # the coefficient leaves the float range, not values at the radius
+        code, out, err = run_cli(capsys, "crosscheck", "--n", "2", "--k", "0", "--poly", poly,
+                                 "--r", r)
+        assert (code, out) == (1, "")
+        assert err == f"error: crosscheck coefficient of {term} leaves the float range\n"
+
+    def test_odd_term_coefficient_beyond_the_float_range_passes(self, capsys):
+        # the oracle never reads a term with an odd exponent, and its exact
+        # integral is 0, so only a radius can put this run out of range
+        poly = "9" * 400 + "*x1 + x1^2"
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "2", "--k", "0", "--poly", poly)
+        assert code == 0
+        assert float(out) <= 1e-9
+        code, out, err = run_cli(capsys, "crosscheck", "--n", "2", "--k", "0", "--poly", poly,
+                                 "--r", "1e200")
+        assert (code, out) == (1, "")
+        assert err == "error: crosscheck values at radius 1e200 leave the float range\n"
 
     def test_grid_just_inside_the_float_range(self, capsys):
         code, out, _ = run_cli(capsys, "grid", "--n", "2", "--r", "1e150", "--f", "x1^2", "--res", "3")

@@ -1,0 +1,116 @@
+"""Each residual is a cube integral of a Laplacian of its input.
+
+The paper derives its mean-value formulas from Green's identity on the
+cube.  In the engine's closed forms that identity holds exactly for every
+polynomial p, harmonic or not.  With Mc(k) the cube mass at power k, Mb
+the boundary mass and u = r - M:
+
+  residual_weighted_quadrature(p, d, phi)  ==  int_cube phi(u) Lap p
+  residual_volume_mean(p, d, k) * Mc(k)    ==  int_cube u^(k+2)/(k+2)! Lap p
+  residual_surface_mean(p, d) * Mb         ==  int_cube u Lap p
+  Pizzetti functional of p at order m      ==  int_cube phi(u) Lap^m p
+
+for profiles phi vanishing to order 2 (2m for Pizzetti) at 0; the
+Pizzetti functional is its row before the polyharmonic check.  Every
+residual therefore vanishes on each harmonic (m-polyharmonic) polynomial.
+By linearity the monomial sweep below checks the equalities for every
+polynomial of degree <= 10 at n = 2..5; neither test builds a basis, so
+both stand beside the basis recursion.
+"""
+
+from fractions import Fraction
+from itertools import product
+from typing import Callable
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import polys_st
+import cubeharm.identities as identities
+from cubeharm.identities import (
+    residual_surface_mean,
+    residual_volume_mean,
+    residual_weighted_quadrature,
+)
+from cubeharm.integrate import CubeDomain, Region, Weight, integral, integrate_cube, measure
+from cubeharm.parser import parse_unipoly
+from cubeharm.poly import Poly, iterated_laplacian, laplacian
+
+RADII = (Fraction(1, 2), Fraction(1), Fraction(3))
+KS = (0, 2)
+QUADRATURE_PHI = parse_unipoly("t^2/2 - 3*t^3 + t^5/7")
+# profile vanishing to order 2m at 0, for m = 1, 2, 3
+PIZZETTI_PHIS = {m: parse_unipoly(f"t^{2 * m}/5 + 2*t^{2 * m + 3}") for m in (1, 2, 3)}
+
+
+def green_mismatches(p: Poly, d: CubeDomain) -> list[str]:
+    """The equalities of the module docstring that fail for p on d, through
+    the public residual functions."""
+    lap = laplacian(p)
+    failed = []
+    if residual_weighted_quadrature(p, d, QUADRATURE_PHI) != integrate_cube(
+        lap, d, Weight(QUADRATURE_PHI)
+    ):
+        failed.append("quadrature")
+    for k in KS:
+        mass = measure(d, Region.CUBE, k)
+        if residual_volume_mean(p, d, k) * mass != integrate_cube(lap, d, Weight.power(k + 2)):
+            failed.append(f"volume k={k}")
+    if residual_surface_mean(p, d) * measure(d, Region.BOUNDARY) != integrate_cube(
+        lap, d, Weight.power(1)
+    ):
+        failed.append("surface")
+    for m, phi in PIZZETTI_PHIS.items():
+        functional = identities._green(d, phi, m)(identities._laplacian_chain(p, m))
+        if functional != integrate_cube(iterated_laplacian(p, m), d, Weight(phi)):
+            failed.append(f"pizzetti m={m}")
+    return failed
+
+
+def rows(d: CubeDomain) -> list[tuple[str, Fraction, Callable, int, Callable]]:
+    """(name, mass, row, m, cube integral) for each equality, built once per
+    cube: the row of an element's Laplacian chain (what the public residual
+    function evaluates), times the mass, equals the cube integral of the
+    chain's link m."""
+    out = [
+        ("quadrature", 1, identities._green(d, QUADRATURE_PHI, 1), 1, Weight(QUADRATURE_PHI)),
+        ("surface", measure(d, Region.BOUNDARY), identities._surface_row(d), 1, Weight.power(1)),
+    ]
+    for k in KS:
+        row = identities._volume_row(d, k)
+        out.append((f"volume k={k}", measure(d, Region.CUBE, k), row, 1, Weight.power(k + 2)))
+    for m, phi in PIZZETTI_PHIS.items():
+        out.append((f"pizzetti m={m}", 1, identities._green(d, phi, m), m, Weight(phi)))
+    return [(name, mass, row, m, integral(d, Region.CUBE, w)) for name, mass, row, m, w in out]
+
+
+def test_every_monomial_of_degree_at_most_10():
+    checked = 0
+    for n in range(2, 6):
+        exponents = [e for e in product(range(11), repeat=n) if sum(e) <= 10]
+        for r in RADII:
+            d = CubeDomain(n, r)
+            checks = rows(d)
+            volume = identities._volume_row(d, 0)
+            for alpha in exponents:
+                chain = identities._laplacian_chain(Poly.monomial(n, alpha), max(PIZZETTI_PHIS))
+                for name, mass, row, m, cube in checks:
+                    assert row(chain) * mass == cube(chain[m]), (name, n, r, alpha)
+                    checked += 1
+                # not 0 = 0: Lap x^alpha has positive coefficients, so the
+                # residual is nonzero exactly for even non-harmonic monomials
+                even = not any(e % 2 for e in alpha)
+                assert (volume(chain) != 0) == (even and sum(alpha) >= 2)
+    assert checked == 3 * (66 + 286 + 1001 + 3003) * 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=5),
+    r=st.fractions(min_value=Fraction(1, 8), max_value=Fraction(4), max_denominator=8),
+)
+def test_random_non_harmonic_polynomials(data, n, r):
+    p = data.draw(polys_st(n, max_degree=7, max_terms=5))
+    assume(not laplacian(p).is_zero)
+    assert green_mismatches(p, CubeDomain(n, r)) == []

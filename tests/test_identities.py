@@ -367,10 +367,10 @@ class TestSuiteMatchesResiduals:
         # diagonal at any m and t^5 three; t^6/720 needs all m = 3
         for phi, m, diagonals in (("t^2", 1000, 1), ("t^5", 4, 3), ("t^6/720", 3, 3)):
             calls.clear()
-            identities._pizzetti(D21, m, parse_unipoly(phi))
+            identities._green(D21, parse_unipoly(phi), m, check=True)
             assert calls == [Region.CUBE] + [Region.DIAGONAL] * diagonals
         calls.clear()
-        identities._pizzetti(D21, 5, UniPoly.zero())
+        identities._green(D21, UniPoly.zero(), 5, check=True)
         assert calls == [Region.CUBE]
 
     def test_zero_links_share_degree_sums(self, monkeypatch):
@@ -587,14 +587,14 @@ class TestFoldedResiduals:
         assert all(type(v) is Fraction for v in values)
 
     def test_odd_element_costs_no_fraction_work(self):
-        # the factories return the integer 0 for empty degree sums
+        # the rows return the integer 0 for empty degree sums
         sums = identities.DegreeSums(pp("x1^3*x2 - x1*x2^3", 2))
         phi = parse_unipoly("t^4/24")
         values = [
-            identities._surface_mean(D21)(sums),
-            identities._volume_mean(D21, 2)(sums),
-            identities._weighted_quadrature(D21, phi)(sums),
-            identities._pizzetti(D21, 1, phi)(identities._laplacian_chain(sums.poly, 1)),
+            identities._surface_row(D21)([sums]),
+            identities._volume_row(D21, 2)([sums]),
+            identities._green(D21, phi, 1)([sums]),
+            identities._green(D21, phi, 1, check=True)(identities._laplacian_chain(sums.poly, 1)),
         ]
         assert all(type(v) is int and v == 0 for v in values)
 

@@ -431,7 +431,7 @@ class TestSignFold:
         st.sampled_from([2, 5, 24, 101, 256]),
         st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]),
     )
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None)
     def test_bitwise_equal_to_sign_enumeration(self, data, n, q, r):
         p = data.draw(polys_st(n, max_degree=8))
         d, spec = CubeDomain(n, r), QuadratureSpec(q)

@@ -128,7 +128,7 @@ class TestIntegerLaplacian:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None)
     def test_matches_fraction_reference(self, dim, data):
         self.check(data.draw(polys_st(dim, max_degree=6, max_terms=8)))
 

@@ -61,18 +61,28 @@ class Identity(enum.Enum):
 # one row, `_green`: the quadrature is Pizzetti at m = 1 without the
 # polyharmonic check, and the volume mean at power k is the quadrature at
 # u^(k+2)/(k+2)! over the cube mass; the surface mean is a boundary term
-# and a diagonal term.  A parity-odd element (every term has an odd
-# exponent) has empty degree sums and gets the exact integer 0 with no
-# Fraction arithmetic.  A profile condition is decided once per row and
-# raised from the residual, after the polyharmonic check.
+# and a diagonal term.  The regions and weights are unchanged when one
+# coordinate changes sign, and the Laplacian keeps each term's parity in
+# every axis, so a parity-odd element (no term even in every variable) has
+# empty degree sums in every link: its row returns the exact integer 0
+# after the dimension check and calls no functional.  A profile condition is
+# decided once per row and raised from the residual, after the polyharmonic
+# check and before the dimension check.
 
 
-def _row(terms: list[tuple[Callable, int]]) -> Callable[[list[DegreeSums]], Fraction | int]:
+def _row(
+    d: CubeDomain, terms: list[tuple[Callable, int]]
+) -> Callable[[list[DegreeSums]], Fraction | int]:
     """The residual of one element's Laplacian chain: the sum of each
-    term's functional of its link of the chain."""
+    term's functional of its link of the chain, or 0 for a parity-odd g."""
     (first, link), *rest = terms
 
     def residual(chain: list[DegreeSums]) -> Fraction | int:
+        g = chain[0]
+        if g.poly.dim != d.n:
+            d.check_dim(g.poly)
+        if not g[1]:
+            return 0
         value = first(chain[link])
         for functional, j in rest:
             value += functional(chain[j])
@@ -91,6 +101,7 @@ def _green(
         raise ValueError(f"polyharmonic order must be >= 1, got {m}")
     # the diagonals with 2s + 1 > deg phi are identically 0 and are not built
     row = _row(
+        d,
         [(integral(d, Region.CUBE, Weight(phi.derivative(2 * m)), scale), 0)]
         + [
             (integral(d, Region.DIAGONAL, Weight(phi.derivative(2 * s + 1)), -2 * scale), m - 1 - s)
@@ -114,7 +125,7 @@ def _green(
 def _surface_row(d: CubeDomain) -> Callable[[list[DegreeSums]], Fraction | int]:
     boundary = integral(d, Region.BOUNDARY, scale=1 / measure(d, Region.BOUNDARY))
     diagonal = integral(d, Region.DIAGONAL, Weight.power(0), -1 / measure(d, Region.DIAGONAL))
-    return _row([(boundary, 0), (diagonal, 0)])
+    return _row(d, [(boundary, 0), (diagonal, 0)])
 
 
 def _volume_row(d: CubeDomain, k: int) -> Callable[[list[DegreeSums]], Fraction | int]:
@@ -205,17 +216,17 @@ class ReportEntry(Value):
         _set(self, "passed", passed)
 
 
-# json.dumps(..., sort_keys=True, indent=2) of one entry, keys in sorted order
-_JSON_ENTRY = """    {{
-      "element_label": {},
+# json.dumps(..., sort_keys=True, indent=2) of one entry, keys in sorted order:
+# the element label, the block of fields that every entry of one suite case
+# with the same verdict shares, then the residual
+_JSON_BLOCK = """,
       "identity": {},
       "k_or_phi": {},
       "m": {:d},
       "n": {:d},
       "pass": {},
       "r": {},
-      "residual": {}
-    }}"""
+      "residual": """
 
 
 class IdentityReport(Value):
@@ -229,19 +240,25 @@ class IdentityReport(Value):
         """The bytes of json.dumps(payload, sort_keys=True, indent=2) + "\\n",
         written from a fixed template."""
         quote = encode_basestring_ascii
-        entries = ",\n".join(
-            _JSON_ENTRY.format(
-                quote(e.element_label),
-                quote(e.identity),
-                quote(e.k_or_phi),
-                e.m,
-                e.n,
-                "true" if e.passed else "false",
-                quote(e.r),
-                quote(e.residual),
+        blocks: dict[tuple, str] = {}  # the constant block, formatted once per key
+        parts = []
+        for e in self.entries:
+            key = (e.identity, e.k_or_phi, e.m, e.n, e.passed, e.r)
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = _JSON_BLOCK.format(
+                    quote(e.identity),
+                    quote(e.k_or_phi),
+                    e.m,
+                    e.n,
+                    "true" if e.passed else "false",
+                    quote(e.r),
+                )
+            parts.append(
+                f'    {{\n      "element_label": {quote(e.element_label)}'
+                f"{block}{quote(e.residual)}\n    }}"
             )
-            for e in self.entries
-        )
+        entries = ",\n".join(parts)
         listing = f"[\n{entries}\n  ]" if self.entries else "[]"
         all_pass = "true" if self.all_pass else "false"
         return (
@@ -319,9 +336,10 @@ def run_suite(
     # only for Pizzetti; the degree sums of each link are built on first use
     pizzetti = any(identity is Identity.PIZZETTI for identity, _, _ in cases)
     chains = [_laplacian_chain(p, config.m if pizzetti else 0) for _, p in elements]
-    r = rational_to_text(d.r)
+    n, r = d.n, rational_to_text(d.r)
     entries = []
     for identity, k_or_phi, build in cases:
+        name = identity.value
         m = config.m if identity is Identity.PIZZETTI else 1
         residual = None
         for (label, _), chain in zip(elements, chains):
@@ -330,10 +348,8 @@ def run_suite(
                 residual = residual or build()
                 value = residual(chain)
             except ValueError as exc:
-                raise type(exc)(f"{identity.value} on {label}: {exc}") from exc
-            entries.append(
-                ReportEntry(
-                    identity.value, d.n, r, k_or_phi, m, label, rational_to_text(value), value == 0
-                )
-            )
+                raise type(exc)(f"{name} on {label}: {exc}") from exc
+            passed = not value
+            text = "0/1" if passed else rational_to_text(value)
+            entries.append(ReportEntry(name, n, r, k_or_phi, m, label, text, passed))
     return IdentityReport(tuple(entries))

@@ -16,10 +16,19 @@ residual therefore vanishes on each harmonic (m-polyharmonic) polynomial.
 By linearity the monomial sweep below checks the equalities for every
 polynomial of degree <= 10 at n = 2..5; neither test builds a basis, so
 both stand beside the basis recursion.
+
+For every degree, the quadrature equality on one even monomial x^alpha
+with the profile u^j/j! reduces to an identity of the cell factors, which
+sympy proves for symbolic exponents at n = 2..6 (the last test).  With
+v_i = alpha_i + 1, E = sum v_i and B = prod 2/v_i,
+
+  C_1(alpha)(E-1)(E-2) - 2 C_2(alpha)(E-2)
+      = sum_i alpha_i(alpha_i-1) C_1(alpha - 2e_i)
+      = B (E-2)(sum v_i^2 - E).
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable
 
 from hypothesis import assume, given, settings
@@ -32,7 +41,15 @@ from cubeharm.identities import (
     residual_volume_mean,
     residual_weighted_quadrature,
 )
-from cubeharm.integrate import CubeDomain, Region, Weight, integral, integrate_cube, measure
+from cubeharm.integrate import (
+    CubeDomain,
+    Region,
+    Weight,
+    _cell_factors,
+    integral,
+    integrate_cube,
+    measure,
+)
 from cubeharm.parser import parse_unipoly
 from cubeharm.poly import Poly, iterated_laplacian, laplacian
 
@@ -114,3 +131,29 @@ def test_random_non_harmonic_polynomials(data, n, r):
     p = data.draw(polys_st(n, max_degree=7, max_terms=5))
     assume(not laplacian(p).is_zero)
     assert green_mismatches(p, CubeDomain(n, r)) == []
+
+
+def test_cell_factor_identity_for_symbolic_exponents():
+    import sympy as sp
+
+    def cells(v) -> tuple:
+        """(C_1, C_2) = B * (e_1(v), e_2(v)), the engine's closed form."""
+        box = sp.Mul(*(2 / vi for vi in v))
+        return box * sp.Add(*v), box * sp.Add(*(a * b for a, b in combinations(v, 2)))
+
+    for n in range(2, 7):
+        v = sp.symbols(f"v1:{n + 1}", positive=True)
+        c1, c2 = cells(v)
+        e = sp.Add(*v)
+        lhs = c1 * (e - 1) * (e - 2) - 2 * c2 * (e - 2)
+        # alpha_i(alpha_i - 1) = (v_i - 1)(v_i - 2); alpha - 2e_i has v_i - 2
+        rhs = sp.Add(
+            *((vi - 1) * (vi - 2) * cells(v[:i] + (vi - 2,) + v[i + 1 :])[0] for i, vi in enumerate(v))
+        )
+        closed = sp.Mul(*(2 / vi for vi in v)) * (e - 2) * (sp.Add(*(vi**2 for vi in v)) - e)
+        assert sp.cancel(lhs - closed) == 0, n
+        assert sp.cancel(rhs - closed) == 0, n
+        # the symbolic factors are the engine's at even exponents
+        for alpha in [(0,) * n, (2,) + (0,) * (n - 1), tuple(range(0, 2 * n, 2)), (8, 4) + (2,) * (n - 2)]:
+            values = dict(zip(v, (a + 1 for a in alpha)))
+            assert (c1.subs(values), c2.subs(values)) == _cell_factors(alpha)

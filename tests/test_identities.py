@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_round_trips, check_value_class, polys_st, pp
+from conftest import (
+    check_round_trips,
+    check_value_class,
+    exponents_st,
+    fractions_st,
+    polys_st,
+    pp,
+)
 from cubeharm.identities import (
     Identity,
     IdentityReport,
@@ -33,7 +40,14 @@ from cubeharm.integrate import (
 )
 from cubeharm.kernel import BasisRequest, graded_basis
 from cubeharm.parser import parse_unipoly
-from cubeharm.poly import Poly, UniPoly, laplacian, rational_to_text, uni_to_text
+from cubeharm.poly import (
+    DimensionMismatchError,
+    Poly,
+    UniPoly,
+    laplacian,
+    rational_to_text,
+    uni_to_text,
+)
 
 D21 = CubeDomain(2, Fraction(1))
 D31 = CubeDomain(3, Fraction(1))
@@ -632,6 +646,146 @@ class TestFoldedResiduals:
             run_suite(elements, D21, [Identity.PIZZETTI], SuiteConfig(m=0))
 
 
+# parity-odd: every term has an odd exponent, so no term is even in every
+# variable; a term even in every variable gets x1 once more
+def _parity_odd(p: Poly) -> Poly:
+    return Poly(
+        p.dim,
+        {a if any(e % 2 for e in a) else (a[0] + 1, *a[1:]): c for a, c in p.terms.items()},
+    )
+
+
+@st.composite
+def parity_odd_cases_st(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=3))
+    terms = draw(
+        st.dictionaries(
+            exponents_st(n, 2 * m + 1).map(tuple), fractions_st, min_size=1, max_size=6
+        )
+    )
+    p = _parity_odd(Poly(n, terms))
+    r = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]))
+    return n, m, p, r
+
+
+class TestParityShortcut:
+    """A row returns the integer 0 for an element with no term even in every
+    variable, without calling a functional; the dimension check, the
+    polyharmonic check and the profile condition still run first."""
+
+    @given(parity_odd_cases_st())
+    @settings(max_examples=60, deadline=None)
+    def test_odd_elements_equal_division_form(self, case):
+        n, m, p, r = case
+        d = CubeDomain(n, r)
+        config = SuiteConfig(ks=(0, 2), m=m)
+        # the Laplacian keeps each term's parity, so every link is odd too
+        chain = identities._laplacian_chain(p, m)
+        assert all(not link[1] and not link[2] for link in chain)
+        mean_ids = [Identity.SURFACE_MEAN, Identity.VOLUME_MEAN, Identity.WEIGHTED_QUADRATURE]
+        elements = [("p", p)]
+        report = run_suite(elements, d, mean_ids, config)
+        assert report.entries == division_form_entries(elements, d, mean_ids, config)
+        # the part of degree < 2m is m-polyharmonic; p itself may not be
+        low = Poly(n, {a: c for a, c in p.terms.items() if sum(a) < 2 * m})
+        elements = [("low", low)]
+        report = run_suite(elements, d, [Identity.PIZZETTI], config)
+        assert report.entries == division_form_entries(elements, d, [Identity.PIZZETTI], config)
+        if chain[m].poly.is_zero:
+            assert run_suite([("p", p)], d, ALL_IDENTITIES, config).all_pass
+        else:
+            with pytest.raises(NotPolyharmonicError, match=f"pizzetti on p: input is not {m}"):
+                run_suite([("p", p)], d, [Identity.PIZZETTI], config)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_odd_element_not_polyharmonic_is_refused(self, m):
+        g = pp(f"x1^{2 * m + 1}*x2", 3)
+        with pytest.raises(NotPolyharmonicError, match=f"pizzetti on g: input is not {m}"):
+            run_suite([("g", g)], CubeDomain(3, 1), [Identity.PIZZETTI], SuiteConfig(m=m))
+        with pytest.raises(NotPolyharmonicError, match=f"input is not {m}"):
+            residual_pizzetti(g, CubeDomain(3, 1), m, default_pizzetti_profiles(m)[0])
+
+    def test_odd_element_calls_no_functional(self, monkeypatch):
+        calls = []
+        build = identities.integral
+
+        def counting(d, region, *args, **kwargs):
+            functional = build(d, region, *args, **kwargs)
+
+            def value(sums):
+                calls.append(region)
+                return functional(sums)
+
+            return value
+
+        monkeypatch.setattr(identities, "integral", counting)
+        config = SuiteConfig(ks=(0, 1), m=2)
+        odd = [("odd", pp("x1^3*x2 - x1*x2^3", 2)), ("zero", Poly.zero(2))]
+        report = run_suite(odd, D21, ALL_IDENTITIES, config)
+        assert calls == [] and report.all_pass
+        assert all(type(residual_surface_mean(p, D21)) is Fraction for _, p in odd)
+        assert calls == []
+        # an even element reads every functional of every row: two per
+        # surface, volume and quadrature row, three per Pizzetti row at m = 2
+        run_suite([("even", pp("x1^2 - x2^2", 2))], D21, ALL_IDENTITIES, config)
+        assert len(calls) == 2 * (1 + len(config.ks) + 5) + 3 * 3
+
+    @pytest.mark.parametrize("identity", ALL_IDENTITIES, ids=lambda i: i.value)
+    def test_wrong_dimension_refused_before_the_shortcut(self, identity):
+        x = Poly(3, {(1, 0, 0): 1})
+        message = "polynomial dimension 3 does not match domain dimension 2"
+        with pytest.raises(DimensionMismatchError, match=f"^{identity.value} on x: {message}$"):
+            run_suite([("x", x)], CubeDomain(2, 1), [identity])
+
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            lambda p, d: residual_surface_mean(p, d),
+            lambda p, d: residual_volume_mean(p, d, 1),
+            lambda p, d: residual_weighted_quadrature(p, d, parse_unipoly("t^2/2")),
+            lambda p, d: residual_pizzetti(p, d, 2, parse_unipoly("t^4/24")),
+        ],
+        ids=["surface", "volume", "quadrature", "pizzetti"],
+    )
+    @pytest.mark.parametrize("text", ["x1", "x1*x2*x3", "0"])
+    def test_public_residuals_refuse_wrong_dimension(self, residual, text):
+        message = "^polynomial dimension 3 does not match domain dimension 2$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            residual(pp(text, 3), CubeDomain(2, 1))
+
+    def test_error_order_for_odd_element_of_wrong_dimension(self):
+        # parameter errors at the first label, then the polyharmonic check,
+        # then the profile condition, then the dimension
+        d = CubeDomain(2, 1)
+        harmonic, cubic = Poly(3, {(1, 0, 0): 1}), Poly(3, {(3, 0, 0): 1})
+        bad_phi = (parse_unipoly("t"),)
+        cases = [
+            ([("x", harmonic)], Identity.VOLUME_MEAN, SuiteConfig(ks=(-1,)), ValueError,
+             "volume_mean on x: weight exponent must be >= 0"),
+            ([("x", cubic)], Identity.PIZZETTI, SuiteConfig(m=0), ValueError,
+             "pizzetti on x: polyharmonic order must be >= 1"),
+            ([("x", cubic)], Identity.PIZZETTI, SuiteConfig(phis=bad_phi), NotPolyharmonicError,
+             "pizzetti on x: input is not 1-polyharmonic"),
+            ([("x", harmonic)], Identity.PIZZETTI, SuiteConfig(phis=bad_phi), WeightConditionError,
+             r"pizzetti on x: weight profile must satisfy phi'\(0\) = 0"),
+            ([("x", cubic)], Identity.WEIGHTED_QUADRATURE, SuiteConfig(phis=bad_phi),
+             WeightConditionError, r"weighted_quadrature on x: .*phi'\(0\) = 0"),
+            ([("x", cubic)], Identity.PIZZETTI, SuiteConfig(m=2), DimensionMismatchError,
+             "pizzetti on x: polynomial dimension 3"),
+        ]
+        for elements, identity, config, error, match in cases:
+            with pytest.raises(error, match=match) as caught:
+                run_suite(elements, d, [identity], config)
+            assert type(caught.value) is error
+        with pytest.raises(NotPolyharmonicError):
+            residual_pizzetti(cubic, d, 1, bad_phi[0])
+        with pytest.raises(WeightConditionError):
+            residual_pizzetti(harmonic, d, 1, bad_phi[0])
+        with pytest.raises(WeightConditionError):
+            residual_weighted_quadrature(cubic, d, bad_phi[0])
+
+
 def dumped(report: IdentityReport) -> str:
     """The report as json.dumps writes it, the reference for to_json."""
     payload = {
@@ -659,23 +813,51 @@ labels_st = st.one_of(
     st.text(),
     st.sampled_from(['deg2[0]', 'a"b', "a\\b", "tab\there", "\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f"]),
 )
-entries_st = st.builds(
-    ReportEntry,
-    identity=st.one_of(st.sampled_from([i.value for i in Identity]), labels_st),
-    n=st.integers(min_value=2, max_value=10**6),
-    r=st.one_of(st.sampled_from(["1", "1/2", "3"]), labels_st),
-    k_or_phi=st.one_of(st.sampled_from(["", "0", "t^2/2", "1/24*t^4 + t^5/7"]), labels_st),
-    m=st.integers(min_value=0, max_value=10**6),
-    element_label=labels_st,
-    residual=st.one_of(st.sampled_from(["0", "-1/6", "2/15", "-12345678901234567890/7"]), labels_st),
-    passed=st.booleans(),
-)
+FIELDS_ST = {
+    "identity": st.one_of(st.sampled_from([i.value for i in Identity]), labels_st),
+    "n": st.integers(min_value=2, max_value=10**6),
+    "r": st.one_of(st.sampled_from(["1", "1/2", "3"]), labels_st),
+    "k_or_phi": st.one_of(st.sampled_from(["", "0", "t^2/2", "1/24*t^4 + t^5/7"]), labels_st),
+    "m": st.integers(min_value=0, max_value=10**6),
+    "element_label": labels_st,
+    "residual": st.one_of(
+        st.sampled_from(["0", "-1/6", "2/15", "-12345678901234567890/7"]), labels_st
+    ),
+    "passed": st.booleans(),
+}
+entries_st = st.builds(ReportEntry, **FIELDS_ST)
+# the fields that every entry of one suite case with one verdict shares
+CONSTANT_FIELDS = ("identity", "k_or_phi", "m", "n", "passed", "r")
+
+
+@st.composite
+def near_twins_st(draw):
+    """Entries that share every constant field but one, in any order, each
+    with its own label and residual."""
+    base = draw(entries_st)
+    field = draw(st.sampled_from(CONSTANT_FIELDS))
+    other = draw(FIELDS_ST[field].filter(lambda v: v != getattr(base, field)))
+    entries = [base]
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        fields = dict(zip(ReportEntry.__slots__, base._fields()))
+        fields["element_label"] = draw(labels_st)
+        fields["residual"] = draw(FIELDS_ST["residual"])
+        if i == 0 or draw(st.booleans()):
+            fields[field] = other
+        entries.append(ReportEntry(**fields))
+    return draw(st.permutations(entries))
 
 
 class TestJsonWriter:
     @given(st.lists(entries_st, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_matches_json_dumps(self, entries):
+        report = IdentityReport(tuple(entries))
+        assert report.to_json() == dumped(report)
+
+    @given(near_twins_st())
+    @settings(max_examples=200, deadline=None)
+    def test_entries_differing_in_one_constant_field(self, entries):
         report = IdentityReport(tuple(entries))
         assert report.to_json() == dumped(report)
 

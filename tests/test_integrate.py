@@ -14,6 +14,7 @@ from cubeharm.integrate import (
     Region,
     Weight,
     _cell_factors,
+    _radial,
     integral,
     integrate_boundary,
     integrate_cube,
@@ -26,6 +27,7 @@ from cubeharm.oracle import (
     numeric_integrate_cube_many,
     numeric_integrate_diagonal_many,
 )
+from cubeharm.parser import parse_unipoly
 from cubeharm.poly import DimensionMismatchError, Poly, UniPoly
 from cubeharm.sampling import random_poly
 
@@ -388,3 +390,41 @@ class TestFoldedScale:
     @pytest.mark.parametrize("k", [0, 2])
     def test_measure_returns_fractions(self, region, k):
         assert type(measure(CubeDomain(3, Fraction(1, 2)), region, k)) is Fraction
+
+
+class TestCommonDenominator:
+    """A profile with two or more nonzero coefficients is summed over one
+    common denominator; its value is the sum of its one-coefficient parts,
+    which keep their own path."""
+
+    PROFILES = {
+        # t^2 (1 + t)^30, 31 nonzero coefficients; summing its one-coefficient
+        # parts at r = 10^-240 is the slow sum that the common denominator avoids
+        "binomial": UniPoly([0, 0] + [math.comb(30, j) for j in range(31)]),
+        "three": parse_unipoly("t^2/2 - 3*t^3 + t^5/7"),
+        "constant": parse_unipoly("1/3 + t/5 - 7/11*t^4"),
+    }
+
+    @pytest.mark.parametrize("r", [Fraction(1, 10**240), Fraction(3, 7)], ids=["1e-240", "3/7"])
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_sum_of_one_coefficient_parts(self, name, r):
+        phi = self.PROFILES[name]
+        terms = [(b, c) for b, c in enumerate(phi.coeffs) if c]
+        parts = [UniPoly.monomial(b, c) for b, c in terms]
+        assert len(parts) > 1
+        scale = Fraction(-2, 3)
+        for a in (0, 1, 5, 40):
+            whole = _radial(a, r, phi.coeffs, scale)
+            assert whole == sum(_radial(a, r, part.coeffs, scale) for part in parts)
+            # R_phi(a, r) = sum_b c_b a! b! r^(a+b+1) / (a+b+1)!
+            assert whole == scale * sum(
+                c * math.factorial(a) * math.factorial(b) * r ** (a + b + 1)
+                / math.factorial(a + b + 1)
+                for b, c in terms
+            )
+        d = CubeDomain(2, r)
+        sums = DegreeSums(pp("x1^4 + 3*x1^2*x2^2 - 1/2", 2))
+        for region in (Region.CUBE, Region.DIAGONAL):
+            assert integral(d, region, Weight(phi))(sums) == sum(
+                integral(d, region, Weight(part))(sums) for part in parts
+            )

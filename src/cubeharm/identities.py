@@ -349,7 +349,7 @@ def run_suite(
                 value = residual(chain)
             except ValueError as exc:
                 raise type(exc)(f"{name} on {label}: {exc}") from exc
-            passed = not value
-            text = "0/1" if passed else rational_to_text(value)
-            entries.append(ReportEntry(name, n, r, k_or_phi, m, label, text, passed))
+            entries.append(
+                ReportEntry(name, n, r, k_or_phi, m, label, rational_to_text(value), value == 0)
+            )
     return IdentityReport(tuple(entries))

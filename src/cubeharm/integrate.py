@@ -149,41 +149,37 @@ def _radial(
     a: int, r: Fraction, coeffs: tuple[Fraction, ...] | None, scale: Fraction
 ) -> Fraction:
     """scale * R_phi(a, r) for the profile phi with the given coefficients,
-    or scale * r^a when there is no profile (the boundary)."""
+    or scale * r^a when there is no profile (the boundary).
+
+    R_phi(a, r) = sum_b c_b a! b! r^e / e! (e = a + b + 1) is summed over
+    integers on one common denominator L * top! * q^top (L the lcm of the
+    coefficients' denominators, widened term by term, q the denominator of
+    r, top = a + len(coeffs) the largest e), so it grows with its largest
+    term, not with the product of every term's denominator; one Fraction is
+    built at the end.
+    """
+    p, q = r.numerator, r.denominator
     if coeffs is None:
-        num, den = r.numerator**a, r.denominator**a
+        num, den = p**a, q**a
     else:
-        num, den = 0, 1  # one integer term, one Fraction at the end
+        top = a + len(coeffs)
+        num, lcm = 0, 1
         for b, c in enumerate(coeffs):
             if c:
-                if num:  # a second term
-                    return _radial_sum(a, r, coeffs, scale)
                 e = a + b + 1
-                num = c.numerator * math.factorial(a) * math.factorial(b) * r.numerator**e
-                den = c.denominator * math.factorial(e) * r.denominator**e
+                cd = c.denominator
+                if lcm % cd:  # widen the common denominator
+                    wider = math.lcm(lcm, cd)
+                    num *= wider // lcm
+                    lcm = wider
+                # c_b b! p^e / (e! q^e) over the common denominator; a! is common
+                num += (
+                    c.numerator * (lcm // cd) * math.factorial(b)
+                    * math.perm(top, top - e) * p**e * q ** (top - e)
+                )
+        num *= math.factorial(a)
+        den = lcm * math.factorial(top) * q**top
     return Fraction(num * scale.numerator, den * scale.denominator)
-
-
-def _radial_sum(a: int, r: Fraction, coeffs: tuple[Fraction, ...], scale: Fraction) -> Fraction:
-    """_radial for a profile with two or more nonzero coefficients:
-    R_phi(a, r) = sum_b c_b a! b! r^e / e! (e = a + b + 1) over one common
-    denominator L * top! * q^top (L the lcm of the coefficients'
-    denominators, q that of r, top the largest e), so the sum grows with
-    its largest term, not with the product of every term's denominator."""
-    p, q = r.numerator, r.denominator
-    terms = [(b, c) for b, c in enumerate(coeffs) if c]
-    top = a + terms[-1][0] + 1
-    lcm = math.lcm(*(c.denominator for _, c in terms))
-    num = 0
-    for b, c in terms:
-        e = a + b + 1
-        # c_b b! p^e / (e! q^e) over the common denominator; a! is common
-        num += (
-            c.numerator * (lcm // c.denominator) * math.factorial(b)
-            * math.perm(top, top - e) * p**e * q ** (top - e)
-        )
-    num *= math.factorial(a) * scale.numerator
-    return Fraction(num, lcm * math.factorial(top) * q**top * scale.denominator)
 
 
 class DegreeSums(dict):

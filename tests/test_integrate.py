@@ -393,9 +393,9 @@ class TestFoldedScale:
 
 
 class TestCommonDenominator:
-    """A profile with two or more nonzero coefficients is summed over one
-    common denominator; its value is the sum of its one-coefficient parts,
-    which keep their own path."""
+    """A profile's terms are summed over one common denominator; a profile
+    with two or more nonzero coefficients has the sum of its one-coefficient
+    parts as its value."""
 
     PROFILES = {
         # t^2 (1 + t)^30, 31 nonzero coefficients; summing its one-coefficient

@@ -247,11 +247,16 @@ def check_onesided(
     diagonal-vanishing squares; the heuristic path is an exact integer walk
     over the scaled lattice of a uniform rational grid, shrunk if its total
     size would exceed MAX_GRID_POINTS.  A ValueError refuses the request
+    before anything is built when grid_points_per_axis is below 2, and
     before any walk when even 2 points per axis exceed MAX_GRID_POINTS.  The
     walk stops at the first negative value in C order (reported with its
     point); otherwise grid_min is the first minimum.
     """
     d.check_dim(f_minus_h)
+    if grid_points_per_axis < 2:
+        raise ValueError(
+            f"the one-sided grid needs at least 2 points per axis, got {grid_points_per_axis}"
+        )
     cofactor = _pair_square_cofactor(f_minus_h)
     if cofactor is not None and _certified_nonnegative(cofactor):
         return OneSidedness(kind=CERTIFIED, cofactor=cofactor)
@@ -261,7 +266,7 @@ def check_onesided(
             f"the one-sided grid needs at least 2^{d.n} = {2**d.n} points, "
             f"above the limit of {MAX_GRID_POINTS}"
         )
-    npts = max(2, grid_points_per_axis)
+    npts = grid_points_per_axis
     if npts**d.n > MAX_GRID_POINTS:
         # the largest side within the cap; int() of the float root is at most
         # one below it

@@ -148,11 +148,11 @@ class Poly(Value):
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls(dim, {})
+        return cls(dim)
 
     @classmethod
     def const(cls, dim: int, value: RationalLike) -> "Poly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> "Poly":
@@ -161,11 +161,11 @@ class Poly(Value):
             raise ValueError(f"axis {axis} out of range for dimension {dim}")
         exps = [0] * dim
         exps[axis - 1] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
+        return cls(dim, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], coeff: RationalLike = 1) -> "Poly":
-        return cls(dim, {tuple(exps): Fraction(coeff)})
+        return cls(dim, {tuple(exps): coeff})
 
     # -- inspection ----------------------------------------------------------
 
@@ -180,9 +180,7 @@ class Poly(Value):
     @property
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms), default=0)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
@@ -197,17 +195,28 @@ class Poly(Value):
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        return self._plus(other, False)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self._plus(other, True)
+
+    def _plus(self, other: "Poly", sub: bool) -> "Poly":
+        """self + other, or self - other when sub, on a new clean term map:
+        a key only in other takes its (negated) coefficient, and a key whose
+        sum cancels is dropped."""
         self._check_same_dim(other)
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(self.dim, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+            if exps not in out:
+                out[exps] = -coeff if sub else coeff
+            elif value := out[exps] - coeff if sub else out[exps] + coeff:
+                out[exps] = value
+            else:
+                del out[exps]
+        return Poly._from_clean(self.dim, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.dim, {e: -c for e, c in self._terms.items()})
+        return Poly._from_clean(self.dim, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -216,7 +225,7 @@ class Poly(Value):
             for ea, ca in self._terms.items():
                 for eb, cb in other._terms.items():
                     key = tuple(a + b for a, b in zip(ea, eb))
-                    out[key] = out.get(key, Fraction(0)) + ca * cb
+                    out[key] = out.get(key, 0) + ca * cb
             return Poly(self.dim, out)
         return self.scale(other)
 
@@ -293,7 +302,7 @@ def partial(p: Poly, axis: int) -> Poly:
         new = list(exps)
         new[i] = e - 1
         key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff * e
+        out[key] = out.get(key, 0) + coeff * e
     return Poly(p.dim, out)
 
 
@@ -328,10 +337,9 @@ def iterated_laplacian(p: Poly, m: int) -> Poly:
     """m-fold Laplacian, m >= 1."""
     if m < 1:
         raise ValueError(f"iteration count must be >= 1, got {m}")
-    out = p
     for _ in range(m):
-        out = laplacian(out)
-    return out
+        p = laplacian(p)
+    return p
 
 
 # -- univariate profiles -----------------------------------------------------
@@ -358,7 +366,7 @@ class UniPoly(Value):
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "UniPoly":
-        return cls([0] * power + [Fraction(coeff)])
+        return cls([0] * power + [coeff])
 
     @property
     def is_zero(self) -> bool:
@@ -379,8 +387,6 @@ class UniPoly(Value):
             raise ValueError("derivative order must be >= 0")
         if order == 0:
             return self
-        if order > self.degree:
-            return UniPoly.zero()
         # coefficient of t^(i - order) picks up the falling factorial i!/(i-order)!
         out = [c and c * math.perm(i, order) for i, c in enumerate(self.coeffs) if i >= order]
         return UniPoly(out)
@@ -399,7 +405,7 @@ class UniPoly(Value):
 def _uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Long division over Q: a = quotient * b + remainder, b nonzero."""
     rem = list(a.coeffs)
-    quot = [Fraction(0)] * max(0, len(rem) - b.degree)
+    quot = [0] * max(0, len(rem) - b.degree)
     while len(rem) > b.degree:
         shift = len(rem) - 1 - b.degree
         c = rem[-1] / b.coeffs[-1]
@@ -500,15 +506,23 @@ def divide_exact(p: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     Uses the graded-lex leading term of the divisor; no monomial of the
     remainder is divisible by it.  remainder == 0 therefore certifies exact
     divisibility (and conversely, a multiple always reduces to remainder 0).
-    Each step reduces the leading term of the working polynomial, whose
-    nonzero terms are kept in one dict that the step updates in place.
+
+    Runs in integers: p is P / D and the divisor V / E over their least
+    common denominators, and each step reduces the leading term w of the
+    working map P in place by q = w / L, L the integer leading coefficient
+    of V.  When L does not divide w, D and every working term are widened by
+    |L| / gcd(w, L) first, as integrate._radial widens its denominator; for a
+    monic integer divisor such as onesided.pair_square_product D never
+    widens.  Each output term is one Fraction: q * E / D in the quotient,
+    w / D in the remainder.
     """
     p._check_same_dim(divisor)
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    lead_e, lead_c = divisor.leading_term()
-    tail = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
-    work = dict(p.terms)
+    lead_e = divisor.leading_term()[0]
+    work, den = _integer_terms(p.terms)
+    tail, vden = _integer_terms(divisor.terms)
+    lead = tail.pop(lead_e)
     quotient: dict[Exponent, Fraction] = {}
     remainder: dict[Exponent, Fraction] = {}
     while work:
@@ -516,17 +530,23 @@ def divide_exact(p: Poly, divisor: Poly) -> tuple[Poly, Poly]:
         coeff = work.pop(exps)
         diff = tuple(a - b for a, b in zip(exps, lead_e))
         if min(diff) < 0:
-            remainder[exps] = coeff
+            remainder[exps] = Fraction(coeff, den)
             continue
-        q = quotient[diff] = coeff / lead_c
-        for e, c in tail:
+        if coeff % lead:  # widen the common denominator
+            wider = abs(lead) // math.gcd(coeff, lead)
+            den *= wider
+            coeff *= wider
+            work = {e: c * wider for e, c in work.items()}
+        q = coeff // lead
+        quotient[diff] = Fraction(q * vden, den)
+        for e, c in tail.items():
             # q and c are nonzero, so only a present term can cancel
             key = tuple(a + b for a, b in zip(diff, e))
             if value := work.get(key, 0) - q * c:
                 work[key] = value
             else:
                 del work[key]
-    return Poly(p.dim, quotient), Poly(p.dim, remainder)
+    return Poly._from_clean(p.dim, quotient), Poly._from_clean(p.dim, remainder)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

@@ -543,6 +543,22 @@ class TestApprox:
         assert err.count("\n") == 1
         assert err.startswith("error: the one-sided grid needs at least 2^20 = 1048576 points")
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-5"])
+    @pytest.mark.parametrize("f", ["x1^2*x2^2", "x1^2 + 1"], ids=["certifiable", "heuristic"])
+    def test_grid_below_two_refused(self, capsys, tmp_path, grid, f):
+        # refused like grid --res 0, before a verdict of any kind is reached;
+        # an --out file is not touched
+        target = tmp_path / "cert.json"
+        target.write_text("kept")
+        code, out, err = run_cli(
+            capsys, "approx", "--n", "2", "--f", f, "--h", "0", "--grid", grid,
+            "--out", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the one-sided grid needs at least 2 points per axis, got {grid}\n"
+        assert target.read_text() == "kept"
+
 
     HEURISTIC_ARGS = (
         "approx", "--n", "3", "--r", "1",

@@ -25,7 +25,7 @@ from cubeharm.onesided import (
     weighted_l1_error,
 )
 from cubeharm.parser import parse_unipoly
-from cubeharm.poly import Poly, evaluate, rational_to_text
+from cubeharm.poly import DimensionMismatchError, Poly, evaluate, rational_to_text
 from cubeharm.sampling import random_poly
 
 D21 = CubeDomain(2, Fraction(1))
@@ -185,6 +185,26 @@ class TestCheckOnesided:
         monkeypatch.setattr(onesided, "MAX_GRID_POINTS", 7)
         with pytest.raises(ValueError, match=r"2\^3 = 8 points, above the limit of 7"):
             check_onesided(pp("x1^2 + 1", 3), D31)
+
+    @pytest.mark.parametrize("npts", [1, 0, -5])
+    def test_fewer_than_two_points_per_axis_refused(self, npts, monkeypatch):
+        # refused before the factor is built or divided, or the grid walked,
+        # whatever verdict the polynomial would get
+        def refuse(*args):
+            raise AssertionError("built or walked before the grid check")
+
+        for name in ("pair_square_product", "divide_exact", "_lattice_walk"):
+            monkeypatch.setattr(onesided, name, refuse)
+        message = rf"needs at least 2 points per axis, got {npts}$"
+        for p in (Poly.zero(2), pair_square_product(2), pp("x1^2 + 1", 2), pp("x1", 2)):
+            with pytest.raises(ValueError, match=message):
+                check_onesided(p, D21, grid_points_per_axis=npts)
+        with pytest.raises(ValueError, match=message):
+            certify_best_approx(pp("x1^2*x2^2", 2), Poly.zero(2), D21, grid_points_per_axis=npts)
+
+    def test_dimension_checked_before_the_grid(self):
+        with pytest.raises(DimensionMismatchError):
+            check_onesided(pp("x1^2 + 1", 3), D21, grid_points_per_axis=0)
 
     def test_two_points_per_axis_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(onesided, "MAX_GRID_POINTS", 8)

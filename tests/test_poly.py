@@ -348,6 +348,148 @@ class TestDivision:
             divide_exact(x1, Poly.zero(2))
 
 
+class TestIntegerDivision:
+    """divide_exact reduces in integers over common denominators and widens
+    its denominator when the divisor's integer leading coefficient does not
+    divide the working lead; it must equal the Fraction reference, build
+    clean term maps and leave its operands alone."""
+
+    # leading coefficients 3/7, -2 and -1 (in graded-lex order x1^2 leads),
+    # and a monic divisor whose rational tail gives it an integer lead of 12
+    DIVISORS = {
+        "lead-3/7": "3/7*x1^2 - x1*x2 + 2",
+        "lead-minus-2": "-2*x1^2 + 3*x2^2 - x1",
+        "lead-minus-1": "-x1^2 + x1*x2 - 3",
+        "rational-tail": "x1^2 - 1/3*x1*x2 + 5/6*x2 - 1/4",
+    }
+
+    @staticmethod
+    def check(p: Poly, divisor: Poly) -> tuple[Poly, Poly]:
+        p_terms, d_terms = dict(p.terms), dict(divisor.terms)
+        q, rem = divide_exact(p, divisor)
+        assert (q, rem) == reference.divide_exact(p, divisor)
+        assert q * divisor + rem == p
+        for out in (q, rem):
+            assert all(type(c) is Fraction and c for c in out.terms.values())
+            assert out.terms is not p.terms and out.terms is not divisor.terms
+        assert p.terms == p_terms and divisor.terms == d_terms
+        return q, rem
+
+    @pytest.mark.parametrize("name", DIVISORS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_fraction_reference(self, name, data):
+        divisor = pp(self.DIVISORS[name], 2)
+        factor = data.draw(polys_st(2, max_degree=3, max_terms=4))
+        extra = data.draw(polys_st(2, max_degree=4, max_terms=4))
+        q, rem = self.check(factor * divisor + extra, divisor)
+        if extra.is_zero:
+            assert q == factor and rem.is_zero
+
+    @pytest.mark.parametrize("name", DIVISORS)
+    def test_widening_cases(self, name):
+        # a factor with coefficients 5/11, -7, 1/3 and 9, so most working
+        # leads are no multiple of the divisor's integer lead, plus a remainder
+        divisor = pp(self.DIVISORS[name], 2)
+        factor = pp("5/11*x1^3 - 7*x2^2 + 1/3*x1*x2 + 9", 2)
+        q, rem = self.check(factor * divisor + pp("x2^5 - 2/9*x2 + 1", 2), divisor)
+        assert q == factor
+        assert rem == pp("x2^5 - 2/9*x2 + 1", 2)
+
+    def test_integer_leads(self):
+        # the divisors' integer leading coefficients over their common
+        # denominators: every one but -1 leaves some working leads undivided,
+        # which widens the denominator; -1 only flips signs
+        from cubeharm.poly import _integer_terms
+
+        leads = {}
+        for name, text in self.DIVISORS.items():
+            divisor = pp(text, 2)
+            ints, _ = _integer_terms(divisor.terms)
+            leads[name] = ints[divisor.leading_term()[0]]
+        assert leads == {"lead-3/7": 3, "lead-minus-2": -2, "lead-minus-1": -1, "rational-tail": 12}
+
+    def test_pair_square_product_n4(self):
+        from cubeharm.onesided import pair_square_product
+
+        divisor = pair_square_product(4)
+        factor = pp("3/5*x1^2*x4 - x2*x3 + 7/2", 4)
+        extra = pp("x1^9*x2^7 - 1/6*x2^3*x4 + 2/3", 4)
+        q, rem = self.check(factor * divisor + extra, divisor)
+        assert q == factor and rem == extra
+
+    def test_zero_dividend(self):
+        q, rem = self.check(Poly.zero(2), pp(self.DIVISORS["lead-3/7"], 2))
+        assert q.is_zero and rem.is_zero
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+            divide_exact(x1, Poly.variable(3, 1))
+
+
+def reference_plus(p: Poly, q: Poly, sign: int) -> dict:
+    """p + sign * q term by term in Fraction arithmetic, zeros dropped."""
+    out: dict = {}
+    for terms, s in ((p.terms, 1), (q.terms, sign)):
+        for exps, coeff in terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + s * coeff
+    return {e: c for e, c in out.items() if c}
+
+
+class TestCleanSums:
+    """+, - and unary - build their term maps directly: they must equal the
+    Fraction computation, store no zero, hold only Fractions, and neither
+    mutate nor share an operand's map."""
+
+    @staticmethod
+    def check(result: Poly, expected: dict, *operands: Poly) -> None:
+        assert dict(result.terms) == expected
+        assert all(type(c) is Fraction and c for c in result.terms.values())
+        assert all(result.terms is not p.terms for p in operands)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_reference(self, dim, data):
+        p = data.draw(polys_st(dim, max_degree=4, max_terms=6))
+        q = data.draw(polys_st(dim, max_degree=4, max_terms=6))
+        # cancel some of p's terms exactly, and share others with new values
+        shared = data.draw(st.sets(st.sampled_from(sorted(p.terms)))) if p.terms else set()
+        flips = data.draw(st.lists(st.booleans(), min_size=len(shared), max_size=len(shared)))
+        terms = dict(q.terms)
+        for exps, flip in zip(sorted(shared), flips):
+            terms[exps] = -p.terms[exps] if flip else p.terms[exps]
+        q = Poly(dim, terms)
+        p_terms, q_terms = dict(p.terms), dict(q.terms)
+        self.check(p + q, reference_plus(p, q, 1), p, q)
+        self.check(p - q, reference_plus(p, q, -1), p, q)
+        self.check(q - p, reference_plus(q, p, -1), p, q)
+        self.check(-p, reference_plus(Poly.zero(dim), p, -1), p)
+        self.check(p - p, {}, p)
+        self.check(p + (-p), {}, p)
+        self.check(p + Poly.zero(dim), p_terms, p)
+        self.check(Poly.zero(dim) - q, reference_plus(Poly.zero(dim), q, -1), q)
+        assert p.terms == p_terms and q.terms == q_terms
+
+    def test_cancelling_keys_are_dropped(self):
+        p = pp("x1^2 - 2/3*x1*x2 + x2 + 1", 2)
+        q = pp("x1^2 + 1/3*x1*x2 - x2", 2)
+        self.check(p - q, {(1, 1): Fraction(-1), (0, 1): Fraction(2), (0, 0): Fraction(1)}, p, q)
+        self.check(p + q, {(2, 0): Fraction(2), (1, 1): Fraction(-1, 3), (0, 0): Fraction(1)}, p, q)
+
+    def test_result_does_not_alias_an_operand(self):
+        # a result with the operand's terms is still a map of its own
+        p, zero = pp("x1 - 1/2", 2), Poly.zero(2)
+        for result, operand in ((p + zero, p), (zero + p, p), (p - zero, p), (zero - zero, zero)):
+            assert result == operand and result.terms is not operand.terms
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_dimension_mismatch(self, op):
+        left, right = x1, Poly.variable(3, 1)
+        with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+            left + right if op == "add" else left - right
+
+
 class TestPolySqrt:
     def test_perfect_square(self):
         base = pp("x1^2 - x2^2 + 1/3*x1")

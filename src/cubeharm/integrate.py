@@ -27,10 +27,14 @@ and R_phi follows from expanding phi in powers of (r - t) and
 R_phi depends on alpha only through a = |alpha|, so every integral is
 sum_a S_s(a) * R_phi(a + n - s, r) (r^(a + n - 1) on the boundary) over
 the weight-free degree sums S_s(a) = sum_{|alpha|=a} c_alpha C_s(alpha).
-The cell factors are memoized by exponent.  Tie sets are lower dimensional
-and carry no mass.  A constant factor (the reciprocal of a mass, or the 2
-on a quadrature diagonal) folds into the radial factors, so each residual
-in `identities` is one linear functional of the degree sums.  A
+The cell factors are memoized by exponent.  The degree sums are added in
+integers: the terms of one degree that share a coefficient denominator
+form a group summed over the lcm of their cell factors' denominators, and
+a degree's groups are then added as Fractions, one per group.  Tie sets
+are lower dimensional and carry no mass.  A constant factor (the
+reciprocal of a mass, or the 2 on a quadrature diagonal) folds into the
+radial factors, so each residual in `identities` is one linear functional
+of the degree sums.  A
 polynomial each of whose terms has an odd exponent has empty degree sums,
 which `integral` maps to the exact integer 0 with no Fraction arithmetic;
 the public integrate_* functions and `measure` return Fractions.
@@ -186,21 +190,41 @@ class DegreeSums(dict):
     """A polynomial's degree sums {s: {a: S_s(a)}}, S_s(a) = sum_{|alpha|=a}
     c_alpha C_s(alpha), for s = 1 (cube cells, faces) and s = 2 (diagonal
     sheets): the part of every integral of the polynomial that depends on
-    neither the radius nor the weight.  Each table is built on first use."""
+    neither the radius nor the weight.  Each table is built on first use.
+
+    The terms are grouped by (degree, coefficient denominator).  A group
+    sums c.numerator * N in integers over the lcm of its cell factors'
+    denominators Q (C_s = N/Q), widened term by term as _radial widens, and
+    becomes one Fraction; a degree's groups are added as Fractions.  So
+    terms with many coprime coefficient denominators are added pairwise with
+    Fraction's small-gcd reduction, not over one denominator that grows
+    with all of them.  Degrees keep their first-term order, and a degree
+    whose terms cancel keeps its key with the value Fraction(0)."""
 
     def __init__(self, poly: Poly):
         super().__init__()
         self.poly = poly
 
     def __missing__(self, s: int) -> dict[int, Fraction]:
-        sums = self[s] = {}
+        # (degree, coefficient denominator) -> (integer sum, its denominator)
+        groups: dict[tuple[int, int], tuple[int, int]] = {}
         for alpha, coeff in self.poly.terms.items():
             if cells := _cell_factors(alpha)[s - 1]:
-                a = sum(alpha)
-                if a in sums:
-                    sums[a] += coeff * cells
-                else:
-                    sums[a] = coeff * cells
+                key = (sum(alpha), coeff.denominator)
+                q = cells.denominator
+                acc, den = groups.get(key, (0, q))
+                if den % q:  # widen the group's denominator
+                    wider = math.lcm(den, q)
+                    acc *= wider // den
+                    den = wider
+                groups[key] = acc + coeff.numerator * cells.numerator * (den // q), den
+        sums = self[s] = {}
+        for (a, cd), (acc, den) in groups.items():
+            term = Fraction(acc, cd * den)
+            if a in sums:
+                sums[a] += term
+            else:
+                sums[a] = term
         return sums
 
 

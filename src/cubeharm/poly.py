@@ -478,8 +478,10 @@ def _terms_to_text(terms: Iterable[tuple[Exponent, Fraction]], var: str = "x") -
     for exps, coeff in terms:
         if not pieces:
             pieces.append(_term_to_text(exps, coeff, var))
+        elif coeff.numerator < 0:
+            pieces.append("- " + _term_to_text(exps, -coeff, var))
         else:
-            pieces.append(("- " if coeff < 0 else "+ ") + _term_to_text(exps, abs(coeff), var))
+            pieces.append("+ " + _term_to_text(exps, coeff, var))
     return " ".join(pieces) or "0/1"
 
 

@@ -350,6 +350,83 @@ class TestDegreeSums:
 ODD_POLYS = ("x1", "x1*x2", "x1^3*x2 - 2*x1*x2^5", "x2^3 + 1/3*x1^2*x2")
 
 
+def reference_degree_sums(p: Poly, s: int) -> dict[int, Fraction]:
+    """The Fraction loop the integer degree sums replaced: one Fraction
+    product and one Fraction sum per term, degrees in first-term order."""
+    sums = {}
+    for alpha, coeff in p.terms.items():
+        if cells := _cell_factors(alpha)[s - 1]:
+            a = sum(alpha)
+            sums[a] = sums[a] + coeff * cells if a in sums else coeff * cells
+    return sums
+
+
+def first_primes(count: int) -> list[int]:
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+class TestIntegerDegreeSums:
+    """DegreeSums adds each (degree, coefficient denominator) group in
+    integers over the lcm of its cell factors' denominators and then adds a
+    degree's groups as Fractions; the result is the Fraction loop's, with
+    the same keys in the same order and a Fraction for every value."""
+
+    def check(self, p: Poly) -> None:
+        sums = DegreeSums(p)
+        for s in (1, 2):
+            expected = reference_degree_sums(p, s)
+            assert list(sums[s].items()) == list(expected.items())
+            assert all(type(v) is Fraction for v in sums[s].values())
+
+    @given(st.integers(2, 5).flatmap(lambda n: polys_st(n, max_degree=8, max_terms=12)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_loop(self, p):
+        self.check(p)
+
+    def test_cancelling_degree_keeps_its_key(self):
+        sums = DegreeSums(pp("x1^2 - x2^2", 2))
+        for s in (1, 2):
+            assert sums[s] == {2: 0} and type(sums[s][2]) is Fraction
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # degree 4 of n = 3: coefficient denominators 3, 5 and 1, each
+            # group's cell denominators 5 then 9 (x1^4, x1^2*x2^2, ...)
+            "1/3*x1^4 + 2/3*x1^2*x2^2 - 1/5*x2^4 + 4/5*x1^2*x3^2 + 1/3*x3^4"
+            " + x2^2*x3^2 + 7*x1^2 - 1/3*x2^2",
+            # degree 6: one coefficient denominator 2 over the cell
+            # denominators 7, 5 and 3 of C_1, the group's lcm widened twice
+            "1/2*x1^6 + 3/2*x1^4*x2^2 - 1/2*x1^2*x2^2*x3^2 + 5/7*x2^6 - 1/7*x3^6 + 1",
+            # a degree whose groups cancel across denominators
+            "1/3*x1^4 - 1/3*x2^4 + 1/5*x1^2*x3^2 - 1/5*x2^2*x3^2",
+        ],
+    )
+    def test_mixed_coefficient_and_cell_denominators(self, text):
+        self.check(pp(text, 3))
+
+    def test_coprime_large_denominators(self):
+        # 50 terms at n = 3 on distinct even exponents, coefficient i has the
+        # denominator p_i^e of about 300 digits, p_i the i-th prime
+        exps = [
+            (2 * a, 2 * b, 2 * c)
+            for a in range(6)
+            for b in range(6 - a)
+            for c in range(6 - a - b)
+        ][:50]
+        terms = {
+            e: Fraction((-1) ** i * (i + 1), q ** math.ceil(300 / math.log10(q)))
+            for i, (e, q) in enumerate(zip(exps, first_primes(50)))
+        }
+        self.check(Poly(3, terms))
+
+
 class TestFoldedScale:
     """integral(..., scale=q) folds q into each degree's radial factor: its
     value is q times the unscaled integral, and a polynomial whose degree sums

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import check_round_trips, check_value_class, polys_st, pp
-from cubeharm.identities import WeightConditionError
+from cubeharm.identities import WeightConditionError, residual_weighted_quadrature
 import cubeharm.onesided as onesided
 from cubeharm.integrate import CubeDomain
+from cubeharm.kernel import BasisRequest, graded_basis
 from cubeharm.onesided import (
     CERTIFIED,
     FAILED,
@@ -25,7 +28,7 @@ from cubeharm.onesided import (
     weighted_l1_error,
 )
 from cubeharm.parser import parse_unipoly
-from cubeharm.poly import DimensionMismatchError, Poly, evaluate, rational_to_text
+from cubeharm.poly import DimensionMismatchError, Poly, UniPoly, evaluate, rational_to_text
 from cubeharm.sampling import random_poly
 
 D21 = CubeDomain(2, Fraction(1))
@@ -562,3 +565,64 @@ class TestWeightedError:
             cert.weighted_l1_error(parse_unipoly("t"))
         with pytest.raises(ValueError, match="f - h is negative"):
             cert.weighted_l1_error(parse_unipoly("t^2/2"))
+
+
+@functools.lru_cache(maxsize=None)
+def harmonic_elements(n: int) -> list[Poly]:
+    basis = graded_basis(BasisRequest(n=n, max_degree=4))
+    return [p for p in basis.elements if p.total_degree >= 2]
+
+
+def benchmark_pair(rng: random.Random, n: int, certified: bool) -> tuple[Poly, Poly]:
+    """(f, h) built as the onesided-certify workload builds them: h a scaled
+    sum of three harmonic basis elements of degree 2..4, f = h + g with the
+    certified gap c x_k^(2e) prod (x_i^2 - x_j^2)^2 or the heuristic gap
+    c0 + b x_1 + sum_i c_i x_i^(2 a_i), |b| < c0, which is positive but has
+    g(0) = c0 != 0."""
+    h = Poly.zero(n)
+    for element in rng.sample(harmonic_elements(n), 3):
+        h = h + element.scale(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)))
+    x = [Poly.variable(n, i) for i in range(1, n + 1)]
+    if certified:
+        k, e = rng.randrange(n), rng.randint(0, 1)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        return h + (x[k] ** (2 * e)).scale(c) * pair_square_product(n), h
+    c0 = Fraction(rng.randint(2, 9), rng.randint(1, 2))
+    g = Poly.const(n, c0) + x[0].scale(c0 * Fraction(rng.randint(-9, 9), 10))
+    for i in range(n):
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        g = g + (x[i] ** (2 * rng.randint(1, 3))).scale(c)
+    return h + g, h
+
+
+def power_profile(p: int) -> UniPoly:
+    return UniPoly.monomial(p, Fraction(1, math.factorial(p)))
+
+
+class TestErrorIsQuadratureResidual:
+    """For h harmonic and f - h vanishing on the diagonal set, the weighted
+    quadrature identity gives int_cube (f - h) phi''(r - M) = Q_phi(f), the
+    quadrature residual of f alone: Q_phi(h) = 0 and the diagonal term of
+    f - h vanishes.  The error reads the cube table of f - h, the residual
+    both tables of f."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_certified_error_is_the_residual_of_f(self, n, seed):
+        d = CubeDomain(n, Fraction(1))
+        f, h = benchmark_pair(random.Random(seed), n, certified=True)
+        cert = certify_best_approx(f, h, d)
+        assert cert.onesided.kind == CERTIFIED
+        assert cert.l1_error == residual_weighted_quadrature(f, d, power_profile(2))
+        for p in (2, 3, 4):
+            phi = power_profile(p)
+            assert weighted_l1_error(f, h, d, phi) == residual_weighted_quadrature(f, d, phi)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_heuristic_error_exceeds_the_residual(self, n):
+        # g > 0 on the diagonal set adds 2 int_diag (r - M) g > 0
+        d = CubeDomain(n, Fraction(1))
+        f, h = benchmark_pair(random.Random(n), n, certified=False)
+        cert = certify_best_approx(f, h, d, grid_points_per_axis=5)
+        assert cert.onesided.kind == HEURISTIC
+        assert cert.l1_error > residual_weighted_quadrature(f, d, power_profile(2))

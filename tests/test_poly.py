@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import check_round_trips, check_value_class, polys_st, pp
+from cubeharm.parser import parse_unipoly
 from cubeharm.poly import (
     DimensionMismatchError,
     Limits,
@@ -62,6 +64,57 @@ class TestRationalText:
         assert str(exc.value) == (
             "exact value has more than 4300 digits in its numerator or denominator"
         )
+
+
+def reference_text(terms, var: str = "x") -> str:
+    """The text loop that signed each term by coeff < 0 and wrote abs(coeff)."""
+
+    def term(exps, coeff):
+        parts = [rational_to_text(coeff)]
+        for i, e in enumerate(exps):
+            if e:
+                name = var if var == "t" else f"{var}{i + 1}"
+                parts.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(parts)
+
+    pieces = []
+    for exps, coeff in terms:
+        if not pieces:
+            pieces.append(term(exps, coeff))
+        else:
+            pieces.append(("- " if coeff < 0 else "+ ") + term(exps, abs(coeff)))
+    return " ".join(pieces) or "0/1"
+
+
+class TestTextSigns:
+    """poly_to_text and uni_to_text read each sign from the numerator; their
+    bytes are the reference loop's, and the parser reads them back."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: polys_st(n, max_terms=8)))
+    @settings(max_examples=100, deadline=None)
+    def test_poly_text_matches_the_reference(self, p):
+        text = poly_to_text(p)
+        assert text == reference_text(p.sorted_terms())
+        assert pp(text, p.dim) == p
+
+    @pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=4)))
+    def test_negative_coefficient_in_every_position(self, signs):
+        magnitudes = [Fraction(2, 3), Fraction(5), Fraction(1, 7), Fraction(4)]
+        exps = [(3, 0), (1, 2), (0, 2), (0, 0)]
+        p = Poly(2, {e: s * c for e, s, c in zip(exps, signs, magnitudes)})
+        text = poly_to_text(p)
+        assert text == reference_text(p.sorted_terms())
+        assert pp(text, 2) == p
+        coeffs = [s * c for s, c in zip(signs, magnitudes)]
+        phi = UniPoly(coeffs[:1] + [0] + coeffs[1:])
+        text = uni_to_text(phi)
+        terms = [((i,), c) for i, c in reversed(list(enumerate(phi.coeffs))) if c]
+        assert text == reference_text(terms, "t")
+        assert parse_unipoly(text) == phi
+
+    def test_zero_polynomial(self):
+        assert poly_to_text(Poly.zero(3)) == reference_text([]) == "0/1"
+        assert pp(poly_to_text(Poly.zero(3)), 3).is_zero
 
 
 class TestDerivatives:

@@ -52,7 +52,6 @@ _EXPORTS = {
     "parse_poly": "parser",
     "parse_unipoly": "parser",
     "DimensionMismatchError": "poly",
-    "Limits": "poly",
     "Poly": "poly",
     "UniPoly": "poly",
     "evaluate": "poly",

@@ -3,7 +3,7 @@ or as a JSON list."""
 
 from __future__ import annotations
 
-from ._cli_common import _emit, _input_limits
+from ._cli_common import _emit
 from .poly import poly_to_text
 
 
@@ -11,7 +11,7 @@ def run(args) -> int:
     from .kernel import BasisRequest, graded_basis
 
     request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
-    basis = graded_basis(request, limits=_input_limits(args))
+    basis = graded_basis(request)
     lines = [poly_to_text(p) for p in basis.elements]
     if args.format == "json":
         import json

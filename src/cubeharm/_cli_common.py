@@ -1,6 +1,6 @@
 """What the CLI's subcommand handlers share: the usage error, the cube and
-its radius, the input limits, the budgets of more than one command, and
-where output goes.
+its radius, the parsing of input expressions, the budgets of more than one
+command, and where output goes.
 
 `cli` runs as `__main__` under `python -m cubeharm.cli`, so a handler that
 imported from `.cli` would load and compile it a second time; the handlers
@@ -16,7 +16,7 @@ import tempfile
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .poly import MAX_DIGITS, Limits
+from .poly import MAX_DIGITS
 
 if TYPE_CHECKING:
     from .integrate import CubeDomain
@@ -116,10 +116,21 @@ def _domain(args) -> CubeDomain:
     return CubeDomain(args.n, r)
 
 
-def _input_limits(args) -> Limits:
-    # The CLI's own arguments are the escape hatch past the desk defaults.
-    deg = getattr(args, "deg", None) or 0
-    return Limits(max_dim=max(8, args.n), max_degree=max(16, deg))
+def _degree_limit(args) -> int:
+    """The largest degree of a parsed input: 16, or --deg where the command
+    takes one and it is larger."""
+    return max(16, getattr(args, "deg", None) or 0)
+
+
+def _parse_input(args, text: str, profile: bool = False):
+    """--poly, --f or --h as a polynomial in dimension --n, or a --phi
+    profile in t, of degree at most _degree_limit(args)."""
+    from . import parser
+
+    if profile:
+        return parser.parse_unipoly(text, max_degree=_degree_limit(args))
+    source = parser.ExprSource(text, expected_dim=args.n)
+    return parser.parse_poly(source, max_degree=_degree_limit(args))
 
 
 @contextlib.contextmanager

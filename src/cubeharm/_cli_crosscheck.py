@@ -10,10 +10,11 @@ import sys
 from ._cli_common import (
     UsageError,
     _check_weight_degree,
+    _degree_limit,
     _domain,
     _float17,
-    _input_limits,
     _parse_exponents,
+    _parse_input,
 )
 
 # Work `crosscheck` may do, in units of about 0.2-0.5 us.  One integral of
@@ -35,9 +36,10 @@ def run(args) -> int:
     ks = _parse_exponents(args.k)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    limits = _input_limits(args)
+    if args.tol is not None and not args.tol >= 0:  # a NaN compares false with any deviation
+        raise UsageError(f"--tol must be >= 0, got {args.tol}")
     if args.poly:
-        count, deg = 1, limits.max_degree
+        count, deg = 1, _degree_limit(args)
     else:
         if args.deg < 0:
             raise UsageError(f"--deg must be >= 0, got {args.deg}")
@@ -61,9 +63,7 @@ def run(args) -> int:
 
     spec = QuadratureSpec(points_per_axis=q)
     if args.poly:
-        from .parser import ExprSource, parse_poly
-
-        polys = [parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)]
+        polys = [_parse_input(args, args.poly)]
     else:
         from .sampling import random_poly
 

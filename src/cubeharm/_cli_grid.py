@@ -7,7 +7,7 @@ import math
 import operator
 import sys
 
-from ._cli_common import UsageError, _domain, _float17, _input_limits, _output
+from ._cli_common import UsageError, _domain, _float17, _output, _parse_input
 from .poly import lattice_terms
 
 # Work `grid` may do, in term evaluations: every point evaluates each term of
@@ -24,11 +24,8 @@ def run(args) -> int:
     if args.n != 2:
         raise UsageError("grid emission is implemented for n == 2 surfaces")
     d = _domain(args)
-    limits = _input_limits(args)
-    from .parser import ExprSource, parse_poly
-
-    f = parse_poly(ExprSource(args.f, expected_dim=2), limits=limits)
-    h = parse_poly(ExprSource(args.h, expected_dim=2), limits=limits)
+    f = _parse_input(args, args.f)
+    h = _parse_input(args, args.h)
     res = args.res
     if res < 1:
         raise UsageError(f"grid resolution must be >= 1, got {res}")

@@ -6,9 +6,10 @@ from ._cli_common import (
     UsageError,
     _check_radius_power,
     _check_weight_degree,
+    _degree_limit,
     _domain,
     _emit,
-    _input_limits,
+    _parse_input,
 )
 from .poly import rational_to_text
 
@@ -17,17 +18,14 @@ def run(args) -> int:
     d = _domain(args)
     if args.phi is None:
         _check_weight_degree("--k", args.k, args.k)
-    limits = _input_limits(args)
-    from .parser import ExprSource, parse_poly, parse_unipoly
-
-    p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)
+    p = _parse_input(args, args.poly)
     from .integrate import Weight, integrate_boundary, integrate_cube, integrate_diagonal
 
     if args.phi is not None:
-        weight = Weight.from_profile(parse_unipoly(args.phi))
+        weight = Weight.from_profile(_parse_input(args, args.phi, profile=True))
     else:
         weight = Weight.power(args.k)
-    _check_radius_power(d, args.n + limits.max_degree + weight.profile.degree)
+    _check_radius_power(d, args.n + _degree_limit(args) + weight.profile.degree)
     region = args.region
     if region == "cube":
         value = integrate_cube(p, d, weight)

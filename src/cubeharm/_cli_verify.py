@@ -9,10 +9,11 @@ from ._cli_common import (
     UsageError,
     _check_radius_power,
     _check_weight_degree,
+    _degree_limit,
     _domain,
     _emit,
-    _input_limits,
     _parse_exponents,
+    _parse_input,
     _radius_bits,
 )
 
@@ -171,11 +172,11 @@ def run(args) -> int:
             )
         names.append(_IDENTITY_TOKENS[token])
     ks = _parse_exponents(args.k)
-    limits = _input_limits(args)
-    if (args.poly or args.phi) and limits.max_degree > MAX_VERIFY_DEGREE:
+    degree_limit = _degree_limit(args)
+    if (args.poly or args.phi) and degree_limit > MAX_VERIFY_DEGREE:
         # checked before parsing: a power costs one product per unit of its exponent
         raise UsageError(
-            f"--deg {args.deg} raises the degree limit of --poly and --phi to {limits.max_degree}, "
+            f"--deg {args.deg} raises the degree limit of --poly and --phi to {degree_limit}, "
             f"above the limit of {MAX_VERIFY_DEGREE}"
         )
     from .identities import Identity, SuiteConfig, run_suite
@@ -183,9 +184,9 @@ def run(args) -> int:
 
     request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
     if not args.poly:
-        request.validate(limits)  # bounds the monomial count below
+        request.validate()  # bounds the monomial count below
     # the degree limit also bounds a --phi profile and the default quadrature ones
-    weight_degree = limits.max_degree
+    weight_degree = degree_limit
     if "VOLUME_MEAN" in names:
         weight_degree = max(weight_degree, _check_weight_degree("--k", max(ks), max(ks) + 1))
     if "PIZZETTI" in names and not args.phi:
@@ -203,18 +204,16 @@ def run(args) -> int:
         raise UsageError(
             f"verify takes {integrals} integrals, above the limit of {MAX_VERIFY_INTEGRALS}"
         )
-    _check_radius_power(d, args.n + limits.max_degree + weight_degree)
-    if args.phi or args.poly:
-        from .parser import ExprSource, parse_poly, parse_unipoly
-    phis = tuple(parse_unipoly(text, limits=limits) for text in args.phi) if args.phi else None
+    _check_radius_power(d, args.n + degree_limit + weight_degree)
+    phis = tuple(_parse_input(args, text, profile=True) for text in args.phi) if args.phi else None
     identities = [Identity[name] for name in names]
     config = SuiteConfig(ks=ks, m=args.m, phis=phis)
     degree = args.deg
     if args.poly:
-        p = parse_poly(ExprSource(args.poly, expected_dim=args.n), limits=limits)
+        p = _parse_input(args, args.poly)
         degree = p.total_degree
     _check_radial_bits(d, degree, identities, config)
-    basis = [("user[0]", p)] if args.poly else graded_basis(request, limits)
+    basis = [("user[0]", p)] if args.poly else graded_basis(request)
     report = run_suite(basis, d, identities, config)
     data = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(args, data)

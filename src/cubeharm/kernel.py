@@ -36,9 +36,7 @@ import math
 from fractions import Fraction
 
 from .poly import (
-    DEFAULT_LIMITS,
     Exponent,
-    Limits,
     Poly,
     Value,
     _laplacian_terms,
@@ -79,21 +77,16 @@ class BasisRequest(Value):
     __slots__ = ("n", "max_degree", "m")
     _defaults = {"m": 1}
 
-    def validate(self, limits: Limits = DEFAULT_LIMITS) -> None:
+    def validate(self) -> None:
+        """Refuse a request with a nonpositive n or m, a negative degree, or
+        more exponent entries than MAX_BASIS_EXPONENTS; nothing else bounds
+        its dimension or degree."""
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
         if self.m < 1:
             raise ValueError(f"polyharmonic order must be >= 1, got {self.m}")
-        if self.n > limits.max_dim:
-            raise ValueError(
-                f"dimension {self.n} exceeds the configured limit {limits.max_dim}"
-            )
-        if self.max_degree > limits.max_degree:
-            raise ValueError(
-                f"degree {self.max_degree} exceeds the configured limit {limits.max_degree}"
-            )
         if self.m * _exponent_entries(self.n, self.max_degree) > MAX_BASIS_EXPONENTS:
             raise ValueError(
                 f"basis request n={self.n}, degree <= {self.max_degree} spans more than "
@@ -181,9 +174,9 @@ def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
     return BasisSet(elements)
 
 
-def graded_basis(req: BasisRequest, limits: Limits = DEFAULT_LIMITS) -> BasisSet:
+def graded_basis(req: BasisRequest) -> BasisSet:
     """Concatenation of the homogeneous kernels for d = 0 .. max_degree."""
-    req.validate(limits)
+    req.validate()
     elements: list[Poly] = []
     for d in range(req.max_degree + 1):
         elements.extend(homogeneous_kernel(req.n, d, req.m).elements)

@@ -20,7 +20,7 @@ token, so callers can produce pointed diagnostics without the process ever
 dying on malformed input.
 
 Work is bounded before it is done.  A power of a non-constant base is
-refused when its degree exceeds the limit, a constant power when its result
+refused when its degree exceeds max_degree, a constant power when its result
 would exceed MAX_CONSTANT_BITS, and a product or power when the terms it
 may expand to exceed MAX_EXPANDED_TERMS.  A sum collects its terms in one
 table, so its cost grows with the length of the text, not its square.
@@ -31,7 +31,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import DEFAULT_LIMITS, MAX_DIGITS, Limits, Poly, UniPoly, Value
+from .poly import MAX_DIGITS, Poly, UniPoly, Value
+
+# Largest dimension read off the variable indices of a text given without
+# an expected_dim; a caller that wants more passes expected_dim.
+MAX_INFERRED_DIM = 8
 
 
 # Terms the products and powers of one expression may expand to, counted
@@ -121,12 +125,12 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive-descent parser producing Poly values directly."""
 
-    def __init__(self, tokens: list[_Token], dim: int, univariate: bool, limits: Limits):
+    def __init__(self, tokens: list[_Token], dim: int, univariate: bool, max_degree: int):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
         self.univariate = univariate
-        self.limits = limits
+        self.max_degree = max_degree
         self.expanded = 0  # terms the products and powers so far may expand to
 
     def peek(self) -> _Token:
@@ -215,9 +219,9 @@ class _Parser:
                 )
             return Poly.const(self.dim, b**e)
         degree = base.total_degree * e
-        if degree > self.limits.max_degree:
+        if degree > self.max_degree:
             raise ExprSyntaxError(
-                f"degree {degree} exceeds the configured limit {self.limits.max_degree}",
+                f"degree {degree} exceeds the configured limit {self.max_degree}",
                 op.position,
             )
         self.bound_terms(math.comb(len(base.terms) + e - 1, e), "power", op)
@@ -288,9 +292,9 @@ def _max_var_index(tokens: list[_Token]) -> int:
     return max((_index(tok.text) or 0 for tok in tokens if tok.kind == "var"), default=0)
 
 
-def _parse(src: ExprSource | str, limits: Limits, univariate: bool) -> Poly:
+def _parse(src: ExprSource | str, max_degree: int, univariate: bool) -> Poly:
     """The polynomial of src, its empty text refused first and its degree
-    checked against the limit last; a profile in t has dimension 1."""
+    checked against max_degree last; a profile in t has dimension 1."""
     if isinstance(src, str):
         src = ExprSource(src)
     if not src.text.strip():
@@ -304,29 +308,30 @@ def _parse(src: ExprSource | str, limits: Limits, univariate: bool) -> Poly:
             raise ValueError(f"expected_dim must be >= 1, got {dim}")
     else:
         dim = max(1, _max_var_index(tokens))
-        if dim > limits.max_dim:
+        if dim > MAX_INFERRED_DIM:
             raise ExprSyntaxError(
-                f"variable index {dim} exceeds the configured limit {limits.max_dim}", 0
+                f"variable index {dim} exceeds the configured limit {MAX_INFERRED_DIM}", 0
             )
-    poly = _Parser(tokens, dim, univariate, limits).parse()
-    if poly.total_degree > limits.max_degree:
+    poly = _Parser(tokens, dim, univariate, max_degree).parse()
+    if poly.total_degree > max_degree:
         raise ExprSyntaxError(
-            f"degree {poly.total_degree} exceeds the configured limit {limits.max_degree}",
+            f"degree {poly.total_degree} exceeds the configured limit {max_degree}",
             0,
         )
     return poly
 
 
-def parse_poly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> Poly:
-    """Parse a multivariate polynomial expression.
+def parse_poly(src: ExprSource | str, *, max_degree: int = 16) -> Poly:
+    """Parse a multivariate polynomial expression of degree <= max_degree.
 
     The ambient dimension is expected_dim when provided, otherwise the
-    largest variable index appearing in the text (1 for pure constants).
+    largest variable index appearing in the text (1 for pure constants),
+    at most MAX_INFERRED_DIM.
     """
-    return _parse(src, limits, univariate=False)
+    return _parse(src, max_degree, univariate=False)
 
 
-def parse_unipoly(src: ExprSource | str, limits: Limits = DEFAULT_LIMITS) -> UniPoly:
-    """Parse a univariate profile in the variable t."""
-    poly = _parse(src, limits, univariate=True)
+def parse_unipoly(src: ExprSource | str, *, max_degree: int = 16) -> UniPoly:
+    """Parse a univariate profile in the variable t of degree <= max_degree."""
+    poly = _parse(src, max_degree, univariate=True)
     return UniPoly(poly.terms.get((i,), 0) for i in range(poly.total_degree + 1))

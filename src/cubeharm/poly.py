@@ -81,21 +81,6 @@ class Value:
         return type(self), self._fields()
 
 
-class Limits(Value):
-    """Desk-scale guardrails for user-supplied inputs.
-
-    These are enforced at input boundaries (parser, basis requests), not
-    inside arithmetic, so internal products may exceed them freely.  Pass a
-    custom instance to lift them.
-    """
-
-    __slots__ = ("max_dim", "max_degree")
-    _defaults = {"max_dim": 8, "max_degree": 16}
-
-
-DEFAULT_LIMITS = Limits()
-
-
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
     """Sort key realizing graded-lexicographic order (ascending)."""
     return (sum(exps), exps)

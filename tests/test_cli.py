@@ -229,6 +229,14 @@ class TestVerify:
         assert code == 2  # x1^100 is not harmonic
         assert json.loads(out)["entry_count"] == 1
 
+    def test_dimension_past_eight_runs(self, capsys):
+        # no dimension limit but the exponent budget: 1 + 9 + 44 elements
+        code, out, err = run_cli(capsys, "verify", "--n", "9", "--deg", "2", "--k", "0")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["all_pass"] is True
+        assert payload["entry_count"] == 54 * 2
+
     def test_basis_degree_errors_unchanged(self, capsys):
         # verify refuses an oversized basis with the line `basis` prints
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--deg", "1000")
@@ -358,6 +366,18 @@ class TestBasis:
         )
         assert code == 0
         assert json.loads(out) == ["1/1", "1/1*x1", "1/1*x2"]
+
+    @pytest.mark.parametrize("n,deg", [(9, 2), (2, 40)])
+    def test_library_basis_is_the_command_basis(self, capsys, n, deg):
+        # graded_basis admits a request exactly when `basis` does, past the
+        # dimension 8 and degree 16 of parsed expressions
+        from cubeharm.kernel import BasisRequest, graded_basis
+        from cubeharm.poly import poly_to_text
+
+        code, out, err = run_cli(capsys, "basis", "--n", str(n), "--deg", str(deg))
+        assert (code, err) == (0, "")
+        lines = [poly_to_text(p) for p in graded_basis(BasisRequest(n, deg))]
+        assert out.splitlines() == lines and len(lines) == {(9, 2): 54, (2, 40): 81}[n, deg]
 
     @pytest.mark.parametrize(
         "argv",
@@ -822,6 +842,34 @@ class TestCrosscheck:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: " + message)
+
+    @pytest.mark.parametrize("poly", [None, "x1^2"], ids=["random", "poly"])
+    @pytest.mark.parametrize(
+        "tol,shown", [("nan", "nan"), ("-1", "-1.0"), ("-1e-300", "-1e-300"), ("-inf", "-inf")],
+        ids=["nan", "negative", "tiny-negative", "negative-infinity"],
+    )
+    def test_nan_or_negative_tolerance_refused_before_any_polynomial(
+        self, capsys, monkeypatch, poly, tol, shown
+    ):
+        # no deviation exceeds a NaN and every one exceeds a negative
+        # tolerance, so either would fix the exit code whatever the input
+        import cubeharm.parser as parser
+        import cubeharm.sampling as sampling
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polynomial drawn before --tol was checked")
+
+        monkeypatch.setattr(parser, "parse_poly", refuse)
+        monkeypatch.setattr(sampling, "random_poly", refuse)
+        source = ["--poly", poly] if poly else ["--count", "2"]
+        code, out, err = run_cli(capsys, "crosscheck", "--n", "2", *source, "--tol", tol)
+        assert (code, out, err) == (1, "", f"error: --tol must be >= 0, got {shown}\n")
+
+    def test_zero_and_infinite_tolerance_run(self, capsys):
+        exact = ["crosscheck", "--n", "2", "--poly", "1", "--k", "0"]  # no deviation at all
+        assert run_cli(capsys, *exact, "--tol", "0") == (0, "0\n", "")
+        code, out, err = run_cli(capsys, "crosscheck", "--n", "2", "--count", "2", "--tol", "inf")
+        assert (code, err) == (0, "") and float(out) < 1e-12
 
     def test_benchmark_request_far_below_the_budget(self, capsys):
         # the benchmark runs --count 2; a hundred times as many still runs

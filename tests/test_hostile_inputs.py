@@ -4,9 +4,12 @@ values at and past each bound and with malformed ones, must end with exit 0,
 
 One child process runs `cli.main` in-process for every case.  It builds the
 cases from `build_parser()`'s actions, so a new flag is swept without editing
-this file.  The child caps its own address space and gives each case a
-deadline; the parent's timeout kills the child, since no alarm can stop one
-huge big-int operation.  Run as a script, this file is that child.
+this file.  A second sweep combines the flags that set or meet the degree
+limit of a parsed expression, drawn by a derandomized hypothesis strategy.
+The child caps its own address space and gives each case a deadline; the
+parent's timeout kills the child, since no alarm can stop one huge big-int
+operation.  Run as a script (`test_hostile_inputs.py flags` or
+`test_hostile_inputs.py combinations`), this file is that child.
 """
 
 import argparse
@@ -42,6 +45,26 @@ BASE = {
 BASE_JOB = '{"n": 2, "deg": 2, "k": [0]'
 DEADLINE_S = 5.0
 ADDRESS_SPACE = 1 << 29
+
+# values of the flags combined by the second sweep: each side of every bound
+# on --n, --deg, --m and --k, and expressions at and past the degree limit
+# of 16 (or --deg), at the 100 that verify admits, and past the dimension
+COMBINED = {
+    "--n": ["1", "2", "3", "8", "9", "2000"],
+    "--deg": ["-1", "0", "2", "6", "16", "17", "100", "101"],
+    "--poly": [
+        "x1^2-x2^2", "x1*x2", "x1^16", "x1^17", "(x1+x2)^100", "(1+x1)^100", "x1^101",
+        "x9", "1/0", "t",
+    ],
+    "--phi": ["t^2/2", "t^17", "t^2*(1+t)^98", "t^101", "t-t^2", "x1"],
+    "--m": ["0", "1", "3", "499", "500"],
+    "--identities": [
+        "surface", "volume", "quadrature", "pizzetti", "quadrature,pizzetti",
+        "surface,volume,quadrature,pizzetti",
+    ],
+    "--k": ["-1", "0", "0,1,2,3", "999", "1000"],
+}
+COMBINATIONS = 300
 
 
 def _with_flag(base: list[str], flag: str, value: str) -> list[str]:
@@ -82,6 +105,50 @@ def _cases():
     yield "job /dev/zero", ["verify", "--job", "/dev/zero"]
 
 
+def _combined_cases():
+    """(name, argv) of `verify` and `crosscheck` calls that combine the
+    flags of COMBINED, drawn once by a derandomized hypothesis run."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    def flags(required, optional):
+        pick = {flag: st.sampled_from(COMBINED[flag]) for flag in (*required, *optional)}
+        if "--phi" in optional:  # repeatable
+            pick["--phi"] = st.lists(pick["--phi"], min_size=1, max_size=2)
+        return st.fixed_dictionaries(
+            {flag: pick[flag] for flag in required},
+            optional={flag: pick[flag] for flag in optional},
+        )
+
+    def argv(command, base, drawn):
+        out = [command, *base]
+        for flag, value in drawn.items():
+            for v in value if isinstance(value, list) else [value]:
+                out += [flag, v]
+        return tuple(out)
+
+    verify = flags(("--n", "--deg"), ("--poly", "--phi", "--m", "--identities", "--k"))
+    crosscheck = flags(("--deg",), ("--poly",))
+    drawn = []
+
+    @settings(
+        derandomize=True, database=None, deadline=None, max_examples=COMBINATIONS,
+        suppress_health_check=list(HealthCheck),
+    )
+    @given(
+        st.one_of(
+            verify.map(lambda d: argv("verify", [], d)),
+            crosscheck.map(lambda d: argv("crosscheck", ["--n", "2", "--count", "2"], d)),
+        )
+    )
+    def draw(case):
+        drawn.append(case)
+
+    draw()
+    for case in dict.fromkeys(drawn):  # once each, in the order drawn
+        yield " ".join(case), list(case)
+
+
 class _Deadline(BaseException):
     """Raised by the alarm; no handler of the program catches it."""
 
@@ -90,13 +157,13 @@ def _alarm(signum, frame):
     raise _Deadline
 
 
-def _child() -> None:
+def _child(sweep: str) -> None:
     from cubeharm.cli import main
 
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     signal.signal(signal.SIGALRM, _alarm)
     count = 0
-    for name, argv in _cases():
+    for name, argv in {"flags": _cases, "combinations": _combined_cases}[sweep]():
         out, err = io.StringIO(), io.StringIO()
         raised = None
         signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
@@ -127,19 +194,33 @@ def _failure(result: dict) -> str | None:
     return None
 
 
-def test_every_flag_refuses_hostile_values(tmp_path):
+def _sweep(tmp_path, sweep: str) -> list[dict]:
+    """One result per case of a sweep, run in a fresh capped child."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     child = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve())],
+        [sys.executable, str(Path(__file__).resolve()), sweep],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr[-2000:]
     *results, done = map(json.loads, child.stdout.splitlines())
-    assert done == {"done": len(results)} and len(results) > 500
+    assert done == {"done": len(results)}
+    return results
+
+
+def test_every_flag_refuses_hostile_values(tmp_path):
+    results = _sweep(tmp_path, "flags")
+    assert len(results) > 500
+    failures = {r["case"]: why for r in results if (why := _failure(r))}
+    assert failures == {}
+
+
+def test_flag_combinations_end_cleanly(tmp_path):
+    results = _sweep(tmp_path, "combinations")
+    assert len(results) > 100
     failures = {r["case"]: why for r in results if (why := _failure(r))}
     assert failures == {}
 
 
 if __name__ == "__main__":
-    _child()
+    _child(sys.argv[1])

@@ -13,7 +13,7 @@ from cubeharm.kernel import (
     is_polyharmonic,
     monomials_of_degree,
 )
-from cubeharm.poly import Limits, Poly, iterated_laplacian, poly_to_text
+from cubeharm.poly import Poly, iterated_laplacian, poly_to_text
 
 
 def monomial_space_dim(n: int, d: int) -> int:
@@ -212,7 +212,7 @@ class TestGradedBasis:
             BasisRequest(2, 6, 2).validate()
 
     def test_high_dimension_within_budget(self):
-        basis = graded_basis(BasisRequest(5000, 0, 1), limits=Limits(max_dim=5000))
+        basis = graded_basis(BasisRequest(5000, 0, 1))
         assert basis.elements == (Poly.const(5000, 1),)
 
     @pytest.mark.parametrize("n,d", [(8, 8), (2000, 1), (10**12, 0), (1, 10**12)])
@@ -221,15 +221,17 @@ class TestGradedBasis:
             raise AssertionError("basis built before the budget check")
 
         monkeypatch.setattr(kernel, "homogeneous_kernel", refuse)
-        limits = Limits(max_dim=n, max_degree=d)
         with pytest.raises(ValueError, match="exponent entries"):
-            graded_basis(BasisRequest(n, d, 1), limits=limits)
+            graded_basis(BasisRequest(n, d, 1))
 
     def test_request_validation(self):
-        with pytest.raises(ValueError):
-            graded_basis(BasisRequest(2, 3, 0))
-        with pytest.raises(ValueError):
-            graded_basis(BasisRequest(9, 3, 1))  # default dimension limit
+        for request in (BasisRequest(2, 3, 0), BasisRequest(0, 3, 1), BasisRequest(2, -1, 1)):
+            with pytest.raises(ValueError):
+                graded_basis(request)
+        # the exponent budget is the one bound on the dimension and the degree:
+        # 1 + 9 + 44 + 156 harmonic polynomials of degree <= 3 in dimension 9
+        assert len(graded_basis(BasisRequest(9, 3, 1))) == 210
+        assert len(graded_basis(BasisRequest(2, 17, 1))) == 35
 
 
 class TestValueClasses:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import cubeharm.parser as parser
 from conftest import check_value_class, polys_st
 from cubeharm.parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
-from cubeharm.poly import Limits, Poly, UniPoly, poly_to_text
+from cubeharm.poly import Poly, UniPoly, poly_to_text
 
 
 class TestParsePoly:
@@ -141,12 +141,23 @@ class TestParseErrors:
         assert err.value.reason == "4301 digits in a row, above the limit of 4300"
 
     def test_limits_enforced(self):
-        with pytest.raises(ExprSyntaxError):
-            parse_poly("x9")  # default max_dim is 8
-        assert parse_poly("x9", limits=Limits(max_dim=9)).dim == 9
-        with pytest.raises(ExprSyntaxError):
+        # a dimension read off the text is at most MAX_INFERRED_DIM; a given
+        # expected_dim is not bounded by it
+        assert parser.MAX_INFERRED_DIM == 8
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly("x9")
+        assert err.value.reason == "variable index 9 exceeds the configured limit 8"
+        assert parse_poly(ExprSource("x9", expected_dim=9)).dim == 9
+        assert parse_poly(ExprSource("x1", expected_dim=5000)).dim == 5000
+        # the degree limit is max_degree, 16 unless the caller sets it
+        with pytest.raises(ExprSyntaxError, match="degree 17 exceeds the configured limit 16"):
             parse_poly("x1^17")
-        assert parse_poly("x1^17", limits=Limits(max_degree=17)).total_degree == 17
+        assert parse_poly("x1^17", max_degree=17).total_degree == 17
+        with pytest.raises(ExprSyntaxError, match="degree 17 exceeds the configured limit 16"):
+            parse_unipoly("t^17")
+        assert parse_unipoly("t^17", max_degree=17).degree == 17
+        with pytest.raises(TypeError):
+            parse_poly("x1", 17)  # max_degree is keyword-only
 
 
 def _sum(first: int, last: int) -> str:
@@ -170,14 +181,14 @@ class TestExpansionBounds:
         assert err.value.position == 7
         assert err.value.reason == "degree 1000000000 exceeds the configured limit 16"
         with pytest.raises(ExprSyntaxError, match="degree 9 exceeds the configured limit 8"):
-            parse_poly("(x1 + x2)^9", limits=Limits(max_degree=8))
+            parse_poly("(x1 + x2)^9", max_degree=8)
         with pytest.raises(ExprSyntaxError, match="degree 1000000000 exceeds"):
             parse_unipoly("t^1000000000")
 
     def test_power_degree_checked_even_when_it_cancels(self):
         with pytest.raises(ExprSyntaxError, match="degree 20 exceeds"):
             parse_poly("x1^20 - x1^20")
-        assert parse_poly("x1^20 - x1^20", limits=Limits(max_degree=20)).is_zero
+        assert parse_poly("x1^20 - x1^20", max_degree=20).is_zero
 
     def test_constant_power_sized_by_its_result(self, no_expansion):
         with pytest.raises(ExprSyntaxError) as err:

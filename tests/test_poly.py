@@ -10,7 +10,6 @@ from conftest import check_round_trips, check_value_class, polys_st, pp
 from cubeharm.parser import parse_unipoly
 from cubeharm.poly import (
     DimensionMismatchError,
-    Limits,
     Poly,
     UniPoly,
     divide_exact,
@@ -279,22 +278,6 @@ class TestImmutable:
     )
     def test_pickle_and_copy_round_trip(self, value):
         check_round_trips(value)
-
-
-class TestLimits:
-    def test_value_behaviour(self):
-        check_value_class(
-            Limits(),
-            Limits(8, 16),
-            Limits(max_degree=17),
-            ("max_dim", "max_degree"),
-            "Limits(max_dim=8, max_degree=16)",
-        )
-
-    def test_defaults_and_keywords(self):
-        assert (Limits().max_dim, Limits().max_degree) == (8, 16)
-        assert Limits(max_degree=3) == Limits(8, 3)
-        assert Limits(max_dim=2, max_degree=3) == Limits(2, 3)
 
 
 class TestUniNegativePoint:

@@ -39,13 +39,18 @@ MAX_DIM = 2000
 # at most MAX_DIGITS digits, as every printed exact value must.  The exact
 # values of `verify` and `integrate` carry powers of r up to
 # r^(n + degree limit + largest weight degree), and a value costs more than
-# its bits (a gcd of such numbers normalises each Fraction).  As whole
-# processes, `verify --n 2000 --poly x1^2-x2^2 --identities surface,volume
-# --k 0` (r^2032) took 2.0 s at --r 1e400 (2.7 M bits), 3.3 s at 1e592
-# (4.0 M bits), 5.6 s at 1e800 and 10 s at 1e1200.  So such a request takes
-# at most about 4 s; the bound is per value, and `verify` bounds the bits of
-# all its values together as well.  `approx`, `grid` and `crosscheck` are
-# bound by the digit limit, their grid and the float range.
+# its bits: its products and the digits it prints grow with the power.  Each
+# radial factor takes the power that grows with the dimension last, in
+# Fraction products, so no Fraction normalises by a gcd of two numbers of
+# that size, even when both of r's numerator and denominator are large.  As
+# whole processes, `verify --n 2000 --poly x1^2-x2^2 --identities
+# surface,volume --k 0` (r^2032) took 1.1 s at --r 1e400 (2.7 M bits),
+# 2.0-2.1 s at 1e592 (4.0 M bits) and 2.3-2.4 s at (10^400+1)/(10^400-1);
+# with the power inside each factor's one Fraction they took 1.7 s, 3.0 s
+# and 30 s, and when this bound was set 5.6 s at 1e800 and 10 s at 1e1200.
+# So such a request takes at most about 4 s; the bound is per value, and
+# `verify` bounds the bits of all its values together as well.  `approx`, `grid` and `crosscheck` are bound by the digit
+# limit, their grid and the float range.
 MAX_RADIUS_POWER_BITS = 4_000_000
 
 
@@ -138,8 +143,9 @@ def _write_atomic(path: str):
     """A file to write to that replaces `path` only once the block ends
     without error; on an error it is removed and `path` is left as it was.
     A `path` that exists and is not a regular file (a device or a FIFO) is
-    written in place, never replaced.  An error in making the temp file
-    names `path`, not the temp file's random name."""
+    written in place, never replaced.  An error in making the temp file or
+    in moving it onto `path` names `path`, not the temp file's random name,
+    so the message is the same on every run."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
             yield fh
@@ -152,7 +158,10 @@ def _write_atomic(path: str):
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

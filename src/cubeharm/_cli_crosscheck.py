@@ -100,6 +100,4 @@ def run(args) -> int:
                     raise UsageError(f"crosscheck coefficient of {term} leaves the float range")
         raise UsageError(f"crosscheck values at radius {args.r} leave the float range")
     sys.stdout.write(_float17(worst) + "\n")
-    if args.tol is not None and worst > args.tol:
-        return 2
-    return 0
+    return 2 if args.tol is not None and worst > args.tol else 0

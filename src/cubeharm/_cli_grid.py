@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import sys
 
 from ._cli_common import UsageError, _domain, _float17, _output, _parse_input
-from .poly import lattice_terms
+from .lattice import lattice_row, lattice_terms
 
 # Work `grid` may do, in term evaluations: every point evaluates each term of
 # f and h and writes a CSV row that counts as two more.  On the integer
@@ -54,13 +53,10 @@ def run(args) -> int:
         # the values P(m1, m2) * denom / own_denom, one x1 row at a time
         scale = denom // own_denom
         for i in range(res):
-            coeffs: dict[int, int] = {}
+            coeffs: dict[tuple[int], int] = {}
             for (e1, e2), c in ints.items():
-                coeffs[e2] = coeffs.get(e2, 0) + c * scale * powers[e1][i]
-            row = [0] * res
-            for e2, c in coeffs.items():
-                row = list(map(operator.add, row, map(c.__mul__, powers[e2])))
-            yield row
+                coeffs[e2,] = coeffs.get((e2,), 0) + c * scale * powers[e1][i]
+            yield lattice_row(coeffs, powers)
 
     # int / int is correctly rounded, as float() of the exact Fraction is
     labels = [_float17(float(step * m)) for m in ms]

@@ -44,12 +44,16 @@ MAX_VERIFY_INTEGRALS = 200_000
 # budget, `--n 8 --deg 6 --k 0,...,19 --r 1e2985` (some 2,500 elements) took
 # 3.5 s, `--n 3 --deg 40 --k 0 --r 1e3900` 2.6 s, that --k 0,...,999 request
 # at --r 200 2.4 s and `--n 2000 --poly x1^2-x2^2 --k 0,1,2,3 --r 1e250`
-# 2.0 s.  So a request takes at most about 4 s, with one exception that
-# neither bound sees: when both r's numerator and denominator are large,
-# every Fraction normalises by a gcd of two large numbers, which costs the
-# square of their size.  A --phi with many nonzero coefficients is summed
-# over one common denominator, so `--n 2000 --deg 100 --poly x1^2-x2^2
-# --identities quadrature --phi "t^2*(1+t)^98" --r 1e-8` takes 0.1 s.
+# 2.0 s.  Re-measured once each radial factor took the power of r that
+# grows with the dimension last (before it in brackets): 4.3 s (4.6-4.7 s),
+# 1.3 s (3.7 s), 2.9 s (3.8-3.9 s) and 1.3 s (2.1 s).  So a request takes
+# at most about 4 s.  Both of r's numerator and denominator may be large:
+# no Fraction normalises by a gcd of two numbers of a dimension-sized power
+# of r, and `--n 2 --poly x1^2 --identities volume --k 999 --r
+# (10^400+1)/(10^400-1)` takes 2.9-3.2 s (3.1-3.3 s).  A --phi with many
+# nonzero coefficients is summed over one common denominator, so `--n 2000
+# --deg 100 --poly x1^2-x2^2 --identities quadrature --phi "t^2*(1+t)^98"
+# --r 1e-8` takes 0.12 s.
 MAX_VERIFY_RADIAL_BITS = 50_000_000
 
 # Characters of a job file; a job is a few hundred.

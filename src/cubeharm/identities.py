@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
@@ -177,17 +178,11 @@ def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
 
 def default_quadrature_profiles() -> tuple[UniPoly, ...]:
     """t^j / j! for j = 2..6."""
-    import math
-
-    return tuple(
-        UniPoly.monomial(j, Fraction(1, math.factorial(j))) for j in range(2, 7)
-    )
+    return tuple(Weight.power(j).profile for j in range(2, 7))
 
 
 def default_pizzetti_profiles(m: int) -> tuple[UniPoly, ...]:
     """t^(2m+j) / (2m+j)! for j = 0..2."""
-    import math
-
     return tuple(
         UniPoly.monomial(2 * m + j, Fraction(1, math.factorial(2 * m + j)))
         for j in range(3)
@@ -287,8 +282,7 @@ def _labelled_elements(
         counters: dict[int, int] = {}
         for p in basis.elements:
             deg = p.total_degree
-            idx = counters.get(deg, 0)
-            counters[deg] = idx + 1
+            counters[deg] = idx = counters.get(deg, -1) + 1
             out.append((f"deg{deg}[{idx}]", p))
         return out
     return list(basis)

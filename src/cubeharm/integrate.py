@@ -34,10 +34,14 @@ a degree's groups are then added as Fractions, one per group.  Tie sets
 are lower dimensional and carry no mass.  A constant factor (the
 reciprocal of a mass, or the 2 on a quadrature diagonal) folds into the
 radial factors, so each residual in `identities` is one linear functional
-of the degree sums.  A
-polynomial each of whose terms has an odd exponent has empty degree sums,
-which `integral` maps to the exact integer 0 with no Fraction arithmetic;
-the public integrate_* functions and `measure` return Fractions.
+of the degree sums.  Each radial factor sums only the powers of r that grow
+with the degree and the profile, and takes the power r^(n - s + 1), which
+grows with the dimension, last: Fraction builds a power with no gcd, so a
+radius whose numerator and denominator are both large costs no gcd of two
+numbers of that power's size.  A polynomial each of whose terms has an odd
+exponent has empty degree sums, which `integral` maps to the exact integer
+0 with no Fraction arithmetic; the public integrate_* functions and
+`measure` return Fractions.
 
 Diagonal measure convention.  The diagonal set is the union over pairs
 i < j of the sheets {|x_k| <= |x_i| = |x_j|}.  Each pair contributes four
@@ -150,40 +154,47 @@ def _cell_factors(alpha: Exponent) -> tuple[Fraction, Fraction]:
 
 
 def _radial(
-    a: int, r: Fraction, coeffs: tuple[Fraction, ...] | None, scale: Fraction
+    a: int, shift: int, r: Fraction, coeffs: tuple[Fraction, ...] | None, unit: Fraction
 ) -> Fraction:
-    """scale * R_phi(a, r) for the profile phi with the given coefficients,
-    or scale * r^a when there is no profile (the boundary).
+    """unit * R_phi(a + shift, r) / r^(shift + 1) for the profile phi with
+    the given coefficients, or unit * r^a when there is no profile (the
+    boundary).
 
-    R_phi(a, r) = sum_b c_b a! b! r^e / e! (e = a + b + 1) is summed over
-    integers on one common denominator L * top! * q^top (L the lcm of the
-    coefficients' denominators, widened term by term, q the denominator of
-    r, top = a + len(coeffs) the largest e), so it grows with its largest
-    term, not with the product of every term's denominator; one Fraction is
-    built at the end.
+    With A = a + shift, R_phi(A, r) / r^(shift + 1) = sum_b c_b b! r^(a + b)
+    A! / (A + b + 1)!.  Its powers of r grow with the degree a and the
+    profile's b, not with the dimension, and are added in integers over one
+    common denominator L * top! / A! * q^(a + len(coeffs)) (L the lcm of the
+    coefficients' denominators, q the denominator of r, top = A +
+    len(coeffs)), whose factorial part is a product of len(coeffs) factors.
+    `integral` puts the power r^(shift + 1), which grows with the dimension,
+    into `unit` with the functional's constant; Fraction's power builds it
+    with no gcd.  The integer sum is multiplied into the unit and the
+    product divided by the common denominator, and each step reduces only
+    across its two operands.  So a radius whose numerator and denominator
+    are both large never pays a gcd of two numbers of that power's size,
+    and a sum that a reciprocal mass in the unit cancels is reduced against
+    it, not normalised on its own first.  A unit of 1 builds the one
+    Fraction of the sum.
     """
-    p, q = r.numerator, r.denominator
     if coeffs is None:
-        num, den = p**a, q**a
-    else:
-        top = a + len(coeffs)
-        num, lcm = 0, 1
-        for b, c in enumerate(coeffs):
-            if c:
-                e = a + b + 1
-                cd = c.denominator
-                if lcm % cd:  # widen the common denominator
-                    wider = math.lcm(lcm, cd)
-                    num *= wider // lcm
-                    lcm = wider
-                # c_b b! p^e / (e! q^e) over the common denominator; a! is common
-                num += (
-                    c.numerator * (lcm // cd) * math.factorial(b)
-                    * math.perm(top, top - e) * p**e * q ** (top - e)
-                )
-        num *= math.factorial(a)
-        den = lcm * math.factorial(top) * q**top
-    return Fraction(num * scale.numerator, den * scale.denominator)
+        return unit * r**a
+    p, q = r.numerator, r.denominator
+    k = len(coeffs)
+    top, num, lcm = a + shift + k, 0, 1
+    for b, c in enumerate(coeffs):
+        if c:
+            cd = c.denominator
+            if lcm % cd:  # widen the common denominator
+                wider = math.lcm(lcm, cd)
+                num *= wider // lcm
+                lcm = wider
+            # c_b b! r^(a + b) A! / (A + b + 1)! over the common denominator
+            num += (
+                c.numerator * (lcm // cd) * math.factorial(b) * math.perm(top, k - 1 - b)
+                * p ** (a + b) * q ** (k - b)
+            )
+    den = lcm * math.perm(top, k) * q ** (a + k)
+    return Fraction(num, den) if unit == 1 else unit * num / den
 
 
 class DegreeSums(dict):
@@ -194,8 +205,8 @@ class DegreeSums(dict):
 
     The terms are grouped by (degree, coefficient denominator).  A group
     sums c.numerator * N in integers over the lcm of its cell factors'
-    denominators Q (C_s = N/Q), widened term by term as _radial widens, and
-    becomes one Fraction; a degree's groups are added as Fractions.  So
+    denominators Q (C_s = N/Q), widened term by term, and becomes one
+    Fraction; a degree's groups are added as Fractions.  So
     terms with many coprime coefficient denominators are added pairwise with
     Fraction's small-gcd reduction, not over one denominator that grows
     with all of them.  Degrees keep their first-term order, and a degree
@@ -236,9 +247,13 @@ def integral(
     functional of a polynomial's degree sums.
 
     The constant `scale` (a term's reciprocal mass, the factor 2 of a
-    diagonal and the term's sign) is folded into the radial factor of each
-    degree, which is computed once per degree for the life of the returned
-    function; a residual is then the sum of its row's functionals.
+    diagonal and the term's sign) and the power of r that grows with the
+    dimension, r^(n - s + 1) (r^(n - 1) on the boundary), are multiplied
+    once into a unit, and the unit into the radial factor of each degree,
+    as _radial describes; a unit of 1 (scale 1 at r = 1) is neither built
+    nor multiplied.  Each factor is computed once per degree for the life
+    of the returned function; a residual is then the sum of its row's
+    functionals.
     A parity-odd polynomial (each term has an odd exponent, so its degree
     sums are empty) gives the exact integer 0 with no Fraction arithmetic.
     Any other value is a Fraction.
@@ -246,7 +261,9 @@ def integral(
     s = 2 if region is Region.DIAGONAL else 1
     shift = d.n - s
     coeffs = None if region is Region.BOUNDARY else w.profile.coeffs
-    scale = Fraction(scale)
+    unit = Fraction(scale)
+    if d.r != 1:
+        unit *= d.r ** (shift if coeffs is None else shift + 1)
     factors: dict[int, Fraction] = {}
 
     def value(p: DegreeSums) -> Fraction | int:
@@ -255,7 +272,7 @@ def integral(
         total = None  # the first product starts the sum; 0 + Fraction builds a Fraction(0)
         for a, sums in p[s].items():
             if a not in factors:
-                factors[a] = _radial(a + shift, d.r, coeffs, scale)
+                factors[a] = _radial(a, shift, d.r, coeffs, unit)
             term = sums * factors[a]
             total = term if total is None else total + term
         return 0 if total is None else total

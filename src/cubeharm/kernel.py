@@ -177,10 +177,9 @@ def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
 def graded_basis(req: BasisRequest) -> BasisSet:
     """Concatenation of the homogeneous kernels for d = 0 .. max_degree."""
     req.validate()
-    elements: list[Poly] = []
-    for d in range(req.max_degree + 1):
-        elements.extend(homogeneous_kernel(req.n, d, req.m).elements)
-    return BasisSet(tuple(elements))
+    return BasisSet(
+        tuple(p for d in range(req.max_degree + 1) for p in homogeneous_kernel(req.n, d, req.m))
+    )
 
 
 def is_polyharmonic(p: Poly, m: int) -> bool:

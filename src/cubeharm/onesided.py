@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from fractions import Fraction
+from itertools import combinations
 
 from .integrate import (
     CubeDomain,
@@ -49,12 +49,12 @@ from .integrate import (
     integrate_cube,
 )
 from .kernel import is_polyharmonic
+from .lattice import lattice_row, lattice_terms
 from .poly import (
     Poly,
     UniPoly,
     Value,
     divide_exact,
-    lattice_terms,
     partial,
     poly_sqrt,
     poly_to_text,
@@ -81,15 +81,14 @@ def vanishes_on_diagonal(p: Poly, d: CubeDomain) -> bool:
     """
     d.check_dim(p)
     terms = p.terms.items()
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            sums: dict[tuple, Fraction] = {}
-            for exps, coeff in terms:
-                e = exps[i]
-                key = (e & 1, exps[:i], exps[i + 1 : j], exps[j] + e, exps[j + 1 :])
-                sums[key] = sums.get(key, 0) + coeff
-            if any(sums.values()):
-                return False
+    for i, j in combinations(range(d.n), 2):
+        sums: dict[tuple, Fraction] = {}
+        for exps, coeff in terms:
+            e = exps[i]
+            key = (e & 1, exps[:i], exps[i + 1 : j], exps[j] + e, exps[j + 1 :])
+            sums[key] = sums.get(key, 0) + coeff
+        if any(sums.values()):
+            return False
     return True
 
 
@@ -105,11 +104,8 @@ def pair_square_product(dim: int) -> Poly:
     """prod over i < j of (x_i^2 - x_j^2)^2 in the given dimension, built
     once per dimension."""
     out = Poly.const(dim, 1)
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            xi2 = Poly.variable(dim, i) ** 2
-            xj2 = Poly.variable(dim, j) ** 2
-            out = out * (xi2 - xj2) ** 2
+    for i, j in combinations(range(1, dim + 1), 2):
+        out = out * (Poly.variable(dim, i) ** 2 - Poly.variable(dim, j) ** 2) ** 2
     return out
 
 
@@ -127,13 +123,11 @@ def _pair_square_cofactor(p: Poly) -> Poly | None:
 
 
 def _certified_nonnegative(g: Poly) -> bool:
-    if g.is_zero:
-        return True
-    if all(
+    """Even powers with positive coefficients (or none: g = 0), or an exact
+    polynomial square."""
+    return all(
         coeff > 0 and not any(e % 2 for e in exps) for exps, coeff in g.terms.items()
-    ):
-        return True
-    return poly_sqrt(g) is not None
+    ) or poly_sqrt(g) is not None
 
 
 def _lattice_walk(p: Poly, r: Fraction, npts: int) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -188,10 +182,7 @@ def _lattice_walk(p: Poly, r: Fraction, npts: int) -> tuple[Fraction, tuple[Frac
         # True once a negative value has been found, which ends the walk
         nonlocal best, best_at
         if len(at) == last:
-            row = [0] * npts
-            for (e,), c in terms.items():
-                if c:
-                    row = list(map(operator.add, row, map(c.__mul__, powers[e])))
+            row = lattice_row(terms, powers)
             low = min(row)
             if low < 0:
                 i = next(i for i, v in enumerate(row) if v < 0)

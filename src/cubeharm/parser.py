@@ -181,17 +181,13 @@ class _Parser:
                     )
                 if c == 0:
                     raise ExprSyntaxError("division by zero", op.position)
-                value = value.scale(Fraction(1, 1) / c)
+                value = value.scale(1 / c)
         return value
 
     def factor(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return -self.factor()
-        if tok.kind == "+":
-            self.advance()
-            return self.factor()
+        if self.peek().kind in "+-":
+            sign = self.advance().kind
+            return -self.factor() if sign == "-" else self.factor()
         return self.power()
 
     def power(self) -> Poly:

@@ -256,17 +256,6 @@ def evaluate(p: Poly, point: Sequence[RationalLike]) -> Fraction:
     return total
 
 
-def lattice_terms(p: Poly, step: Fraction) -> tuple[dict[Exponent, int], int]:
-    """p on the lattice x = step * m (integer m) as integers over one
-    common denominator: the integer coefficients P and D > 0 with
-    p(step * m) = P(m) / D for every integer point m.
-
-    P's coefficients are c_alpha * step^|alpha| * D, and D is the least
-    common denominator of the c_alpha * step^|alpha|.
-    """
-    return _integer_terms({exps: coeff * step ** sum(exps) for exps, coeff in p.terms.items()})
-
-
 def _integer_terms(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
     """A term map as integers over its least common denominator D > 0:
     the integer map C with terms[e] == C[e] / D for every exponent e."""
@@ -340,7 +329,7 @@ class UniPoly(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike]):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         _set(self, "coeffs", tuple(cs))
@@ -351,7 +340,7 @@ class UniPoly(Value):
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "UniPoly":
-        return cls([0] * power + [coeff])
+        return cls([Fraction(0)] * power + [coeff])
 
     @property
     def is_zero(self) -> bool:
@@ -363,9 +352,7 @@ class UniPoly(Value):
         return len(self.coeffs) - 1
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+        return self.coeffs[power] if 0 <= power < len(self.coeffs) else Fraction(0)
 
     def derivative(self, order: int = 1) -> "UniPoly":
         if order < 0:
@@ -373,8 +360,9 @@ class UniPoly(Value):
         if order == 0:
             return self
         # coefficient of t^(i - order) picks up the falling factorial i!/(i-order)!
-        out = [c and c * math.perm(i, order) for i, c in enumerate(self.coeffs) if i >= order]
-        return UniPoly(out)
+        return UniPoly(
+            c and c * math.perm(i, order) for i, c in enumerate(self.coeffs) if i >= order
+        )
 
     def __call__(self, value: RationalLike) -> Fraction:
         v = Fraction(value)
@@ -449,10 +437,9 @@ def uni_negative_point(g: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | Non
 def _term_to_text(exps: Exponent, coeff: Fraction, var: str = "x") -> str:
     parts = [rational_to_text(coeff)]
     for i, e in enumerate(exps):
-        if e == 0:
-            continue
-        name = var if var == "t" else f"{var}{i + 1}"
-        parts.append(name if e == 1 else f"{name}^{e}")
+        if e:
+            name = var if var == "t" else f"{var}{i + 1}"
+            parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
@@ -461,12 +448,10 @@ def _terms_to_text(terms: Iterable[tuple[Exponent, Fraction]], var: str = "x") -
     there are none."""
     pieces: list[str] = []
     for exps, coeff in terms:
-        if not pieces:
-            pieces.append(_term_to_text(exps, coeff, var))
-        elif coeff.numerator < 0:
+        if pieces and coeff.numerator < 0:
             pieces.append("- " + _term_to_text(exps, -coeff, var))
         else:
-            pieces.append("+ " + _term_to_text(exps, coeff, var))
+            pieces.append(("+ " if pieces else "") + _term_to_text(exps, coeff, var))
     return " ".join(pieces) or "0/1"
 
 

@@ -1352,6 +1352,20 @@ class TestDeterminism:
         assert err == "error: [Errno 2] No such file or directory: '/nonexistent/x'\n"
         assert ".cubeharm-" not in err
 
+    def test_replace_error_names_the_given_path(self, capsys, monkeypatch, tmp_path):
+        # a name too long for the file system: the temp file is made beside it,
+        # and moving it onto the name fails; two runs print the same line
+        monkeypatch.chdir(tmp_path)
+        name = "x" * 5000
+        argv = ["verify", "--n", "2", "--deg", "2", "--k", "0", "--out", name]
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first
+        code, out, err = first
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{name}'\n")
+        assert ".cubeharm-" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestHelp:
     # sha256 of each --help text at COLUMNS=80, as the CLI printed it before

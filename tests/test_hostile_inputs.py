@@ -8,8 +8,9 @@ this file.  A second sweep combines the flags that set or meet the degree
 limit of a parsed expression, drawn by a derandomized hypothesis strategy.
 The child caps its own address space and gives each case a deadline; the
 parent's timeout kills the child, since no alarm can stop one huge big-int
-operation.  Run as a script (`test_hostile_inputs.py flags` or
-`test_hostile_inputs.py combinations`), this file is that child.
+operation.  A third sweep runs calls with two-sided radii, which must end
+inside the same deadline.  Run as a script (`test_hostile_inputs.py flags`,
+`combinations` or `radii`), this file is that child.
 """
 
 import argparse
@@ -65,6 +66,21 @@ COMBINED = {
     "--k": ["-1", "0", "0,1,2,3", "999", "1000"],
 }
 COMBINATIONS = 300
+
+# radii whose numerator and denominator are both large, in calls that build
+# powers of r as large as the dimension: (argv, exit code)
+TWO_SIDED = {
+    "verify surface": (
+        ["verify", "--n", "2000", "--poly", "x1^2-x2^2", "--identities", "surface", "--k", "0",
+         "--r", f"{10**400 + 1}/{10**400 - 1}"],
+        0,
+    ),
+    "integrate diagonal": (
+        ["integrate", "--n", "2000", "--region", "diagonal", "--poly", "x1^2",
+         "--r", f"{10**590 + 1}/{10**590 - 1}"],
+        1,
+    ),
+}
 
 
 def _with_flag(base: list[str], flag: str, value: str) -> list[str]:
@@ -163,7 +179,12 @@ def _child(sweep: str) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     signal.signal(signal.SIGALRM, _alarm)
     count = 0
-    for name, argv in {"flags": _cases, "combinations": _combined_cases}[sweep]():
+    sweeps = {
+        "flags": _cases,
+        "combinations": _combined_cases,
+        "radii": lambda: ((name, argv) for name, (argv, _) in TWO_SIDED.items()),
+    }
+    for name, argv in sweeps[sweep]():
         out, err = io.StringIO(), io.StringIO()
         raised = None
         signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
@@ -220,6 +241,18 @@ def test_flag_combinations_end_cleanly(tmp_path):
     assert len(results) > 100
     failures = {r["case"]: why for r in results if (why := _failure(r))}
     assert failures == {}
+
+
+def test_two_sided_radii_end_in_time(tmp_path):
+    # each radial factor takes its power of r last, so no Fraction normalises
+    # by a gcd of two numbers of that power's size
+    results = {r["case"]: r for r in _sweep(tmp_path, "radii")}
+    assert {name: (r["exit"], _failure(r)) for name, r in results.items()} == {
+        name: (code, None) for name, (_, code) in TWO_SIDED.items()
+    }
+    assert results["integrate diagonal"]["stderr"] == [
+        "error: exact value has more than 4300 digits in its numerator or denominator"
+    ]
 
 
 if __name__ == "__main__":

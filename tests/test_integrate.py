@@ -489,14 +489,17 @@ class TestCommonDenominator:
         terms = [(b, c) for b, c in enumerate(phi.coeffs) if c]
         parts = [UniPoly.monomial(b, c) for b, c in terms]
         assert len(parts) > 1
-        scale = Fraction(-2, 3)
-        for a in (0, 1, 5, 40):
-            whole = _radial(a, r, phi.coeffs, scale)
-            assert whole == sum(_radial(a, r, part.coeffs, scale) for part in parts)
-            # R_phi(a, r) = sum_b c_b a! b! r^(a+b+1) / (a+b+1)!
-            assert whole == scale * sum(
-                c * math.factorial(a) * math.factorial(b) * r ** (a + b + 1)
-                / math.factorial(a + b + 1)
+        unit = Fraction(-2, 3)
+        # the degree a and the shift (n - 1 on the cube) of R_phi(a + shift, r)
+        for a, shift in ((0, 0), (1, 0), (5, 0), (40, 0), (3, 37)):
+            whole = _radial(a, shift, r, phi.coeffs, unit)
+            assert whole == sum(_radial(a, shift, r, part.coeffs, unit) for part in parts)
+            # R_phi(A, r) = sum_b c_b A! b! r^(A+b+1) / (A+b+1)!, A = a + shift,
+            # without the factor r^(shift+1) that `integral` puts in the unit
+            big = a + shift
+            assert whole * r ** (shift + 1) == unit * sum(
+                c * math.factorial(big) * math.factorial(b) * r ** (big + b + 1)
+                / math.factorial(big + b + 1)
                 for b, c in terms
             )
         d = CubeDomain(2, r)

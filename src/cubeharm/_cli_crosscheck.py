@@ -22,12 +22,15 @@ from ._cli_common import (
 # about 300 + n^3 + 5 q deg units at q points per axis: a fixed part, cell
 # sums that grow as n^3 and one-dimensional tables that grow as q deg; a
 # power weight u^k/k! adds q k (about 3 ms an integral at k = 1000, q = 24).
-# Each polynomial takes 1 + 2 len(--k) integrals.  Measured with 10 terms: n = 112
-# at degree 6 with --k 0,1,2 took 2.4 s (9.8 M units), n = 2 at degree
-# 27,000 with --k 0 took 3.7 s (9.7 M units), n = 2 at degree 2600 with
-# --k 0 and q = 256 took 1.2 s (10.0 M units), and 300 random polynomials
-# at n = 2, degree 0 and --k 0 took 0.35 ms each (0.9 K units).  So this is
-# at most about 4 s of work.
+# Each polynomial takes 1 + 2 len(--k) integrals, which share its degree
+# sums.  Re-timed at the default --seed 0 (7 terms each) as whole processes
+# on a 2-core x86_64 VM: n = 112 at degree 6 with --k 0,1,2 took 0.12-0.15 s
+# (9.8 M units), n = 2 at degree 27,000 with --k 0 0.13-0.14 s (9.7 M
+# units), n = 2 at degree 2600 with --k 0 and q = 256 0.18-0.20 s (10.0 M
+# units), and 300 random polynomials at n = 2, degree 0 and --k 0 took
+# 0.13-0.20 ms each in process (0.9 K units).  The slowest request found
+# under the budget, --k 0,1,...,600 at n = 2 and degree 0 (9.0 M units),
+# took 0.8-0.9 s in process.  So this is well under 4 s of work.
 MAX_CROSSCHECK_WORK = 10_000_000
 
 

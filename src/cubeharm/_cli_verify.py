@@ -193,8 +193,11 @@ def run(args) -> int:
     weight_degree = degree_limit
     if "VOLUME_MEAN" in names:
         weight_degree = max(weight_degree, _check_weight_degree("--k", max(ks), max(ks) + 1))
-    if "PIZZETTI" in names and not args.phi:
-        weight_degree = max(weight_degree, _check_weight_degree("--m", args.m, 2 * args.m + 2))
+    if "PIZZETTI" in names:
+        if args.m < 1:  # the line BasisRequest.validate prints, before any profile is built
+            raise UsageError(f"polyharmonic order must be >= 1, got {args.m}")
+        if not args.phi:
+            weight_degree = max(weight_degree, _check_weight_degree("--m", args.m, 2 * args.m + 2))
     profiles = len(args.phi or ())  # else 5 default quadrature and 3 Pizzetti ones
     per_element = {
         "SURFACE_MEAN": 2,

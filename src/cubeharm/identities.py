@@ -35,6 +35,7 @@ from .integrate import (
     Region,
     Weight,
     WeightConditionError,
+    _degree_sums,
     _vanishing_failure,
     integral,
     measure,
@@ -146,12 +147,12 @@ def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
 
 def residual_surface_mean(h: Poly, d: CubeDomain) -> Fraction:
     """Boundary mean minus diagonal mean (both unweighted)."""
-    return Fraction(_surface_row(d)([DegreeSums(h)]))
+    return Fraction(_surface_row(d)([_degree_sums(h)]))
 
 
 def residual_volume_mean(h: Poly, d: CubeDomain, k: int = 0) -> Fraction:
     """Weighted cube mean (power k) minus weighted diagonal mean (power k+1)."""
-    return Fraction(_volume_row(d, k)([DegreeSums(h)]))
+    return Fraction(_volume_row(d, k)([_degree_sums(h)]))
 
 
 def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fraction:
@@ -159,7 +160,7 @@ def residual_weighted_quadrature(h: Poly, d: CubeDomain, phi: UniPoly) -> Fracti
 
     Requires phi(0) = phi'(0) = 0, checked symbolically on the coefficients.
     """
-    return Fraction(_green(d, phi, 1)([DegreeSums(h)]))
+    return Fraction(_green(d, phi, 1)([_degree_sums(h)]))
 
 
 def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:

@@ -41,7 +41,9 @@ radius whose numerator and denominator are both large costs no gcd of two
 numbers of that power's size.  A polynomial each of whose terms has an odd
 exponent has empty degree sums, which `integral` maps to the exact integer
 0 with no Fraction arithmetic; the public integrate_* functions and
-`measure` return Fractions.
+`measure` return Fractions.  The integrals of one polynomial share its
+degree sums: consecutive integrate_* calls on the same Poly object read
+one memo, which keeps only the last polynomial alive.
 
 Diagonal measure convention.  The diagonal set is the union over pairs
 i < j of the sheets {|x_k| <= |x_i| = |x_j|}.  Each pair contributes four
@@ -229,14 +231,31 @@ class DegreeSums(dict):
                     acc *= wider // den
                     den = wider
                 groups[key] = acc + coeff.numerator * cells.numerator * (den // q), den
-        sums = self[s] = {}
+        sums = {}
         for (a, cd), (acc, den) in groups.items():
             term = Fraction(acc, cd * den)
             if a in sums:
                 sums[a] += term
             else:
                 sums[a] = term
+        self[s] = sums  # stored whole, so a shared instance never shows a partial table
         return sums
+
+
+# The degree sums of the last polynomial an integrate_* function saw.  It is
+# matched by identity: Poly is unhashable (its terms are a dict) and an
+# equality test would compare those dicts on every call.  The entry holds
+# the polynomial, so its id cannot be reused while it is cached.
+_last: DegreeSums | None = None
+
+
+def _degree_sums(p: Poly) -> DegreeSums:
+    """p's degree sums, shared by consecutive calls on the same object."""
+    global _last
+    sums = _last
+    if sums is None or sums.poly is not p:
+        sums = _last = DegreeSums(p)
+    return sums
 
 
 def integral(
@@ -282,7 +301,7 @@ def integral(
 
 def integrate_cube(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
     """Exact weighted integral of p over the solid cube."""
-    return Fraction(integral(d, Region.CUBE, w)(DegreeSums(p)))
+    return Fraction(integral(d, Region.CUBE, w)(_degree_sums(p)))
 
 
 def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
@@ -291,7 +310,7 @@ def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
     Sums plain (n-1)-dimensional integrals over the 2n faces; edge and
     corner overlaps have zero surface measure.
     """
-    return Fraction(integral(d, Region.BOUNDARY)(DegreeSums(p)))
+    return Fraction(integral(d, Region.BOUNDARY)(_degree_sums(p)))
 
 
 def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
@@ -301,7 +320,7 @@ def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
     t in [0, r] and the free box [-t, t]^(n-2); three-way ties are shared
     sheet boundaries of zero measure.
     """
-    return Fraction(integral(d, Region.DIAGONAL, w)(DegreeSums(p)))
+    return Fraction(integral(d, Region.DIAGONAL, w)(_degree_sums(p)))
 
 
 def measure(d: CubeDomain, region: Region, k: int = 0) -> Fraction:

@@ -245,6 +245,25 @@ class TestVerify:
         assert err.startswith("error: basis request n=2, degree <= 1000 spans more than ")
         assert (code, out, err) == run_cli(capsys, "basis", "--n", "2", "--deg", "1000")
 
+    @pytest.mark.parametrize("m", ["-5", "0"])
+    @pytest.mark.parametrize(
+        "source", [["--deg", "2"], ["--poly", "x1^2-x2^2"]], ids=["basis", "poly"]
+    )
+    def test_polyharmonic_order_below_1_refused_early(self, capsys, monkeypatch, source, m):
+        # with or without --poly, the line `basis` prints, before any profile is built
+        import cubeharm.identities as identities
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a profile before checking --m")
+
+        for name in ("default_pizzetti_profiles", "run_suite"):
+            monkeypatch.setattr(identities, name, refuse)
+        expected = (1, "", f"error: polyharmonic order must be >= 1, got {m}\n")
+        assert run_cli(capsys, "basis", "--n", "2", "--deg", "2", "--m", m) == expected
+        for phi in ([], ["--phi", "t^8"]):
+            argv = ["verify", "--n", "2", *source, "--identities", "pizzetti", "--m", m, *phi]
+            assert run_cli(capsys, *argv) == expected
+
     @pytest.mark.parametrize(
         "argv,message",
         [

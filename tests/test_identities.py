@@ -401,6 +401,25 @@ class TestSuiteMatchesResiduals:
         assert [p.total_degree for p in built] == [4, 2, 0]
         assert built[-1].is_zero and all(link is chain[2] for link in chain[2:])
 
+    def test_residual_wrappers_share_degree_sums(self, monkeypatch):
+        # the residual_* wrappers of one polynomial read the degree sums the
+        # integrate_* functions share; the masses build their own
+        built = []
+        missing = identities.DegreeSums.__missing__
+
+        def counting(sums, s):
+            built.append((sums.poly, s))
+            return missing(sums, s)
+
+        monkeypatch.setattr(identities.DegreeSums, "__missing__", counting)
+        h = pp("x1^4 - 6*x1^2*x2^2 + x2^4", 2)
+        values = [residual_volume_mean(h, D21, k) for k in range(4)]
+        values += [residual_surface_mean(h, D21)]
+        values += [residual_weighted_quadrature(h, D21, parse_unipoly("t^3"))]
+        values.append(integrate_cube(h, D21, Weight.power(0)))
+        assert values[:-1] == [0] * 6
+        assert [s for p, s in built if p is h] == [1, 2]
+
     def test_profile_condition_decided_once_per_parameter(self, monkeypatch):
         basis = graded_basis(BasisRequest(2, 6, 2))
         calls = []

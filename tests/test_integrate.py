@@ -508,3 +508,75 @@ class TestCommonDenominator:
             assert integral(d, region, Weight(phi))(sums) == sum(
                 integral(d, region, Weight(part))(sums) for part in parts
             )
+
+
+class TestSharedDegreeSums:
+    """The integrate_* functions share one polynomial's degree sums across
+    consecutive calls on the same object: the memo holds the last polynomial
+    and is matched by identity, never by equality."""
+
+    W = Weight.power(2)
+    REGIONS = (Region.CUBE, Region.DIAGONAL, Region.BOUNDARY)  # the order of `values`
+
+    def fresh(self, p: Poly, region: Region, d: CubeDomain = D31) -> Fraction:
+        return Fraction(integral(d, region, self.W)(DegreeSums(p)))
+
+    def values(self, p: Poly, d: CubeDomain = D31) -> list[Fraction]:
+        return [
+            integrate_cube(p, d, self.W),
+            integrate_diagonal(p, d, self.W),
+            integrate_boundary(p, d),
+        ]
+
+    def test_interleaved_polynomials_match_fresh_sums(self):
+        p = pp("x1^4 - 3*x2^2*x3^2 + 1/7*x3^2", 3)
+        q = pp("x1^2 - x2^2 + 5*x1^2*x2^2*x3^2", 3)
+        twin = pp("x1^4 - 3*x2^2*x3^2 + 1/7*x3^2", 3)
+        assert twin == p and twin is not p
+        d = CubeDomain(3, Fraction(5, 3))
+        for poly in (p, q, p, twin, q, twin, p):
+            expected = [self.fresh(poly, region, d) for region in self.REGIONS]
+            assert self.values(poly, d) == expected
+
+    def count_tables(self, monkeypatch) -> list[tuple[Poly, int]]:
+        built = []
+        missing = DegreeSums.__missing__
+
+        def counting(self, s):
+            built.append((self.poly, s))
+            return missing(self, s)
+
+        monkeypatch.setattr(DegreeSums, "__missing__", counting)
+        return built
+
+    def test_seven_integrals_build_two_tables(self, monkeypatch):
+        p = pp("x1^2*x2^2 + 2*x3^4 - 1/3", 3)
+        built = self.count_tables(monkeypatch)
+        weights = [Weight.power(k) for k in (0, 1, 2)]
+        integrate_boundary(p, D31)
+        for w in weights:
+            integrate_cube(p, D31, w)
+            integrate_diagonal(p, D31, w)
+        assert built == [(p, 1), (p, 2)]
+
+    def test_crosscheck_builds_two_tables_per_polynomial(self, monkeypatch, capsys):
+        from cubeharm.cli import main
+
+        built = self.count_tables(monkeypatch)
+        assert main(["crosscheck", "--n", "3", "--count", "3", "--k", "0,1,2"]) == 0
+        assert float(capsys.readouterr().out) < 1e-9
+        # one s = 1 table, then one s = 2 table, of each of 3 polynomials
+        assert [s for _, s in built] == [1, 2] * 3
+        assert all(a is b for (a, _), (b, _) in zip(built[::2], built[1::2]))
+        assert len({id(p) for p, _ in built}) == 3
+
+    def test_dimension_mismatch_after_a_cached_call(self):
+        p = pp("x1^2 + x2^2", 2)
+        assert self.values(p, D21) == [self.fresh(p, r, D21) for r in self.REGIONS]
+        for call in (
+            lambda: integrate_cube(p, D31, self.W),
+            lambda: integrate_diagonal(p, D31, self.W),
+            lambda: integrate_boundary(p, D31),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
 from ._cli_common import (
     UsageError,
     _check_weight_degree,
     _degree_limit,
     _domain,
+    _emit,
     _float17,
     _parse_exponents,
     _parse_input,
@@ -102,5 +102,5 @@ def run(args) -> int:
                     term = _term_to_text(alpha, 1).partition("*")[2] or "1"
                     raise UsageError(f"crosscheck coefficient of {term} leaves the float range")
         raise UsageError(f"crosscheck values at radius {args.r} leave the float range")
-    sys.stdout.write(_float17(worst) + "\n")
+    _emit(args, _float17(worst) + "\n")
     return 2 if args.tol is not None and worst > args.tol else 0

@@ -46,14 +46,16 @@ MAX_VERIFY_INTEGRALS = 200_000
 # at --r 200 2.4 s and `--n 2000 --poly x1^2-x2^2 --k 0,1,2,3 --r 1e250`
 # 2.0 s.  Re-measured once each radial factor took the power of r that
 # grows with the dimension last (before it in brackets): 4.3 s (4.6-4.7 s),
-# 1.3 s (3.7 s), 2.9 s (3.8-3.9 s) and 1.3 s (2.1 s).  So a request takes
-# at most about 4 s.  Both of r's numerator and denominator may be large:
-# no Fraction normalises by a gcd of two numbers of a dimension-sized power
-# of r, and `--n 2 --poly x1^2 --identities volume --k 999 --r
-# (10^400+1)/(10^400-1)` takes 2.9-3.2 s (3.1-3.3 s).  A --phi with many
-# nonzero coefficients is summed over one common denominator, so `--n 2000
-# --deg 100 --poly x1^2-x2^2 --identities quadrature --phi "t^2*(1+t)^98"
-# --r 1e-8` takes 0.12 s.
+# 1.3 s (3.7 s), 2.9 s (3.8-3.9 s) and 1.3 s (2.1 s).  Since each profile
+# keeps only its nonzero terms, the --k 0,...,999 request takes 2.3-2.4 s
+# (2.9-3.1 s with dense profiles, in alternating runs), with the same
+# 3,347,196 bytes.  So a request takes at most about 4 s.  Both of r's
+# numerator and denominator may be large: no Fraction normalises by a gcd of
+# two numbers of a dimension-sized power of r, and `--n 2 --poly x1^2
+# --identities volume --k 999 --r (10^400+1)/(10^400-1)` takes 2.9-3.2 s
+# (3.1-3.3 s).  A --phi with many nonzero coefficients is summed over one
+# common denominator, so `--n 2000 --deg 100 --poly x1^2-x2^2 --identities
+# quadrature --phi "t^2*(1+t)^98" --r 1e-8` takes 0.12 s.
 MAX_VERIFY_RADIAL_BITS = 50_000_000
 
 # Characters of a job file; a job is a few hundred.
@@ -146,11 +148,11 @@ def _check_radial_bits(d, degree: int, identities, config) -> None:
             functionals += [(2, 1, k + 1) for k in config.ks]
         elif identity is Identity.WEIGHTED_QUADRATURE:
             for phi in config.phis or default_quadrature_profiles():
-                functionals.append((2, sum(map(bool, phi.coeffs)), phi.degree))
+                functionals.append((2, len(phi.terms), phi.degree))
         else:
             for phi in config.phis or default_pizzetti_profiles(config.m):
                 diagonals = min(config.m, (phi.degree + 1) // 2, degree // 2 + 1)
-                functionals.append((1 + diagonals, sum(map(bool, phi.coeffs)), phi.degree))
+                functionals.append((1 + diagonals, len(phi.terms), phi.degree))
     top = d.n + degree
     exponents = sum(f * c * (top + q) for f, c, q in functionals)
     bits = _radius_bits(d) * (degree // 2 + 2) * exponents

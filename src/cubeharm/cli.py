@@ -44,9 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cubeharm", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_required=True):
+    def common(p, n_required=True, radius=True):
         p.add_argument("--n", type=int, required=n_required, help="ambient dimension")
-        p.add_argument("--r", default="1", help='cube radius as a rational "p/q"')
+        if radius:
+            p.add_argument("--r", default="1", help='cube radius as a rational "p/q"')
         p.add_argument("--out", help="write output to this path (atomic)")
 
     p = sub.add_parser("verify", help="run identity suites")
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("basis", help="emit harmonic / polyharmonic bases")
-    common(p)
+    common(p, radius=False)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")

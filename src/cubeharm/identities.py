@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import io
-import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
@@ -184,10 +183,7 @@ def default_quadrature_profiles() -> tuple[UniPoly, ...]:
 
 def default_pizzetti_profiles(m: int) -> tuple[UniPoly, ...]:
     """t^(2m+j) / (2m+j)! for j = 0..2."""
-    return tuple(
-        UniPoly.monomial(2 * m + j, Fraction(1, math.factorial(2 * m + j)))
-        for j in range(3)
-    )
+    return tuple(Weight.power(2 * m + j).profile for j in range(3))
 
 
 class SuiteConfig(Value):

@@ -136,11 +136,10 @@ class WeightConditionError(ValueError):
 
 def _vanishing_failure(phi: UniPoly, order: int) -> str | None:
     """Why phi does not vanish to the given order at 0, or None if it does."""
-    names = {0: "phi(0)", 1: "phi'(0)"}
-    for j in range(order):
-        if phi.coeff(j) != 0:
-            name = names.get(j, f"phi^({j})(0)")
-            return f"weight profile must satisfy {name} = 0, got {phi.coeff(j)}"
+    j = min(phi.terms, default=order)  # the lowest power with a term
+    if j < order:
+        name = {0: "phi(0)", 1: "phi'(0)"}.get(j, f"phi^({j})(0)")
+        return f"weight profile must satisfy {name} = 0, got {phi.terms[j]}"
     return None
 
 
@@ -156,18 +155,18 @@ def _cell_factors(alpha: Exponent) -> tuple[Fraction, Fraction]:
 
 
 def _radial(
-    a: int, shift: int, r: Fraction, coeffs: tuple[Fraction, ...] | None, unit: Fraction
+    a: int, shift: int, r: Fraction, phi: UniPoly | None, unit: Fraction
 ) -> Fraction:
-    """unit * R_phi(a + shift, r) / r^(shift + 1) for the profile phi with
-    the given coefficients, or unit * r^a when there is no profile (the
-    boundary).
+    """unit * R_phi(a + shift, r) / r^(shift + 1) for the profile phi, or
+    unit * r^a when there is no profile (the boundary).
 
     With A = a + shift, R_phi(A, r) / r^(shift + 1) = sum_b c_b b! r^(a + b)
     A! / (A + b + 1)!.  Its powers of r grow with the degree a and the
     profile's b, not with the dimension, and are added in integers over one
-    common denominator L * top! / A! * q^(a + len(coeffs)) (L the lcm of the
-    coefficients' denominators, q the denominator of r, top = A +
-    len(coeffs)), whose factorial part is a product of len(coeffs) factors.
+    common denominator L * top! / A! * q^(a + k) (L the lcm of the
+    coefficients' denominators, q the denominator of r, k = the profile's
+    degree + 1, top = A + k), whose factorial part is a product of k
+    factors; only phi's nonzero terms are walked.
     `integral` puts the power r^(shift + 1), which grows with the dimension,
     into `unit` with the functional's constant; Fraction's power builds it
     with no gcd.  The integer sum is multiplied into the unit and the
@@ -178,23 +177,22 @@ def _radial(
     it, not normalised on its own first.  A unit of 1 builds the one
     Fraction of the sum.
     """
-    if coeffs is None:
+    if phi is None:
         return unit * r**a
     p, q = r.numerator, r.denominator
-    k = len(coeffs)
+    k = phi.degree + 1
     top, num, lcm = a + shift + k, 0, 1
-    for b, c in enumerate(coeffs):
-        if c:
-            cd = c.denominator
-            if lcm % cd:  # widen the common denominator
-                wider = math.lcm(lcm, cd)
-                num *= wider // lcm
-                lcm = wider
-            # c_b b! r^(a + b) A! / (A + b + 1)! over the common denominator
-            num += (
-                c.numerator * (lcm // cd) * math.factorial(b) * math.perm(top, k - 1 - b)
-                * p ** (a + b) * q ** (k - b)
-            )
+    for b, c in phi.terms.items():
+        cd = c.denominator
+        if lcm % cd:  # widen the common denominator
+            wider = math.lcm(lcm, cd)
+            num *= wider // lcm
+            lcm = wider
+        # c_b b! r^(a + b) A! / (A + b + 1)! over the common denominator
+        num += (
+            c.numerator * (lcm // cd) * math.factorial(b) * math.perm(top, k - 1 - b)
+            * p ** (a + b) * q ** (k - b)
+        )
     den = lcm * math.perm(top, k) * q ** (a + k)
     return Fraction(num, den) if unit == 1 else unit * num / den
 
@@ -279,10 +277,10 @@ def integral(
     """
     s = 2 if region is Region.DIAGONAL else 1
     shift = d.n - s
-    coeffs = None if region is Region.BOUNDARY else w.profile.coeffs
+    phi = None if region is Region.BOUNDARY else w.profile
     unit = Fraction(scale)
     if d.r != 1:
-        unit *= d.r ** (shift if coeffs is None else shift + 1)
+        unit *= d.r ** (shift if phi is None else shift + 1)
     factors: dict[int, Fraction] = {}
 
     def value(p: DegreeSums) -> Fraction | int:
@@ -291,7 +289,7 @@ def integral(
         total = None  # the first product starts the sum; 0 + Fraction builds a Fraction(0)
         for a, sums in p[s].items():
             if a not in factors:
-                factors[a] = _radial(a, shift, d.r, coeffs, unit)
+                factors[a] = _radial(a, shift, d.r, phi, unit)
             term = sums * factors[a]
             total = term if total is None else total + term
         return 0 if total is None else total

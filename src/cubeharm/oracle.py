@@ -55,14 +55,13 @@ The nodes and weights are Python floats, so the oracle needs no numpy.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
 from typing import Sequence
 
 from .integrate import CubeDomain, Weight
-from .poly import Poly, Value, _set
+from .poly import Poly, UniPoly, Value, _set
 
 MAX_POINTS_PER_AXIS = 256  # the Newton node build is O(q^2) in Python
 
@@ -121,11 +120,12 @@ def _box_moments(npts: int, top: int) -> tuple[float, ...]:
 
 
 def _radial_sums(
-    profiles: Sequence[tuple[Fraction, ...]], r: float, npts: int, jacobian: int, degrees: list
+    profiles: Sequence[UniPoly], r: float, npts: int, jacobian: int, degrees: list
 ) -> list[dict[int, float]]:
     """R[e] = sum_t w_t t^(e + jacobian) phi(r - t) for each e in degrees, on
-    the rule mapped to t in [0, r], one table per profile phi (given by its
-    coefficients); the powers of t are shared by every profile."""
+    the rule mapped to t in [0, r], one table per profile phi; the powers of
+    t are shared by every profile.  phi is evaluated by Horner's rule over
+    every power from its degree down, a power without a term adding 0.0."""
     if not (profiles and degrees):
         return [{} for _ in profiles]
     nodes, weights = gauss_legendre(npts)
@@ -133,9 +133,10 @@ def _radial_sums(
     us = [r - x for x in t]
     powers = {e: [x ** (e + jacobian) for x in t] for e in degrees}
     tables = []
-    for coeffs in profiles:
+    for profile in profiles:
         phi = [0.0] * npts
-        for c in map(float, reversed(coeffs)):  # Horner, one pass over the nodes each
+        for b in range(profile.degree, -1, -1):  # Horner, one pass over the nodes each
+            c = float(profile.terms.get(b, 0))
             phi = [v * u + c for v, u in zip(phi, us)]
         wphi = [w * r / 2.0 * v for w, v in zip(weights, phi)]
         tables.append({e: math.fsum(map(mul, wphi, row)) for e, row in powers.items()})
@@ -183,7 +184,7 @@ def _weighted_sums(
     the box scaling leaves the Jacobian t^(n - fixed)."""
     d.check_dim(p)
     terms, degrees = _even_terms(p)
-    q, profiles = spec.points_per_axis, [w.profile.coeffs for w in weights]
+    q, profiles = spec.points_per_axis, [w.profile for w in weights]
     radials = _radial_sums(profiles, float(d.r), q, d.n - fixed, degrees)
     return _cell_sums(terms, d.n, fixed, _box_moments(q, p.total_degree), radials)
 

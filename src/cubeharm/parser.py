@@ -330,4 +330,4 @@ def parse_poly(src: ExprSource | str, *, max_degree: int = 16) -> Poly:
 def parse_unipoly(src: ExprSource | str, *, max_degree: int = 16) -> UniPoly:
     """Parse a univariate profile in the variable t of degree <= max_degree."""
     poly = _parse(src, max_degree, univariate=True)
-    return UniPoly(poly.terms.get((i,), 0) for i in range(poly.total_degree + 1))
+    return UniPoly({e: c for (e,), c in poly.terms.items()})

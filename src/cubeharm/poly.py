@@ -42,7 +42,8 @@ class Value:
     """Base of the immutable value classes.  A subclass names its fields in
     __slots__, in positional order, and defaults in _defaults; one built on a
     hot path sets them in its own positional __init__ with _set, at half the
-    cost of this one.  Values compare and hash by class and field tuple, print
+    cost of this one.  Values compare by class and field tuple and hash by
+    the field tuple, a dict field as the frozenset of its items; they print
     as Name(field=value, ...), refuse assignment and deletion, and pickle and
     copy by calling the class with their fields."""
 
@@ -66,7 +67,7 @@ class Value:
         return self._fields() == other._fields() if same else NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(tuple(frozenset(f.items()) if type(f) is dict else f for f in self._fields()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -232,9 +233,6 @@ class Poly(Value):
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __hash__(self):  # Value's hash of the fields fails on the term dict
-        return hash((self.dim, frozenset(self._terms.items())))
-
     def __repr__(self) -> str:
         return f"Poly({self.dim}, {poly_to_text(self)!r})"
 
@@ -318,57 +316,59 @@ def iterated_laplacian(p: Poly, m: int) -> Poly:
 
 # -- univariate profiles -----------------------------------------------------
 
+_ZERO = Fraction(0)  # UniPoly.coeff's one zero
+
 
 class UniPoly(Value):
-    """Univariate polynomial with Fraction coefficients, index = power.
+    """Univariate polynomial with Fraction coefficients, stored sparse as
+    `terms`, a dict {power: nonzero coefficient}.
 
-    Used for radial weight profiles in the variable t.  Trailing zero
-    coefficients are trimmed so representations are canonical.
+    Used for radial weight profiles in the variable t, which mostly have one
+    term.  Built from a dense sequence (index = power) or from such a dict
+    (powers nonnegative integers); zero coefficients are dropped either way,
+    so representations are canonical.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs: Iterable[RationalLike]):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        _set(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable[RationalLike] | dict[int, RationalLike]):
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        terms = {i: f for i, c in items if (f := c if type(c) is Fraction else Fraction(c))}
+        _set(self, "terms", terms)
 
     @classmethod
     def zero(cls) -> "UniPoly":
-        return cls([])
+        return cls({})
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "UniPoly":
-        return cls([Fraction(0)] * power + [coeff])
+        return cls({power: coeff})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return max(self.terms or (-1,))  # max's default= keyword costs more
 
     def coeff(self, power: int) -> Fraction:
-        return self.coeffs[power] if 0 <= power < len(self.coeffs) else Fraction(0)
+        return self.terms.get(power, _ZERO)
 
     def derivative(self, order: int = 1) -> "UniPoly":
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        if order == 0:
-            return self
         # coefficient of t^(i - order) picks up the falling factorial i!/(i-order)!
         return UniPoly(
-            c and c * math.perm(i, order) for i, c in enumerate(self.coeffs) if i >= order
+            {i - order: c * math.perm(i, order) for i, c in self.terms.items() if i >= order}
         )
 
     def __call__(self, value: RationalLike) -> Fraction:
         v = Fraction(value)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * v + c
+        total = _ZERO
+        for b in range(self.degree, -1, -1):  # Horner over every power
+            total = total * v + self.terms.get(b, 0)
         return total
 
     def __repr__(self) -> str:
@@ -376,14 +376,15 @@ class UniPoly(Value):
 
 
 def _uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Long division over Q: a = quotient * b + remainder, b nonzero."""
-    rem = list(a.coeffs)
-    quot = [0] * max(0, len(rem) - b.degree)
-    while len(rem) > b.degree:
-        shift = len(rem) - 1 - b.degree
-        c = rem[-1] / b.coeffs[-1]
-        quot[shift] = c
-        for i, bc in enumerate(b.coeffs):
+    """Long division over Q: a = quotient * b + remainder, b nonzero, on a
+    dense working list of a's coefficients."""
+    deg = b.degree
+    rem = list(map(a.coeff, range(a.degree + 1)))
+    quot = {}
+    while len(rem) > deg:
+        shift = len(rem) - 1 - deg
+        c = quot[shift] = rem[-1] / b.terms[deg]
+        for i, bc in b.terms.items():
             rem[shift + i] -= c * bc
         while rem and rem[-1] == 0:
             rem.pop()
@@ -410,7 +411,8 @@ def uni_negative_point(g: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | Non
     s = _uni_divmod(g, common)[0]
     sturm = [s, s.derivative()]
     while not sturm[-1].is_zero:
-        sturm.append(UniPoly(-c for c in _uni_divmod(sturm[-2], sturm[-1])[1].coeffs))
+        rem = _uni_divmod(sturm[-2], sturm[-1])[1]
+        sturm.append(UniPoly({i: -c for i, c in rem.terms.items()}))
     sturm.pop()
 
     def variations(x: Fraction) -> int:
@@ -466,7 +468,7 @@ def poly_to_text(p: Poly) -> str:
 
 def uni_to_text(phi: UniPoly) -> str:
     """Canonical text form of a univariate profile in the variable t."""
-    return _terms_to_text((((i,), c) for i, c in reversed(list(enumerate(phi.coeffs))) if c), "t")
+    return _terms_to_text((((i,), phi.terms[i]) for i in sorted(phi.terms, reverse=True)), "t")
 
 
 # -- generic polynomial algorithms ---------------------------------------------

@@ -34,7 +34,7 @@ def _to_sympy(p: Poly, xs) -> sp.Expr:
 
 def _profile_sympy(profile: UniPoly, u) -> sp.Expr:
     total = sp.Integer(0)
-    for power, c in enumerate(profile.coeffs):
+    for power, c in profile.terms.items():
         total += sp.Rational(c.numerator, c.denominator) * u**power
     return total
 

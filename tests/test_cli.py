@@ -30,6 +30,19 @@ class TestVerify:
         assert payload["all_pass"] is True
         assert payload["entry_count"] == 17 * 5
 
+    def test_volume_report_over_200_weights_is_pinned(self, capsys):
+        import hashlib
+
+        ks = ",".join(map(str, range(200)))
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "2", "--deg", "4", "--k", ks, "--identities", "volume",
+            "--r", "3/2",
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "47084c0589da7331a0f37fc607289815e6332b9f60cbd14303728a648ff37735"
+        )
+
     def test_negative_control_exits_2(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -385,6 +398,12 @@ class TestBasis:
         )
         assert code == 0
         assert json.loads(out) == ["1/1", "1/1*x1", "1/1*x2"]
+
+    def test_radius_flag_is_a_usage_error(self, capsys):
+        # a basis does not depend on the cube, so `basis` takes no --r
+        code, out, err = run_cli(capsys, "basis", "--n", "2", "--deg", "2", "--r", "banana")
+        assert (code, out) == (1, "")
+        assert err == "error: unrecognized arguments: --r banana\n"
 
     @pytest.mark.parametrize("n,deg", [(9, 2), (2, 40)])
     def test_library_basis_is_the_command_basis(self, capsys, n, deg):
@@ -924,6 +943,19 @@ class TestCrosscheck:
              "numeric_integrate_diagonal_many"] * 4
         )
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--count", "2", "--deg", "2"], 0), (["--count", "2", "--deg", "2", "--tol", "0"], 2)],
+        ids=["exit-0", "exit-2-above-tol"],
+    )
+    def test_out_writes_the_line_stdout_held(self, capsys, tmp_path, argv, code):
+        argv = ["crosscheck", "--n", "2", *argv]
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == code and expected[1].count("\n") == 1
+        target = tmp_path / "co.txt"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_text() == expected[1]
+
     def test_points_per_axis_above_cap_refused(self, capsys):
         from cubeharm.oracle import MAX_POINTS_PER_AXIS
 
@@ -1361,8 +1393,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize(
         "argv",
-        [["verify", "--n", "2", "--deg", "2", "--k", "0"], ["basis", "--n", "2", "--deg", "2"]],
-        ids=["verify", "basis"],
+        [
+            ["verify", "--n", "2", "--deg", "2", "--k", "0"], ["basis", "--n", "2", "--deg", "2"],
+            ["crosscheck", "--n", "2", "--count", "2", "--deg", "2"],
+        ],
+        ids=["verify", "basis", "crosscheck"],
     )
     def test_out_error_names_the_given_path(self, capsys, argv):
         # the OS reason and the user's path, not the random temp file's name
@@ -1388,11 +1423,12 @@ class TestDeterminism:
 
 class TestHelp:
     # sha256 of each --help text at COLUMNS=80, as the CLI printed it before
-    # its handlers moved out of cli.py
+    # its handlers moved out of cli.py; `basis` as it printed once it dropped
+    # the --r it never read
     DIGESTS = {
         "": "c4397e681ac8982526413906fc584ab88e9843e07481cace896ebf7927d91b42",
         "verify": "7e9ba4bfd05a94bf9a8194feb8e774a995404ceb10e84d8320de8d5dc17ee9c4",
-        "basis": "e6c82fe5007bdc4218c96aeab82f203ad8958e5faa0f31b4f20ad9adab7a3066",
+        "basis": "9885a9f06143583daeb3aefd8286f58d3795e0879fbc252b73a35790b4c1ad66",
         "integrate": "8a7c913b34d0d8cff7c780e4dab077efa3400e2553cb69ca499b04ccfdc093ee",
         "approx": "497f8b3c4ff3919c9e0702db8cfcf0c1a2263df48f62f37de9ea137c1607b60f",
         "crosscheck": "2a01192c51a0faee22f6c92fa57740cee84b47e5f00e9ca9148e86a5c76017ea",

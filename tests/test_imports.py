@@ -229,9 +229,9 @@ def test_star_import_and_unknown_names():
 
 
 def test_value_equality_is_defined_once():
-    # Value compares and hashes every subclass by its class and fields, so a
-    # subclass's own __eq__ or __hash__ is a second copy of that rule; Poly
-    # keeps only __hash__, because its term dict is unhashable
+    # Value compares and hashes every subclass by its class and fields (a
+    # dict field as the frozenset of its items), so a subclass's own __eq__
+    # or __hash__ is a second copy of that rule
     bases: dict[str, set[str]] = {}
     defines: dict[str, set[str]] = {}
     for path in Path(SRC, "cubeharm").glob("*.py"):
@@ -255,4 +255,4 @@ def test_value_equality_is_defined_once():
     values = {name for name in bases if is_value(name)}
     assert {"Poly", "UniPoly", "OneSidedness", "Weight", "CubeDomain"} <= values
     own = {name: sorted(defines[name]) for name in values if defines.get(name)}
-    assert own == {"Poly": ["__hash__"]}
+    assert own == {}

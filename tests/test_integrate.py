@@ -486,14 +486,14 @@ class TestCommonDenominator:
     @pytest.mark.parametrize("name", PROFILES)
     def test_sum_of_one_coefficient_parts(self, name, r):
         phi = self.PROFILES[name]
-        terms = [(b, c) for b, c in enumerate(phi.coeffs) if c]
+        terms = phi.terms.items()
         parts = [UniPoly.monomial(b, c) for b, c in terms]
         assert len(parts) > 1
         unit = Fraction(-2, 3)
         # the degree a and the shift (n - 1 on the cube) of R_phi(a + shift, r)
         for a, shift in ((0, 0), (1, 0), (5, 0), (40, 0), (3, 37)):
-            whole = _radial(a, shift, r, phi.coeffs, unit)
-            assert whole == sum(_radial(a, shift, r, part.coeffs, unit) for part in parts)
+            whole = _radial(a, shift, r, phi, unit)
+            assert whole == sum(_radial(a, shift, r, part, unit) for part in parts)
             # R_phi(A, r) = sum_b c_b A! b! r^(A+b+1) / (A+b+1)!, A = a + shift,
             # without the factor r^(shift+1) that `integral` puts in the unit
             big = a + shift

@@ -379,9 +379,9 @@ def _horner(coeffs, u):
     return value
 
 
-def _enumerated_radial_sums(coeffs, r, npts, jacobian, top):
+def _enumerated_radial_sums(profile, r, npts, jacobian, top):
     nodes, weights = gauss_legendre(npts)
-    phi = [float(c) for c in coeffs]
+    phi = [float(profile.coeff(b)) for b in range(profile.degree + 1)]
     t = [r * (x + 1.0) / 2.0 for x in nodes]
     wphi = [w * r / 2.0 * _horner(phi, r - x) for x, w in zip(t, weights)]
     return tuple(
@@ -409,7 +409,7 @@ def _enumerated_cell_sums(p, fixed, box, radials):
 
 def enumerated(p, d, weights, q, fixed):
     r, top = float(d.r), p.total_degree
-    radials = [_enumerated_radial_sums(w.profile.coeffs, r, q, d.n - fixed, top) for w in weights]
+    radials = [_enumerated_radial_sums(w.profile, r, q, d.n - fixed, top) for w in weights]
     return _enumerated_cell_sums(p, fixed, _enumerated_box(q, top), radials)
 
 
@@ -450,7 +450,7 @@ class TestSharedTables:
         ids=["5-1-6", "24-2-8", "101-0-3"],  # q, jacobian, top degree
     )
     def test_radial_sums_share_the_powers(self, q, jacobian, degrees):
-        profiles = [w.profile.coeffs for w in REFERENCE_WEIGHTS]
+        profiles = [w.profile for w in REFERENCE_WEIGHTS]
         shared = oracle._radial_sums(profiles, 1.5, q, jacobian, degrees)
         singles = [oracle._radial_sums([c], 1.5, q, jacobian, degrees)[0] for c in profiles]
         assert [sorted(t) for t in shared] == [degrees] * len(profiles)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,7 @@ class TestTextSigns:
         coeffs = [s * c for s, c in zip(signs, magnitudes)]
         phi = UniPoly(coeffs[:1] + [0] + coeffs[1:])
         text = uni_to_text(phi)
-        terms = [((i,), c) for i, c in reversed(list(enumerate(phi.coeffs))) if c]
+        terms = [((i,), c) for i, c in sorted(phi.terms.items(), reverse=True)]
         assert text == reference_text(terms, "t")
         assert parse_unipoly(text) == phi
 
@@ -265,7 +266,7 @@ class TestUniPoly:
 
 class TestImmutable:
     def test_poly_and_unipoly_refuse_assignment_and_deletion(self):
-        for value, name in ((x1, "dim"), (UniPoly([1, 2]), "coeffs")):
+        for value, name in ((x1, "dim"), (UniPoly([1, 2]), "terms")):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
@@ -273,11 +274,59 @@ class TestImmutable:
 
     @pytest.mark.parametrize(
         "value",
-        [Poly.const(2, 1), Poly.zero(3), x1 * x2 - Fraction(1, 3) * x2**2, UniPoly([1, 0, -2])],
-        ids=["const", "zero", "poly", "unipoly"],
+        [
+            Poly.const(2, 1), Poly.zero(3), x1 * x2 - Fraction(1, 3) * x2**2, UniPoly([1, 0, -2]),
+            UniPoly({0: 1, 2: -2}), UniPoly.monomial(999, Fraction(1, math.factorial(999))),
+        ],
+        ids=["const", "zero", "poly", "unipoly", "unipoly-dict", "unipoly-999"],
     )
     def test_pickle_and_copy_round_trip(self, value):
         check_round_trips(value)
+
+
+class TestSparseProfile:
+    """A profile keeps only its nonzero terms, {power: coefficient}."""
+
+    def test_dense_and_dict_constructors_agree(self):
+        dense = UniPoly([7, 0, 0, 3, 0, Fraction(1, 2)])
+        sparse = UniPoly({5: Fraction(1, 2), 0: 7, 3: 3})
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert dense.terms == {0: 7, 3: 3, 5: Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in sparse.terms.values())
+        assert uni_to_text(dense) == uni_to_text(sparse) == "1/2*t^5 + 3/1*t^3 + 7/1"
+
+    @pytest.mark.parametrize("zero", [0, "0", Fraction(0)], ids=["int", "str", "fraction"])
+    def test_zeros_dropped_in_both_forms(self, zero):
+        assert UniPoly([zero, 2, zero, zero]).terms == {1: 2}
+        assert UniPoly({0: zero, 1: 2, 3: zero}).terms == {1: 2}
+        assert UniPoly([zero]).is_zero and UniPoly({4: zero}).is_zero
+        assert UniPoly({4: zero}).degree == -1 and UniPoly({4: zero}) == UniPoly.zero()
+
+    def test_power_profile_has_one_term(self):
+        from cubeharm.integrate import Weight
+
+        phi = Weight.power(999).profile
+        assert phi.terms == {999: Fraction(1, math.factorial(999))}
+        assert phi.derivative(2).terms == {997: Fraction(1, math.factorial(997))}
+        assert (phi.degree, phi.coeff(998), phi.coeff(999)) == (999, 0, phi.terms[999])
+
+    def test_parsed_profile_has_one_term(self):
+        phi = parse_unipoly("t^999/3", max_degree=1000)
+        assert phi.terms == {999: Fraction(1, 3)}
+        assert phi == UniPoly.monomial(999, Fraction(1, 3))
+
+    def test_profiles_built_either_way_hash_equal(self):
+        built = [
+            UniPoly([0, 0, Fraction(1, 2)]), UniPoly({2: Fraction(1, 2)}),
+            UniPoly.monomial(2, Fraction(1, 2)), parse_unipoly("t^2/2"),
+            UniPoly.monomial(4, Fraction(1, 24)).derivative(2),
+        ]
+        assert len(set(built)) == 1
+        assert len({hash(phi) for phi in built}) == 1
+
+    def test_poly_hash_is_the_frozenset_of_its_terms(self):
+        p = x1 * x2 - Fraction(1, 3) * x2**2
+        assert hash(p) == hash((2, frozenset(p.terms.items())))
 
 
 class TestUniNegativePoint:

@@ -1,4 +1,4 @@
-"""Bases of harmonic and polyharmonic polynomials by triangular recursion.
+"""Bases of harmonic and polyharmonic polynomials in closed form.
 
 The m-fold Laplacian maps homogeneous degree-d polynomials linearly onto
 degree d - 2m, so its kernel is computed degree by degree.  Write
@@ -6,13 +6,21 @@ g = sum_j x1^j g_j(x2..xn) and let Lap' be the Laplacian in x2..xn.  The
 coefficient of x1^j in Lap^m g is
 sum_{a<=m} C(m,a) (j+2a)!/j! Lap'^(m-a) g_(j+2a), so g is in the kernel iff
 
-    g_(j+2m) = -j!/(j+2m)! * sum_{a<m} C(m,a) (j+2a)!/j! * Lap'^(m-a) g_(j+2a)
+    g_J = -sum_{a<m} C(m,a) (J-2m+2a)!/J! * Lap'^(m-a) g_(J-2m+2a)
 
-for every j >= 0.  The slices g_0 .. g_(2m-1) are free and determine the
-rest.  For m = 1 this is the harmonic extension of Axler, Bourdon & Ramey,
-*Harmonic Function Theory* (2nd ed., GTM 137, ch. 5); for m > 1 it is the
-Almansi-type expansion of Aronszajn, Creese & Lipkin, *Polyharmonic
-Functions* (1983).
+for every J >= 2m.  The slices g_0 .. g_(2m-1) are free and determine the
+rest.  Let the free slice g_j0 be the monomial x'^beta in x2..xn and the
+other free slices 0.  Then by induction every slice is a scalar multiple of
+one polynomial, g_J = c_J Lap'^((J-j0)/2) x'^beta, and the element is
+
+    sum_J c_J x1^J Lap'^((J-j0)/2) x'^beta,
+
+where c_j0 = 1, c_J = 0 for the other J < 2m, and
+c_J = -sum_{a<m} C(m,a) (J-2m+2a)!/J! c_(J-2m+2a) for J >= 2m: the
+recursion with Lap' dropped.  For m = 1 this is the harmonic extension of
+Axler, Bourdon & Ramey, *Harmonic Function Theory* (2nd ed., GTM 137,
+ch. 5); for m > 1 it is the Almansi expansion of Aronszajn, Creese &
+Lipkin, *Polyharmonic Functions* (1983).
 
 The free monomials are those with x1-exponent <= 2m - 1, taken in
 descending graded-lex order, and each basis element has coefficient 1 at
@@ -24,9 +32,11 @@ columns: the basis is the one exact elimination gives (pivot columns solved
 for, free coordinate 1), with no matrix built.  Nothing is normalized, so
 two runs emit byte-identical bases.
 
-The recursion runs in Python integers: each slice and each of its
-Laplacians is an integer term map over one positive denominator, and a
-Fraction is built only once per term of the finished element.
+The scalars c depend only on (j0, d, m) and are built once per degree for
+each j0.  The chain x'^beta, Lap' x'^beta, ... depends only on beta: it is
+held as integer term maps, built once per call, and shared by the 2m
+elements (of 2m degrees) that start from beta.  Each term of an element is
+one Fraction, c_J times an integer.
 """
 
 from __future__ import annotations
@@ -51,11 +61,12 @@ from .poly import (
 # Pizzetti suite's m + 1 integrals per profile multiply that by about m:
 # `basis --n 3 --deg 40 --m 3`, admitted without the factor m, took 8.4 s.
 # As whole processes, the largest admitted request for each (n, m) with
-# n <= 20 and m <= 4 took at most 3.1 s (`verify --n 3 --deg 32
-# --identities pizzetti --m 2`; `--deg 27 --m 3` 2.5 s, and `verify --n 4
-# --deg 19 --identities surface,volume` 1.2 s).  At n = 8 and m = 1 the
-# limit is degree 6 (3003 monomials).  Counting n per monomial also bounds
-# the exponent tuples of high-dimensional requests.
+# n <= 20 and m <= 4 took at most 0.84 s (`verify --n 3 --deg 32
+# --identities pizzetti --m 2`, 0.68-0.73 s in paired runs; `--deg 27 --m 3`
+# 0.71-0.75 s, and `verify --n 4 --deg 19 --identities surface,volume`
+# 0.44-0.49 s).  At n = 8 and m = 1 the limit is degree 6 (3003 monomials).
+# Counting n per monomial also bounds the exponent tuples of
+# high-dimensional requests.
 MAX_BASIS_EXPONENTS = 40_000
 
 
@@ -116,48 +127,33 @@ def monomials_of_degree(n: int, d: int) -> list[Exponent]:
     return out
 
 
-def _extend(free: Exponent, d: int, m: int) -> dict[Exponent, Fraction]:
-    """Term map of the kernel element with coefficient 1 at the free monomial
-    `free` and 0 at every other free monomial of degree d.
+def _scalars(j0: int, d: int, m: int) -> dict[int, Fraction]:
+    """{J: c_J} for the free x1-exponent j0 and J <= d, by the module
+    docstring's recursion; c_J is 0 for every J that is not a key."""
+    c = {j0: Fraction(1)}
+    for J in range(2 * m + j0 % 2, d + 1, 2):
+        c[J] = -sum(
+            c.get(J - 2 * m + 2 * a, 0) * Fraction(math.comb(m, a), math.perm(J, 2 * m - 2 * a))
+            for a in range(m)
+        )
+    return c
 
-    Slices g_j (polynomials in x2..xn) are keyed by the power j of x1; only
-    those with j = free[0] (mod 2) and j >= free[0] can be nonzero.  Each is
-    held as integers G_j over a denominator D_j > 0, g_j = G_j / D_j, and so
-    is its chain of Laplacians.  With L the lcm of the D_(j+2a) in a step,
-    the recursion's coefficient -C(m,a) (j+2a)!/(j+2m)! is the integer
-    -C(m,a) perm(j+2a, 2a) L/D_(j+2a) over L perm(j+2m, 2m), and the new
-    slice is divided by the gcd of its coefficients and that denominator.
-    """
-    j0 = free[0]
-    slices = {j0: ({free[1:]: 1}, 1)}  # j -> (G_j, D_j)
-    chains: dict[int, list[dict[Exponent, int]]] = {}  # j -> [G_j, Lap' G_j, ...]
 
-    def lap_power(j: int, k: int) -> dict[Exponent, int]:
-        chain = chains.setdefault(j, [slices[j][0]])
-        while len(chain) <= k:
-            chain.append(_laplacian_terms(chain[-1]))
-        return chain[k]
-
-    for j in range(j0 % 2, d - 2 * m + 1, 2):
-        present = [a for a in range(m) if j + 2 * a in slices]
-        if not present:
-            continue
-        lcd = math.lcm(*(slices[j + 2 * a][1] for a in present))
-        acc: dict[Exponent, int] = {}
-        for a in present:
-            c = -math.comb(m, a) * math.perm(j + 2 * a, 2 * a) * (lcd // slices[j + 2 * a][1])
-            for beta, v in lap_power(j + 2 * a, m - a).items():
-                acc[beta] = acc.get(beta, 0) + c * v
-        acc = {beta: v for beta, v in acc.items() if v}
-        if acc:
-            denom = lcd * math.perm(j + 2 * m, 2 * m)
-            g = math.gcd(denom, *acc.values())
-            slices[j + 2 * m] = {beta: v // g for beta, v in acc.items()}, denom // g
-    return {
-        (j,) + beta: Fraction(c, denom)
-        for j, (s, denom) in slices.items()
-        for beta, c in s.items()
-    }
+def _elements(n: int, d: int, m: int, chains: dict[Exponent, list[dict[Exponent, int]]]):
+    """The degree-d kernel elements, in descending graded-lex order of their
+    free monomials x1^j0 x'^beta.  `chains` maps beta to its integer chain
+    [x'^beta, Lap' x'^beta, ...], extended here as far as degree d reads it."""
+    for j0 in range(min(2 * m - 1, d), -1, -1):
+        c = _scalars(j0, d, m)
+        for beta in monomials_of_degree(n - 1, d - j0):
+            chain = chains.setdefault(beta, [{beta: 1}])
+            while len(chain) <= (d - j0) // 2:
+                chain.append(_laplacian_terms(chain[-1]))
+            yield Poly._from_clean(n, {
+                (J,) + gamma: Fraction(q.numerator * v, q.denominator)
+                for J, q in c.items() if q
+                for gamma, v in chain[(J - j0) // 2].items()
+            })
 
 
 def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
@@ -166,19 +162,16 @@ def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
     descending graded-lex order."""
     if n < 1 or d < 0 or m < 1:
         raise ValueError(f"invalid kernel request n={n}, d={d}, m={m}")
-    elements = tuple(
-        Poly._from_clean(n, _extend(e, d, m))
-        for e in monomials_of_degree(n, d)
-        if e[0] < 2 * m
-    )
-    return BasisSet(elements)
+    return BasisSet(tuple(_elements(n, d, m, {})))
 
 
 def graded_basis(req: BasisRequest) -> BasisSet:
-    """Concatenation of the homogeneous kernels for d = 0 .. max_degree."""
+    """Concatenation of the homogeneous kernels for d = 0 .. max_degree,
+    built over one table of Laplacian chains."""
     req.validate()
+    chains: dict[Exponent, list[dict[Exponent, int]]] = {}
     return BasisSet(
-        tuple(p for d in range(req.max_degree + 1) for p in homogeneous_kernel(req.n, d, req.m))
+        tuple(p for d in range(req.max_degree + 1) for p in _elements(req.n, d, req.m, chains))
     )
 
 

@@ -324,15 +324,22 @@ class UniPoly(Value):
     `terms`, a dict {power: nonzero coefficient}.
 
     Used for radial weight profiles in the variable t, which mostly have one
-    term.  Built from a dense sequence (index = power) or from such a dict
-    (powers nonnegative integers); zero coefficients are dropped either way,
-    so representations are canonical.
+    term.  Built from a dense sequence (index = power) or from such a dict,
+    whose powers must be nonnegative ints (a bool, float, Fraction or
+    negative power is refused); zero coefficients are dropped either way, so
+    representations are canonical.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, coeffs: Iterable[RationalLike] | dict[int, RationalLike]):
-        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        if isinstance(coeffs, dict):
+            for i in coeffs:
+                if type(i) is not int or i < 0:
+                    raise ValueError(f"power {i!r} is not a nonnegative integer")
+            items = coeffs.items()
+        else:
+            items = enumerate(coeffs)
         terms = {i: f for i, c in items if (f := c if type(c) is Fraction else Fraction(c))}
         _set(self, "terms", terms)
 

@@ -325,7 +325,7 @@ class TestVerify:
 
         for module, name in [
             (parser, "parse_poly"), (parser, "parse_unipoly"), (identities, "run_suite"),
-            (kernel, "graded_basis"), (kernel, "homogeneous_kernel"),
+            (kernel, "graded_basis"), (kernel, "homogeneous_kernel"), (kernel, "_elements"),
         ]:
             monkeypatch.setattr(module, name, refuse)
         code, out, err = run_cli(capsys, "verify", "--n", "2", *argv)
@@ -434,6 +434,7 @@ class TestBasis:
             raise AssertionError("basis built before the budget check")
 
         monkeypatch.setattr(kernel, "homogeneous_kernel", refuse)
+        monkeypatch.setattr(kernel, "_elements", refuse)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

@@ -13,7 +13,7 @@ from cubeharm.kernel import (
     is_polyharmonic,
     monomials_of_degree,
 )
-from cubeharm.poly import Poly, iterated_laplacian, poly_to_text
+from cubeharm.poly import Poly, iterated_laplacian, laplacian, poly_to_text
 
 
 def monomial_space_dim(n: int, d: int) -> int:
@@ -221,6 +221,7 @@ class TestGradedBasis:
             raise AssertionError("basis built before the budget check")
 
         monkeypatch.setattr(kernel, "homogeneous_kernel", refuse)
+        monkeypatch.setattr(kernel, "_elements", refuse)
         with pytest.raises(ValueError, match="exponent entries"):
             graded_basis(BasisRequest(n, d, 1))
 
@@ -232,6 +233,48 @@ class TestGradedBasis:
         # 1 + 9 + 44 + 156 harmonic polynomials of degree <= 3 in dimension 9
         assert len(graded_basis(BasisRequest(9, 3, 1))) == 210
         assert len(graded_basis(BasisRequest(2, 17, 1))) == 35
+
+
+class TestSharedChains:
+    """graded_basis builds each element in the closed form
+    sum_J c_J x1^J Lap'^((J-j0)/2) x'^beta over one table of chains."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_graded_basis_is_the_homogeneous_kernels(self, n, m):
+        kernels = [p for d in range(9) for p in homogeneous_kernel(n, d, m).elements]
+        graded = graded_basis(BasisRequest(n, 8, m)).elements
+        assert [list(p.terms.items()) for p in graded] == [list(p.terms.items()) for p in kernels]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_harmonic_extension_reference(self, n):
+        # m = 1: sum_k (-1)^k j0!/(j0+2k)! x1^(j0+2k) Lap'^k x'^beta, from Poly arithmetic
+        x1 = Poly.variable(n, 1)
+        for d in range(9):
+            free = [e for e in monomials_of_degree(n, d) if e[0] < 2]
+            for p, e in zip(homogeneous_kernel(n, d, 1).elements, free, strict=True):
+                j0, chain = e[0], Poly.monomial(n, (0,) + e[1:])
+                expected = Poly.zero(n)
+                for k in range((d - j0) // 2 + 1):
+                    scale = Fraction((-1) ** k * math.factorial(j0), math.factorial(j0 + 2 * k))
+                    expected = expected + scale * x1 ** (j0 + 2 * k) * chain
+                    chain = laplacian(chain)  # x1 is absent, so this is Lap'
+                assert p == expected
+
+    @pytest.mark.parametrize(
+        "n,max_degree,m", [(3, 8, 1), (4, 6, 2), (5, 6, 1), (2, 9, 3), (1, 5, 1)]
+    )
+    def test_each_chain_is_built_once(self, monkeypatch, n, max_degree, m):
+        # floor(b/2) Laplacians for each monomial x'^beta of degree b <= max_degree:
+        # 110 at (3, 8, 1), where one recursion per element made 184
+        calls = []
+        build = kernel._laplacian_terms
+        monkeypatch.setattr(
+            kernel, "_laplacian_terms", lambda terms: calls.append(1) or build(terms)
+        )
+        graded_basis(BasisRequest(n, max_degree, m))
+        bound = sum(d // 2 * len(monomials_of_degree(n - 1, d)) for d in range(max_degree + 1))
+        assert len(calls) <= bound
 
 
 class TestValueClasses:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,21 @@ class TestSparseProfile:
     def test_poly_hash_is_the_frozenset_of_its_terms(self):
         p = x1 * x2 - Fraction(1, 3) * x2**2
         assert hash(p) == hash((2, frozenset(p.terms.items())))
+
+    @pytest.mark.parametrize(
+        "power", [-1, 1.5, True, Fraction(1, 2)], ids=["negative", "float", "bool", "fraction"]
+    )
+    def test_dict_power_that_is_not_a_nonnegative_int_refused(self, power):
+        message = re.escape(f"power {power!r} is not a nonnegative integer")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UniPoly({power: 1})
+        with pytest.raises(ValueError):
+            UniPoly({0: 1, power: 0})  # refused even with a zero coefficient
+
+    def test_dense_form_still_builds(self):
+        phi = UniPoly([Fraction(1, 2), 0, True, 1.5])
+        assert phi.terms == {0: Fraction(1, 2), 2: 1, 3: Fraction(3, 2)}
+        assert UniPoly({0: 1, 7: 2}).degree == 7
 
 
 class TestUniNegativePoint:

@@ -9,12 +9,20 @@ limit of a parsed expression, drawn by a derandomized hypothesis strategy.
 The child caps its own address space and gives each case a deadline; the
 parent's timeout kills the child, since no alarm can stop one huge big-int
 operation.  A third sweep runs calls with two-sided radii, which must end
-inside the same deadline.  Run as a script (`test_hostile_inputs.py flags`,
-`combinations` or `radii`), this file is that child.
+inside the same deadline, and a fourth one ordinary call of each subcommand
+and output format.  Run as a script (`test_hostile_inputs.py flags`,
+`combinations`, `radii` or `ordinary`), this file is that child.
+
+The child also prints, for each case, a sha256 of its exit code, stdout and
+stderr and of every file it wrote in the working directory (an `--out`).
+Each sweep compares them with `cli_digests.json`, keyed by case id, so a
+refactor that moves any byte of any CLI output, message or exit code fails
+here.  `python tests/test_hostile_inputs.py pin` rewrites that file.
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,6 +30,7 @@ import resource
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 VALUES = [
@@ -81,6 +90,78 @@ TWO_SIDED = {
         1,
     ),
 }
+
+# one ordinary call of each subcommand and output format, among them every
+# path that takes a weight profile: (argv, exit code)
+ORDINARY_JOB = {
+    "n": 3, "r": "2", "deg": 4, "m": 2, "identities": ["pizzetti"], "format": "csv",
+    "out": "job-report.csv",
+}
+ORDINARY = {
+    "verify json": (
+        ["verify", "--n", "2", "--deg", "4", "--identities", "surface,volume,quadrature,pizzetti"],
+        0,
+    ),
+    "verify csv": (
+        ["verify", "--n", "3", "--deg", "3", "--r", "3/2", "--k", "1,3", "--format", "csv",
+         "--identities", "surface,volume,quadrature,pizzetti"],
+        0,
+    ),
+    "verify poly phi": (
+        ["verify", "--n", "2", "--poly", "x1^3-3*x1*x2^2", "--identities", "quadrature,pizzetti",
+         "--phi", "t^2/2", "--phi", "t^3-t^2/5", "--r", "1/3", "--out", "verify.json"],
+        0,
+    ),
+    "verify failing poly": (
+        ["verify", "--n", "2", "--poly", "x1^4+x2^2", "--identities", "surface,volume,quadrature",
+         "--k", "0,1"],
+        2,
+    ),
+    "verify job": (["verify", "--job", "ordinary-job.json"], 0),
+    "basis text": (["basis", "--n", "3", "--deg", "4"], 0),
+    "basis json": (["basis", "--n", "2", "--deg", "5", "--m", "2", "--format", "json"], 0),
+    "integrate cube": (
+        ["integrate", "--n", "3", "--region", "cube", "--poly", "x1^2*x2^2+x3^4-1/7", "--k", "2",
+         "--r", "3/2"],
+        0,
+    ),
+    "integrate cube phi": (
+        ["integrate", "--n", "2", "--region", "cube", "--poly", "x1^4*x2^2+x2^2",
+         "--phi", "t^3/6-t^2+1/2"],
+        0,
+    ),
+    "integrate diagonal phi": (
+        ["integrate", "--n", "3", "--region", "diagonal", "--poly", "x1^2*x2^2+x3^4",
+         "--phi", "t^2*(1+t)^3", "--r", "2/5", "--out", "value.txt"],
+        0,
+    ),
+    "integrate boundary": (
+        ["integrate", "--n", "4", "--region", "boundary", "--poly", "x1^2*x4^2+1", "--r", "5"],
+        0,
+    ),
+    "approx": (
+        ["approx", "--n", "2", "--f", "x1^2*x2^2",
+         "--h", "-1/4*x1^4+3/2*x1^2*x2^2-1/4*x2^4"],
+        0,
+    ),
+    "approx phi": (
+        ["approx", "--n", "2", "--f", "x1^4+x2^4", "--h", "x1^4-6*x1^2*x2^2+x2^4", "--r", "2",
+         "--phi", "t^2/2+t^3", "--grid", "11"],
+        0,
+    ),
+    "crosscheck": (["crosscheck", "--n", "3", "--count", "4", "--seed", "3", "--deg", "4"], 0),
+    "crosscheck poly": (
+        ["crosscheck", "--n", "2", "--poly", "x1^4*x2^2+3*x2^2", "--k", "0,2", "--r", "3/2",
+         "--points-per-axis", "12"],
+        0,
+    ),
+    "grid": (
+        ["grid", "--n", "2", "--f", "x1^2*x2", "--h", "x1/3", "--res", "7", "--r", "1/2",
+         "--out", "grid.csv"],
+        0,
+    ),
+}
+DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 
 def _with_flag(base: list[str], flag: str, value: str) -> list[str]:
@@ -165,6 +246,20 @@ def _combined_cases():
         yield " ".join(case), list(case)
 
 
+def _ordinary_cases():
+    Path("ordinary-job.json").write_text(json.dumps(ORDINARY_JOB))
+    for name, (argv, _) in ORDINARY.items():
+        yield name, argv
+
+
+SWEEPS = {
+    "flags": _cases,
+    "combinations": _combined_cases,
+    "radii": lambda: ((name, argv) for name, (argv, _) in TWO_SIDED.items()),
+    "ordinary": _ordinary_cases,
+}
+
+
 class _Deadline(BaseException):
     """Raised by the alarm; no handler of the program catches it."""
 
@@ -179,12 +274,8 @@ def _child(sweep: str) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     signal.signal(signal.SIGALRM, _alarm)
     count = 0
-    sweeps = {
-        "flags": _cases,
-        "combinations": _combined_cases,
-        "radii": lambda: ((name, argv) for name, (argv, _) in TWO_SIDED.items()),
-    }
-    for name, argv in sweeps[sweep]():
+    for name, argv in SWEEPS[sweep]():
+        before = set(os.listdir())
         out, err = io.StringIO(), io.StringIO()
         raised = None
         signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
@@ -195,8 +286,16 @@ def _child(sweep: str) -> None:
             code, raised = None, f"{type(exc).__name__}: {str(exc)[:200]}"
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
+        digest = hashlib.sha256(json.dumps([code, raised, out.getvalue(), err.getvalue()]).encode())
+        for path in sorted(set(os.listdir()) - before):  # what the case wrote, then removed
+            data = Path(path).read_bytes()
+            digest.update(json.dumps([path, len(data)]).encode() + data)
+            os.unlink(path)
         lines = [line[:200] for line in err.getvalue().splitlines()]
-        print(json.dumps({"case": name, "exit": code, "raised": raised, "stderr": lines}))
+        print(json.dumps({
+            "case": name, "exit": code, "raised": raised, "stderr": lines,
+            "digest": digest.hexdigest(),
+        }))
         count += 1
     print(json.dumps({"done": count}))
 
@@ -229,11 +328,35 @@ def _sweep(tmp_path, sweep: str) -> list[dict]:
     return results
 
 
+def _digests(results: list[dict]) -> dict[str, str]:
+    digests = {r["case"]: r["digest"] for r in results}
+    assert len(digests) == len(results), "case ids must be unique"
+    return digests
+
+
+def _check_digests(sweep: str, results: list[dict]) -> None:
+    """Every case's bytes are the pinned ones, and the cases are the pinned ones."""
+    pinned = json.loads(DIGESTS.read_text())[sweep]
+    digests = _digests(results)
+    assert sorted(set(digests) ^ set(pinned)) == []
+    assert sorted(case for case, digest in digests.items() if digest != pinned[case]) == []
+
+
+def _pin() -> None:
+    """Rewrite cli_digests.json from a fresh run of every sweep."""
+    pinned = {}
+    for sweep in SWEEPS:
+        with tempfile.TemporaryDirectory() as tmp:
+            pinned[sweep] = _digests(_sweep(tmp, sweep))
+    DIGESTS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+
+
 def test_every_flag_refuses_hostile_values(tmp_path):
     results = _sweep(tmp_path, "flags")
     assert len(results) > 500
     failures = {r["case"]: why for r in results if (why := _failure(r))}
     assert failures == {}
+    _check_digests("flags", results)
 
 
 def test_flag_combinations_end_cleanly(tmp_path):
@@ -241,6 +364,7 @@ def test_flag_combinations_end_cleanly(tmp_path):
     assert len(results) > 100
     failures = {r["case"]: why for r in results if (why := _failure(r))}
     assert failures == {}
+    _check_digests("combinations", results)
 
 
 def test_two_sided_radii_end_in_time(tmp_path):
@@ -253,7 +377,16 @@ def test_two_sided_radii_end_in_time(tmp_path):
     assert results["integrate diagonal"]["stderr"] == [
         "error: exact value has more than 4300 digits in its numerator or denominator"
     ]
+    _check_digests("radii", list(results.values()))
+
+
+def test_ordinary_calls_keep_their_bytes(tmp_path):
+    results = _sweep(tmp_path, "ordinary")
+    assert {r["case"]: (r["exit"], _failure(r)) for r in results} == {
+        name: (code, None) for name, (_, code) in ORDINARY.items()
+    }
+    _check_digests("ordinary", results)
 
 
 if __name__ == "__main__":
-    _child(sys.argv[1])
+    _pin() if sys.argv[1] == "pin" else _child(sys.argv[1])

@@ -134,8 +134,7 @@ def _parse_input(args, text: str, profile: bool = False):
 
     if profile:
         return parser.parse_unipoly(text, max_degree=_degree_limit(args))
-    source = parser.ExprSource(text, expected_dim=args.n)
-    return parser.parse_poly(source, max_degree=_degree_limit(args))
+    return parser.parse_poly(text, dim=args.n, max_degree=_degree_limit(args))
 
 
 @contextlib.contextmanager

@@ -22,10 +22,10 @@ def run(args) -> int:
     from .integrate import Weight, integrate_boundary, integrate_cube, integrate_diagonal
 
     if args.phi is not None:
-        weight = Weight.from_profile(_parse_input(args, args.phi, profile=True))
+        weight = _parse_input(args, args.phi, profile=True)
     else:
         weight = Weight.power(args.k)
-    _check_radius_power(d, args.n + _degree_limit(args) + weight.profile.degree)
+    _check_radius_power(d, args.n + _degree_limit(args) + weight.degree)
     region = args.region
     if region == "cube":
         value = integrate_cube(p, d, weight)

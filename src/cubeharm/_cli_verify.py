@@ -185,7 +185,7 @@ def run(args) -> int:
             f"--deg {args.deg} raises the degree limit of --poly and --phi to {degree_limit}, "
             f"above the limit of {MAX_VERIFY_DEGREE}"
         )
-    from .identities import Identity, SuiteConfig, run_suite
+    from .identities import _PIZZETTI_SHIFTS, _QUADRATURE_POWERS, Identity, SuiteConfig, run_suite
     from .kernel import BasisRequest, graded_basis
 
     request = BasisRequest(n=args.n, max_degree=args.deg, m=args.m)
@@ -200,12 +200,12 @@ def run(args) -> int:
             raise UsageError(f"polyharmonic order must be >= 1, got {args.m}")
         if not args.phi:
             weight_degree = max(weight_degree, _check_weight_degree("--m", args.m, 2 * args.m + 2))
-    profiles = len(args.phi or ())  # else 5 default quadrature and 3 Pizzetti ones
+    profiles = len(args.phi or ())  # else the default quadrature and Pizzetti ones
     per_element = {
         "SURFACE_MEAN": 2,
         "VOLUME_MEAN": 2 * len(ks),
-        "WEIGHTED_QUADRATURE": 2 * (profiles or 5),
-        "PIZZETTI": (args.m + 1) * (profiles or 3),
+        "WEIGHTED_QUADRATURE": 2 * (profiles or len(_QUADRATURE_POWERS)),
+        "PIZZETTI": (args.m + 1) * (profiles or len(_PIZZETTI_SHIFTS)),
     }
     elements = 1 if args.poly else math.comb(args.n + args.deg, args.deg)
     integrals = elements * sum(per_element[name] for name in names)

@@ -103,9 +103,9 @@ def _green(
     # the diagonals with 2s + 1 > deg phi are identically 0 and are not built
     row = _row(
         d,
-        [(integral(d, Region.CUBE, Weight(phi.derivative(2 * m)), scale), 0)]
+        [(integral(d, Region.CUBE, phi.derivative(2 * m), scale), 0)]
         + [
-            (integral(d, Region.DIAGONAL, Weight(phi.derivative(2 * s + 1)), -2 * scale), m - 1 - s)
+            (integral(d, Region.DIAGONAL, phi.derivative(2 * s + 1), -2 * scale), m - 1 - s)
             for s in range(min(m, (phi.degree + 1) // 2))
         ]
     )
@@ -130,7 +130,7 @@ def _surface_row(d: CubeDomain) -> Callable[[list[DegreeSums]], Fraction | int]:
 
 
 def _volume_row(d: CubeDomain, k: int) -> Callable[[list[DegreeSums]], Fraction | int]:
-    return _green(d, Weight.power(k + 2).profile, 1, 1 / measure(d, Region.CUBE, k))
+    return _green(d, Weight.power(k + 2), 1, 1 / measure(d, Region.CUBE, k))
 
 
 def _laplacian_chain(g: Poly, m: int) -> list[DegreeSums]:
@@ -176,14 +176,20 @@ def residual_pizzetti(g: Poly, d: CubeDomain, m: int, phi: UniPoly) -> Fraction:
 # -- suite runner --------------------------------------------------------------
 
 
+# the default profiles t^j / j!: j in _QUADRATURE_POWERS for the weighted
+# quadrature, j - 2m in _PIZZETTI_SHIFTS for Pizzetti at order m
+_QUADRATURE_POWERS = range(2, 7)
+_PIZZETTI_SHIFTS = range(3)
+
+
 def default_quadrature_profiles() -> tuple[UniPoly, ...]:
     """t^j / j! for j = 2..6."""
-    return tuple(Weight.power(j).profile for j in range(2, 7))
+    return tuple(Weight.power(j) for j in _QUADRATURE_POWERS)
 
 
 def default_pizzetti_profiles(m: int) -> tuple[UniPoly, ...]:
     """t^(2m+j) / (2m+j)! for j = 0..2."""
-    return tuple(Weight.power(2 * m + j).profile for j in range(3))
+    return tuple(Weight.power(2 * m + j) for j in _PIZZETTI_SHIFTS)
 
 
 class SuiteConfig(Value):

@@ -107,27 +107,16 @@ class Region(enum.Enum):
     DIAGONAL = "diagonal"
 
 
-class Weight(Value):
-    """A radial weight profile evaluated at u = r - M(x).
+class Weight:
+    """A weight is its profile phi, a UniPoly evaluated at u = r - M(x), and
+    every weighted function takes the profile itself.  This class only
+    names the power profiles: `Weight.power(k)` is u^k / k!."""
 
-    `power(k)` builds the profile u^k / k!; `from_profile` wraps an arbitrary
-    polynomial profile.  Both run through the same integration path.
-    """
-
-    __slots__ = ("profile",)
-
-    def __init__(self, profile: UniPoly):
-        _set(self, "profile", profile)
-
-    @classmethod
-    def power(cls, k: int) -> "Weight":
+    @staticmethod
+    def power(k: int) -> UniPoly:
         if k < 0:
             raise ValueError(f"weight exponent must be >= 0, got {k}")
-        return cls(UniPoly.monomial(k, Fraction(1, math.factorial(k))))
-
-    @classmethod
-    def from_profile(cls, phi: UniPoly) -> "Weight":
-        return cls(phi)
+        return UniPoly.monomial(k, Fraction(1, math.factorial(k)))
 
 
 class WeightConditionError(ValueError):
@@ -257,11 +246,11 @@ def _degree_sums(p: Poly) -> DegreeSums:
 
 
 def integral(
-    d: CubeDomain, region: Region, w: Weight | None = None, scale: RationalLike = 1
+    d: CubeDomain, region: Region, w: UniPoly | None = None, scale: RationalLike = 1
 ) -> Callable[[DegreeSums], Fraction | int]:
-    """scale * sum_a S_s(a) * R_phi(a + n - s, r) over region, or
-    * r^(a + n - 1) on the boundary (where w is ignored), as one linear
-    functional of a polynomial's degree sums.
+    """scale * sum_a S_s(a) * R_phi(a + n - s, r) over region for the
+    profile phi = w, or * r^(a + n - 1) on the boundary (where w is
+    ignored), as one linear functional of a polynomial's degree sums.
 
     The constant `scale` (a term's reciprocal mass, the factor 2 of a
     diagonal and the term's sign) and the power of r that grows with the
@@ -277,7 +266,7 @@ def integral(
     """
     s = 2 if region is Region.DIAGONAL else 1
     shift = d.n - s
-    phi = None if region is Region.BOUNDARY else w.profile
+    phi = None if region is Region.BOUNDARY else w
     unit = Fraction(scale)
     if d.r != 1:
         unit *= d.r ** (shift if phi is None else shift + 1)
@@ -297,8 +286,8 @@ def integral(
     return value
 
 
-def integrate_cube(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
-    """Exact weighted integral of p over the solid cube."""
+def integrate_cube(p: Poly, d: CubeDomain, w: UniPoly) -> Fraction:
+    """Exact integral of p over the solid cube, weighted by the profile w."""
     return Fraction(integral(d, Region.CUBE, w)(_degree_sums(p)))
 
 
@@ -311,8 +300,9 @@ def integrate_boundary(p: Poly, d: CubeDomain) -> Fraction:
     return Fraction(integral(d, Region.BOUNDARY)(_degree_sums(p)))
 
 
-def integrate_diagonal(p: Poly, d: CubeDomain, w: Weight) -> Fraction:
-    """Exact weighted integral of p over the diagonal set, projected measure.
+def integrate_diagonal(p: Poly, d: CubeDomain, w: UniPoly) -> Fraction:
+    """Exact integral of p over the diagonal set, projected measure,
+    weighted by the profile w.
 
     Each pair i < j contributes four sheets parametrized by the tied value
     t in [0, r] and the free box [-t, t]^(n-2); three-way ties are shared

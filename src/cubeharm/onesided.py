@@ -382,4 +382,4 @@ def _weighted_error(
         raise ValueError(
             f"f - h is negative at {tuple(map(str, onesided.negative_witness or ()))}"
         )
-    return integrate_cube(diff, d, Weight.from_profile(d2))
+    return integrate_cube(diff, d, d2)

@@ -60,7 +60,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .integrate import CubeDomain, Weight
+from .integrate import CubeDomain
 from .poly import Poly, UniPoly, Value, _set
 
 MAX_POINTS_PER_AXIS = 256  # the Newton node build is O(q^2) in Python
@@ -178,26 +178,27 @@ def _cell_sums(
 
 
 def _weighted_sums(
-    p: Poly, d: CubeDomain, weights: list[Weight], spec: QuadratureSpec, fixed: int
+    p: Poly, d: CubeDomain, weights: list[UniPoly], spec: QuadratureSpec, fixed: int
 ) -> list[float]:
-    """Cube (fixed = 1) or diagonal (fixed = 2) integrals, one per weight;
-    the box scaling leaves the Jacobian t^(n - fixed)."""
+    """Cube (fixed = 1) or diagonal (fixed = 2) integrals, one per weight
+    profile; the box scaling leaves the Jacobian t^(n - fixed)."""
     d.check_dim(p)
     terms, degrees = _even_terms(p)
-    q, profiles = spec.points_per_axis, [w.profile for w in weights]
-    radials = _radial_sums(profiles, float(d.r), q, d.n - fixed, degrees)
+    q = spec.points_per_axis
+    radials = _radial_sums(weights, float(d.r), q, d.n - fixed, degrees)
     return _cell_sums(terms, d.n, fixed, _box_moments(q, p.total_degree), radials)
 
 
 def numeric_integrate_cube_many(
-    p: Poly, d: CubeDomain, weights: list[Weight], spec: QuadratureSpec = QuadratureSpec()
+    p: Poly, d: CubeDomain, weights: list[UniPoly], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[float]:
-    """Cube integrals of p against several weights, sharing the box factors."""
+    """Cube integrals of p against several weight profiles, sharing the box
+    factors."""
     return _weighted_sums(p, d, weights, spec, 1)
 
 
 def numeric_integrate_cube(
-    p: Poly, d: CubeDomain, w: Weight, spec: QuadratureSpec = QuadratureSpec()
+    p: Poly, d: CubeDomain, w: UniPoly, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
     return numeric_integrate_cube_many(p, d, [w], spec)[0]
 
@@ -213,13 +214,14 @@ def numeric_integrate_boundary(
 
 
 def numeric_integrate_diagonal_many(
-    p: Poly, d: CubeDomain, weights: list[Weight], spec: QuadratureSpec = QuadratureSpec()
+    p: Poly, d: CubeDomain, weights: list[UniPoly], spec: QuadratureSpec = QuadratureSpec()
 ) -> list[float]:
-    """Diagonal-set integrals (projected measure) against several weights."""
+    """Diagonal-set integrals (projected measure) against several weight
+    profiles."""
     return _weighted_sums(p, d, weights, spec, 2)
 
 
 def numeric_integrate_diagonal(
-    p: Poly, d: CubeDomain, w: Weight, spec: QuadratureSpec = QuadratureSpec()
+    p: Poly, d: CubeDomain, w: UniPoly, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
     return numeric_integrate_diagonal_many(p, d, [w], spec)[0]

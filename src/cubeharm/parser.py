@@ -23,7 +23,12 @@ Work is bounded before it is done.  A power of a non-constant base is
 refused when its degree exceeds max_degree, a constant power when its result
 would exceed MAX_CONSTANT_BITS, and a product or power when the terms it
 may expand to exceed MAX_EXPANDED_TERMS.  A sum collects its terms in one
-table, so its cost grows with the length of the text, not its square.
+table, so its cost grows with the length of the text, not its square, and
+refuses a term that brings the lcm of its coefficients' denominators to
+more than MAX_DIGITS digits before adding it: a sum of coprime
+denominators that large costs a gcd of that size per addition.  So no
+expression, parenthesized or whole, parses to a polynomial whose
+coefficients have such an lcm.
 """
 
 from __future__ import annotations
@@ -34,8 +39,11 @@ from fractions import Fraction
 from .poly import MAX_DIGITS, Poly, UniPoly, Value
 
 # Largest dimension read off the variable indices of a text given without
-# an expected_dim; a caller that wants more passes expected_dim.
+# a dim; a caller that wants more passes dim.
 MAX_INFERRED_DIM = 8
+
+# The smallest lcm of a sum's coefficient denominators that is refused.
+_DENOMINATOR_LIMIT = 10**MAX_DIGITS
 
 
 # Terms the products and powers of one expression may expand to, counted
@@ -60,13 +68,6 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"at offset {position}: {message}")
         self.position = position
         self.reason = message
-
-
-class ExprSource(Value):
-    """An expression string plus an optional expected ambient dimension."""
-
-    __slots__ = ("text", "expected_dim")
-    _defaults = {"expected_dim": None}
 
 
 _OPERATORS = "+-*/^()"
@@ -155,15 +156,32 @@ class _Parser:
         return value
 
     def expr(self) -> Poly:
-        value = self.term()
+        value, lcm = self.bounded_term(1)
         if self.peek().kind not in "+-":
             return value
         terms = dict(value.terms)
         while self.peek().kind in "+-":
             sign = 1 if self.advance().kind == "+" else -1
-            for exps, coeff in self.term().terms.items():
+            term, lcm = self.bounded_term(lcm)
+            for exps, coeff in term.terms.items():
                 terms[exps] = terms.get(exps, 0) + sign * coeff
         return Poly(self.dim, terms)
+
+    def bounded_term(self, lcm: int) -> tuple[Poly, int]:
+        """The next term, and lcm widened by its coefficients' denominators;
+        refused at the term's offset once that reaches _DENOMINATOR_LIMIT."""
+        position = self.peek().position
+        term = self.term()
+        for coeff in term.terms.values():
+            if lcm % coeff.denominator:
+                lcm = math.lcm(lcm, coeff.denominator)
+                if lcm >= _DENOMINATOR_LIMIT:
+                    raise ExprSyntaxError(
+                        f"the coefficients' denominators have a common multiple of more than "
+                        f"{MAX_DIGITS} digits",
+                        position,
+                    )
+        return term, lcm
 
     def term(self) -> Poly:
         value = self.factor()
@@ -288,26 +306,21 @@ def _max_var_index(tokens: list[_Token]) -> int:
     return max((_index(tok.text) or 0 for tok in tokens if tok.kind == "var"), default=0)
 
 
-def _parse(src: ExprSource | str, max_degree: int, univariate: bool) -> Poly:
-    """The polynomial of src, its empty text refused first and its degree
-    checked against max_degree last; a profile in t has dimension 1."""
-    if isinstance(src, str):
-        src = ExprSource(src)
-    if not src.text.strip():
+def _parse(text: str, dim: int | None, max_degree: int, univariate: bool = False) -> Poly:
+    """The polynomial of text in dimension dim, or in the dimension its
+    variable indices infer when dim is None; its empty text is refused
+    first and its degree checked against max_degree last."""
+    if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    tokens = _tokenize(src.text)
-    if univariate:
-        dim = 1
-    elif src.expected_dim is not None:
-        dim = src.expected_dim
-        if dim < 1:
-            raise ValueError(f"expected_dim must be >= 1, got {dim}")
-    else:
+    tokens = _tokenize(text)
+    if dim is None:
         dim = max(1, _max_var_index(tokens))
         if dim > MAX_INFERRED_DIM:
             raise ExprSyntaxError(
                 f"variable index {dim} exceeds the configured limit {MAX_INFERRED_DIM}", 0
             )
+    elif dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     poly = _Parser(tokens, dim, univariate, max_degree).parse()
     if poly.total_degree > max_degree:
         raise ExprSyntaxError(
@@ -317,17 +330,17 @@ def _parse(src: ExprSource | str, max_degree: int, univariate: bool) -> Poly:
     return poly
 
 
-def parse_poly(src: ExprSource | str, *, max_degree: int = 16) -> Poly:
+def parse_poly(text: str, *, dim: int | None = None, max_degree: int = 16) -> Poly:
     """Parse a multivariate polynomial expression of degree <= max_degree.
 
-    The ambient dimension is expected_dim when provided, otherwise the
-    largest variable index appearing in the text (1 for pure constants),
-    at most MAX_INFERRED_DIM.
+    The ambient dimension is dim when given, otherwise the largest variable
+    index appearing in the text (1 for pure constants), at most
+    MAX_INFERRED_DIM.
     """
-    return _parse(src, max_degree, univariate=False)
+    return _parse(text, dim, max_degree)
 
 
-def parse_unipoly(src: ExprSource | str, *, max_degree: int = 16) -> UniPoly:
+def parse_unipoly(text: str, *, max_degree: int = 16) -> UniPoly:
     """Parse a univariate profile in the variable t of degree <= max_degree."""
-    poly = _parse(src, max_degree, univariate=True)
+    poly = _parse(text, 1, max_degree, univariate=True)
     return UniPoly({e: c for (e,), c in poly.terms.items()})

@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from cubeharm.integrate import CubeDomain
-from cubeharm.parser import ExprSource, parse_poly
+from cubeharm.parser import parse_poly
 from cubeharm.poly import Poly
 
 
@@ -41,7 +41,7 @@ def check_round_trips(value) -> None:
 
 
 def pp(text: str, n: int | None = None) -> Poly:
-    return parse_poly(ExprSource(text, expected_dim=n))
+    return parse_poly(text, dim=n)
 
 
 @pytest.fixture

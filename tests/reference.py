@@ -169,10 +169,10 @@ def _omega(k: int) -> UniPoly:
 
 if __name__ == "__main__":
     from cubeharm.onesided import pair_square_product
-    from cubeharm.parser import ExprSource, parse_poly
+    from cubeharm.parser import parse_poly
 
     def pp(text, n):
-        return parse_poly(ExprSource(text, expected_dim=n))
+        return parse_poly(text, dim=n)
 
     print("V3 =", ref_cube(pair_square_product(3), Fraction(1), _omega(0)))
     f1 = pp("x1^2*x2^2", 2)

@@ -168,7 +168,7 @@ def test_criterion_5_companion_from_green_form():
     the diagonal set has error int_cube (f - h) = int_cube (1-M)^2/2 Lap f,
     the quadrature residual of f at phi = t^2/2."""
     f = pp("x1^8 + 14*x1^4*x2^4 + x2^8")
-    t2 = Weight.power(2).profile  # t^2/2
+    t2 = Weight.power(2)  # t^2/2
     error = residual_weighted_quadrature(f, CubeDomain(2, Fraction(1)), t2)
     assert error == Fraction(128, 75)
     record(5, True, "companion: the quadrature residual of f is 128/75, with no h")

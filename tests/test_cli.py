@@ -335,6 +335,25 @@ class TestVerify:
         assert err.startswith("error: " + message)
 
     @pytest.mark.parametrize(
+        "identity, name",
+        [("quadrature", "_QUADRATURE_POWERS"), ("pizzetti", "_PIZZETTI_SHIFTS")],
+    )
+    def test_default_profile_counts_come_from_identities(self, capsys, monkeypatch, identity, name):
+        # 45 elements of degree <= 8 at n = 2, 2 integrals per default
+        # profile (m + 1 = 2 for Pizzetti): the count follows the defaults'
+        import cubeharm.identities as identities
+
+        monkeypatch.setattr(identities, name, range(3000))
+        argv = ["verify", "--n", "2", "--deg", "8", "--identities", identity]
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: verify takes 270000 integrals, above the limit of 200000\n"
+        )
+        monkeypatch.setattr(identities, name, range(2500))
+        assert run_cli(capsys, *argv)[2] == (
+            "error: verify takes 225000 integrals, above the limit of 200000\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, bits",
         [
             ("--n 2 --deg 8 --identities volume --r 1e30 --k " + K_1000, 612_600_000),
@@ -652,11 +671,11 @@ class TestApprox:
 
         from cubeharm.integrate import CubeDomain
         from cubeharm.onesided import certify_best_approx, weighted_l1_error
-        from cubeharm.parser import ExprSource, parse_poly, parse_unipoly
+        from cubeharm.parser import parse_poly, parse_unipoly
         from cubeharm.poly import rational_to_text
 
-        f = parse_poly(ExprSource("x1^4 + x2^2 + x3^2 + 1", expected_dim=3))
-        h = parse_poly(ExprSource("x1^2 - x2^2", expected_dim=3))
+        f = parse_poly("x1^4 + x2^2 + x3^2 + 1", dim=3)
+        h = parse_poly("x1^2 - x2^2", dim=3)
         d, phi = CubeDomain(3, Fraction(1)), parse_unipoly("t^3/6")
         expected = certify_best_approx(f, h, d).to_dict()
         expected["phi"] = "t^3/6"
@@ -978,10 +997,10 @@ def fraction_grid_csv(f: str, h: str, r: str, res: int) -> str:
     evaluation it used before the integer lattice."""
     from fractions import Fraction
 
-    from cubeharm.parser import ExprSource, parse_poly
+    from cubeharm.parser import parse_poly
     from cubeharm.poly import evaluate
 
-    fp, hp = (parse_poly(ExprSource(text, expected_dim=2)) for text in (f, h))
+    fp, hp = (parse_poly(text, dim=2) for text in (f, h))
     rr = Fraction(r)
     coords = [Fraction(0)] if res == 1 else [Fraction(2 * i, res - 1) * rr - rr for i in range(res)]
     lines = ["x1,x2,f,h,f_minus_h"]

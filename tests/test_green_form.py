@@ -66,7 +66,7 @@ def green_mismatches(p: Poly, d: CubeDomain) -> list[str]:
     lap = laplacian(p)
     failed = []
     if residual_weighted_quadrature(p, d, QUADRATURE_PHI) != integrate_cube(
-        lap, d, Weight(QUADRATURE_PHI)
+        lap, d, QUADRATURE_PHI
     ):
         failed.append("quadrature")
     for k in KS:
@@ -79,7 +79,7 @@ def green_mismatches(p: Poly, d: CubeDomain) -> list[str]:
         failed.append("surface")
     for m, phi in PIZZETTI_PHIS.items():
         functional = identities._green(d, phi, m)(identities._laplacian_chain(p, m))
-        if functional != integrate_cube(iterated_laplacian(p, m), d, Weight(phi)):
+        if functional != integrate_cube(iterated_laplacian(p, m), d, phi):
             failed.append(f"pizzetti m={m}")
     return failed
 
@@ -90,14 +90,14 @@ def rows(d: CubeDomain) -> list[tuple[str, Fraction, Callable, int, Callable]]:
     function evaluates), times the mass, equals the cube integral of the
     chain's link m."""
     out = [
-        ("quadrature", 1, identities._green(d, QUADRATURE_PHI, 1), 1, Weight(QUADRATURE_PHI)),
+        ("quadrature", 1, identities._green(d, QUADRATURE_PHI, 1), 1, QUADRATURE_PHI),
         ("surface", measure(d, Region.BOUNDARY), identities._surface_row(d), 1, Weight.power(1)),
     ]
     for k in KS:
         row = identities._volume_row(d, k)
         out.append((f"volume k={k}", measure(d, Region.CUBE, k), row, 1, Weight.power(k + 2)))
     for m, phi in PIZZETTI_PHIS.items():
-        out.append((f"pizzetti m={m}", 1, identities._green(d, phi, m), m, Weight(phi)))
+        out.append((f"pizzetti m={m}", 1, identities._green(d, phi, m), m, phi))
     return [(name, mass, row, m, integral(d, Region.CUBE, w)) for name, mass, row, m, w in out]
 
 

@@ -13,8 +13,9 @@ inside the same deadline, and a fourth one ordinary call of each subcommand
 and output format.  Run as a script (`test_hostile_inputs.py flags`,
 `combinations`, `radii` or `ordinary`), this file is that child.
 
-The child also prints, for each case, a sha256 of its exit code, stdout and
-stderr and of every file it wrote in the working directory (an `--out`).
+The child also prints, for each case, a sha256 of its exit code (or the
+exception it raised), stdout and stderr and of every file it wrote in the
+working directory (an `--out`).
 Each sweep compares them with `cli_digests.json`, keyed by case id, so a
 refactor that moves any byte of any CLI output, message or exit code fails
 here.  `python tests/test_hostile_inputs.py pin` rewrites that file.
@@ -24,13 +25,16 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import resource
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 VALUES = [
@@ -378,6 +382,45 @@ def test_two_sided_radii_end_in_time(tmp_path):
         "error: exact value has more than 4300 digits in its numerator or denominator"
     ]
     _check_digests("radii", list(results.values()))
+
+
+def _huge_denominator_poly(monomials: list[str]) -> str:
+    """250 terms (i + 1)/p_i^e * monomial_i, p_i the i-th prime and p_i^e
+    about 10^3500, its digits written out."""
+    primes = [p for p in range(2, 1600) if all(p % q for q in range(2, p))][:250]
+    return " + ".join(
+        f"{i + 1}/{p ** round(3500 / math.log10(p))}*{mono}"
+        for i, (p, mono) in enumerate(zip(primes, monomials))
+    )
+
+
+def test_huge_coefficient_denominators_are_refused_in_time(tmp_path):
+    # The distinct-monomial job ran 25 s before its 4300-digit error, and the
+    # one-monomial poly spent 11 s in the parser; each sum's second term
+    # brings the lcm of its denominators past 4300 digits and is refused.
+    distinct = [
+        "*".join(f"x{j + 1}^2" for j, e in enumerate(exps) if e) or "1"
+        for exps in itertools.product((0, 2), repeat=8)
+    ]
+    paths = {"distinct monomials": tmp_path / "distinct.json", "one monomial": tmp_path / "one.json"}
+    for monomials, path in zip((distinct, ["x1^2"] * 250), paths.values()):
+        path.write_text(json.dumps({"n": 8, "poly": _huge_denominator_poly(monomials)}))
+    assert 800_000 < paths["distinct monomials"].stat().st_size < 1_000_000
+    code = "import sys; from cubeharm.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for name, path in paths.items():
+        start = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--job", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (child.returncode, child.stdout) == (1, ""), name
+        (line,) = child.stderr.splitlines()
+        assert line.startswith("error: invalid expression at offset ") and line.endswith(
+            "the coefficients' denominators have a common multiple of more than 4300 digits"
+        ), name
+        assert elapsed < 2.0, (name, elapsed)
 
 
 def test_ordinary_calls_keep_their_bytes(tmp_path):

@@ -519,17 +519,17 @@ def division_form(identity, p, d, m, param):
             d, Region.DIAGONAL, param + 1
         )
     if identity is Identity.WEIGHTED_QUADRATURE:
-        return integrate_cube(p, d, Weight.from_profile(param.derivative(2))) - 2 * (
-            integrate_diagonal(p, d, Weight.from_profile(param.derivative(1)))
+        return integrate_cube(p, d, param.derivative(2)) - 2 * (
+            integrate_diagonal(p, d, param.derivative(1))
         )
     chain = [p]
     for _ in range(m - 1):
         chain.append(laplacian(chain[-1]))
     diagonals = sum(
-        integrate_diagonal(chain[m - 1 - s], d, Weight.from_profile(param.derivative(2 * s + 1)))
+        integrate_diagonal(chain[m - 1 - s], d, param.derivative(2 * s + 1))
         for s in range(m)
     )
-    return integrate_cube(p, d, Weight.from_profile(param.derivative(2 * m))) - 2 * diagonals
+    return integrate_cube(p, d, param.derivative(2 * m)) - 2 * diagonals
 
 
 def division_form_entries(elements, d, identities_, config):

@@ -253,6 +253,6 @@ def test_value_equality_is_defined_once():
         return any(base == "Value" or is_value(base) for base in bases.get(name, ()))
 
     values = {name for name in bases if is_value(name)}
-    assert {"Poly", "UniPoly", "OneSidedness", "Weight", "CubeDomain"} <= values
+    assert {"Poly", "UniPoly", "OneSidedness", "CubeDomain"} <= values
     own = {name: sorted(defines[name]) for name in values if defines.get(name)}
     assert own == {}

@@ -24,7 +24,9 @@ from cubeharm.integrate import (
 from cubeharm.onesided import check_onesided, vanishes_on_diagonal
 from cubeharm.oracle import (
     numeric_integrate_boundary,
+    numeric_integrate_cube,
     numeric_integrate_cube_many,
+    numeric_integrate_diagonal,
     numeric_integrate_diagonal_many,
 )
 from cubeharm.parser import parse_unipoly
@@ -95,22 +97,52 @@ class TestCubeDomain:
 
 
 class TestWeight:
-    def test_value_behaviour(self):
-        check_value_class(
-            Weight.power(2),
-            Weight(UniPoly.monomial(2, Fraction(1, 2))),
-            Weight.power(3),
-            ("profile",),
-            "Weight(profile=UniPoly('1/2*t^2'))",
-        )
-        assert Weight(profile=UniPoly([0, 0, 1])) == Weight.from_profile(UniPoly([0, 0, 1]))
-        # a weight is its profile, however it was built
-        assert Weight.power(2) == Weight.from_profile(UniPoly([0, 0, Fraction(1, 2)]))
-        assert Weight.power(2) != Weight.from_profile(UniPoly([0, 0, 1]))
+    """A weight is its profile: Weight only names the power profiles, and
+    every weighted function, exact and oracle, takes the profile itself."""
 
-    def test_round_trips(self):
-        check_round_trips(Weight.power(2))
-        check_round_trips(Weight.from_profile(UniPoly([0, 1, Fraction(-1, 3)])))
+    def test_power_is_its_profile(self):
+        for k in (0, 1, 2, 7):
+            assert Weight.power(k) == UniPoly.monomial(k, Fraction(1, math.factorial(k)))
+        assert Weight.power(2) == UniPoly([0, 0, Fraction(1, 2)])
+        assert Weight.power(2) != UniPoly([0, 0, 1])
+        with pytest.raises(ValueError, match="weight exponent must be >= 0, got -1"):
+            Weight.power(-1)
+
+    def test_no_weight_values(self):
+        with pytest.raises(TypeError):
+            Weight(UniPoly.monomial(2, Fraction(1, 2)))
+        assert not hasattr(Weight, "from_profile")
+
+    # each weighted function as a function of (p, d, profile)
+    WEIGHTED = {
+        "integrate_cube": integrate_cube,
+        "integrate_diagonal": integrate_diagonal,
+        "integral cube": lambda p, d, w: integral(d, Region.CUBE, w)(DegreeSums(p)),
+        "integral diagonal": lambda p, d, w: integral(d, Region.DIAGONAL, w)(DegreeSums(p)),
+        "numeric_integrate_cube": numeric_integrate_cube,
+        "numeric_integrate_diagonal": numeric_integrate_diagonal,
+        "numeric_integrate_cube_many": lambda p, d, w: numeric_integrate_cube_many(p, d, [w])[0],
+        "numeric_integrate_diagonal_many": (
+            lambda p, d, w: numeric_integrate_diagonal_many(p, d, [w])[0]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", WEIGHTED)
+    def test_power_and_hand_built_profiles_agree(self, name):
+        fn = self.WEIGHTED[name]
+        p, d = pp("x1^4*x2^2 + 3*x1^2*x3^2 - 1/5", 3), CubeDomain(3, Fraction(3, 2))
+        for k in (0, 1, 4):
+            hand_built = UniPoly.monomial(k, Fraction(1, math.factorial(k)))
+            assert fn(p, d, Weight.power(k)) == fn(p, d, hand_built)
+        # a multi-term profile, hand-built or parsed, weighs as the sum of its
+        # power parts: u^2/2 - 3 u^4/4!
+        phi = UniPoly([0, 0, Fraction(1, 2), 0, Fraction(-1, 8)])
+        assert parse_unipoly("t^2/2 - t^4/8") == phi
+        value, parts = fn(p, d, phi), fn(p, d, Weight.power(2)) - 3 * fn(p, d, Weight.power(4))
+        if isinstance(value, float):
+            assert value == pytest.approx(parts, rel=1e-12)
+        else:
+            assert value == parts != 0
 
 
 class TestCube:
@@ -137,7 +169,7 @@ class TestCube:
         assert integrate_cube(pp("x1^3*x2^2"), D21, Weight.power(1)) == 0
 
     def test_zero_profile_integrates_to_zero(self):
-        zero = Weight.from_profile(UniPoly([0]))
+        zero = UniPoly([0])
         assert integrate_cube(pp("x1^2 + 1", 2), D21, zero) == 0
         assert integrate_diagonal(pp("x1^2 + 1", 2), D21, zero) == 0
 
@@ -275,7 +307,7 @@ class TestSymbolicReference:
         rng = random.Random(seed)
         p = random_poly(rng, 2, max_degree=5, max_terms=5)
         w = Weight.power(rng.randint(0, 2))
-        assert integrate_cube(p, D21, w) == reference.ref_cube(p, D21.r, w.profile)
+        assert integrate_cube(p, D21, w) == reference.ref_cube(p, D21.r, w)
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_diagonal_matches_reference(self, seed):
@@ -283,7 +315,7 @@ class TestSymbolicReference:
         p = random_poly(rng, 2, max_degree=5, max_terms=5)
         w = Weight.power(rng.randint(0, 2))
         assert integrate_diagonal(p, D21, w) == reference.ref_diagonal(
-            p, D21.r, w.profile
+            p, D21.r, w
         )
 
     def test_boundary_matches_reference(self):
@@ -296,7 +328,7 @@ class TestSymbolicReference:
         rng = random.Random(41)
         p = random_poly(rng, 3, max_degree=4, max_terms=4)
         w = Weight.power(1)
-        assert integrate_cube(p, D31, w) == reference.ref_cube(p, D31.r, w.profile)
+        assert integrate_cube(p, D31, w) == reference.ref_cube(p, D31.r, w)
 
 
 class TestCellFactor:
@@ -453,7 +485,7 @@ class TestFoldedScale:
     @pytest.mark.parametrize("text", ODD_POLYS + ("x1^2 - x2^2", "1", "x1^4 + x2"))
     def test_public_integrals_return_fractions(self, text):
         p = pp(text, 2)
-        w = Weight.from_profile(UniPoly([0, 0, Fraction(1, 2)]))
+        w = UniPoly([0, 0, Fraction(1, 2)])
         values = [
             integrate_cube(p, D21, w),
             integrate_diagonal(p, D21, w),
@@ -505,8 +537,8 @@ class TestCommonDenominator:
         d = CubeDomain(2, r)
         sums = DegreeSums(pp("x1^4 + 3*x1^2*x2^2 - 1/2", 2))
         for region in (Region.CUBE, Region.DIAGONAL):
-            assert integral(d, region, Weight(phi))(sums) == sum(
-                integral(d, region, Weight(part))(sums) for part in parts
+            assert integral(d, region, phi)(sums) == sum(
+                integral(d, region, part)(sums) for part in parts
             )
 
 

@@ -177,7 +177,7 @@ class TestNumericIntegrals:
         # weight profile u + u^2 at u = 1 - max|x|; exact engine as reference
         from cubeharm.poly import UniPoly
 
-        phi_weight = Weight.from_profile(UniPoly([0, 1, 1]))
+        phi_weight = UniPoly([0, 1, 1])
         exact = integrate_cube(pp("x1^2*x2^2"), D21, phi_weight)
         numeric = numeric_integrate_cube(pp("x1^2*x2^2"), D21, phi_weight)
         assert rel_dev(exact, numeric) < 1e-12
@@ -253,7 +253,7 @@ def _tensor_cells(p, d, tied, jacobian, weight, q):
     nbox = box_pts.shape[0]
     if weight is None:  # a face: t = r only, no radial weight
         t, wt = np.array([r]), np.array([1.0])
-    phi = [float(weight.profile(d.r - Fraction(x))) for x in t] if weight else None
+    phi = [float(weight(d.r - Fraction(x))) for x in t] if weight else None
     cells = []
     for axes in combinations(range(n), tied):
         free = [k for k in range(n) if k not in axes]
@@ -289,9 +289,7 @@ REFERENCE_CASES = [
     ("x1^2*x2^2*x3^2 - x3^6 + x1*x2^2", 3),
     ("x1^5*x2^2*x3 + 7/3*x1^2*x3^4 - x2^3", 3),
 ]
-REFERENCE_WEIGHTS = [Weight.power(k) for k in (0, 1, 2)] + [
-    Weight.from_profile(UniPoly([0, Fraction(1, 2), 0, 3]))
-]
+REFERENCE_WEIGHTS = [Weight.power(k) for k in (0, 1, 2)] + [UniPoly([0, Fraction(1, 2), 0, 3])]
 
 
 def close(value, reference):
@@ -349,7 +347,7 @@ class TestFactorizedPath:
             if isinstance(node, ast.ImportFrom) and node.module == "integrate"
             for alias in node.names
         }
-        assert names == {"CubeDomain", "Weight"}
+        assert names == {"CubeDomain"}
 
     def test_zero_polynomial(self):
         d = CubeDomain(3, Fraction(1))
@@ -409,7 +407,7 @@ def _enumerated_cell_sums(p, fixed, box, radials):
 
 def enumerated(p, d, weights, q, fixed):
     r, top = float(d.r), p.total_degree
-    radials = [_enumerated_radial_sums(w.profile, r, q, d.n - fixed, top) for w in weights]
+    radials = [_enumerated_radial_sums(w, r, q, d.n - fixed, top) for w in weights]
     return _enumerated_cell_sums(p, fixed, _enumerated_box(q, top), radials)
 
 
@@ -450,7 +448,7 @@ class TestSharedTables:
         ids=["5-1-6", "24-2-8", "101-0-3"],  # q, jacobian, top degree
     )
     def test_radial_sums_share_the_powers(self, q, jacobian, degrees):
-        profiles = [w.profile for w in REFERENCE_WEIGHTS]
+        profiles = REFERENCE_WEIGHTS
         shared = oracle._radial_sums(profiles, 1.5, q, jacobian, degrees)
         singles = [oracle._radial_sums([c], 1.5, q, jacobian, degrees)[0] for c in profiles]
         assert [sorted(t) for t in shared] == [degrees] * len(profiles)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 
 import cubeharm.parser as parser
 from conftest import check_value_class, polys_st
-from cubeharm.parser import ExprSource, ExprSyntaxError, parse_poly, parse_unipoly
-from cubeharm.poly import Poly, UniPoly, poly_to_text
+from cubeharm.parser import ExprSyntaxError, parse_poly, parse_unipoly
+from cubeharm.poly import MAX_DIGITS, Poly, UniPoly, poly_to_text
 
 
 class TestParsePoly:
@@ -43,16 +44,20 @@ class TestParsePoly:
         assert parse_poly("3/4") == Poly.const(1, Fraction(3, 4))
 
     def test_expected_dim_pads_dimension(self):
-        p = parse_poly(ExprSource("x1^2", expected_dim=3))
+        p = parse_poly("x1^2", dim=3)
         assert p.dim == 3
 
     def test_expected_dim_violation(self):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_poly(ExprSource("x3", expected_dim=2))
+            parse_poly("x3", dim=2)
         assert "x3" in str(err.value)
 
     def test_constant_defaults_to_dim_1(self):
         assert parse_poly("5").dim == 1
+
+    def test_dim_below_one_refused(self):
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            parse_poly("5", dim=0)
 
 
 class TestParseErrors:
@@ -142,13 +147,13 @@ class TestParseErrors:
 
     def test_limits_enforced(self):
         # a dimension read off the text is at most MAX_INFERRED_DIM; a given
-        # expected_dim is not bounded by it
+        # dim is not bounded by it
         assert parser.MAX_INFERRED_DIM == 8
         with pytest.raises(ExprSyntaxError) as err:
             parse_poly("x9")
         assert err.value.reason == "variable index 9 exceeds the configured limit 8"
-        assert parse_poly(ExprSource("x9", expected_dim=9)).dim == 9
-        assert parse_poly(ExprSource("x1", expected_dim=5000)).dim == 5000
+        assert parse_poly("x9", dim=9).dim == 9
+        assert parse_poly("x1", dim=5000).dim == 5000
         # the degree limit is max_degree, 16 unless the caller sets it
         with pytest.raises(ExprSyntaxError, match="degree 17 exceeds the configured limit 16"):
             parse_poly("x1^17")
@@ -209,7 +214,7 @@ class TestExpansionBounds:
 
     def test_product_term_bound(self, no_expansion):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_poly(ExprSource(f"{_sum(1, 101)}*{_sum(1, 100)}", expected_dim=101))
+            parse_poly(f"{_sum(1, 101)}*{_sum(1, 100)}", dim=101)
         assert err.value.reason == (
             "product of up to 10100 terms brings the expression to 10100 expanded terms, "
             f"above the limit of {parser.MAX_EXPANDED_TERMS}"
@@ -246,11 +251,64 @@ class TestExpansionBounds:
 
         monkeypatch.setattr(Poly, "__add__", refuse)
         monkeypatch.setattr(Poly, "__sub__", refuse)
-        p = parse_poly(ExprSource("x1 - 2*x2 + 3 - x1 + x2^2 - 1/2", expected_dim=2))
+        p = parse_poly("x1 - 2*x2 + 3 - x1 + x2^2 - 1/2", dim=2)
         assert p == Poly(2, {(0, 1): -2, (0, 0): Fraction(5, 2), (0, 2): 1})
-        assert parse_poly(ExprSource(_sum(1, 300), expected_dim=300)).terms == {
+        assert parse_poly(_sum(1, 300), dim=300).terms == {
             tuple(int(i == j) for j in range(300)): 1 for i in range(300)
         }
+
+
+class TestDenominatorBound:
+    """A sum refuses a term that brings the lcm of its coefficients'
+    denominators past MAX_DIGITS digits, at the term's offset, before adding
+    it; so does every expression, parenthesized or whole."""
+
+    TEN = f"2^{MAX_DIGITS - 1}/5^{MAX_DIGITS - 1}"  # 1/TEN = 1/10^4299, 4300 digits
+
+    def test_lcm_of_max_digits_parses(self):
+        p = parse_poly(f"x1 + 1/{self.TEN} + 1/3")
+        assert p.terms[(0,)] == Fraction(1, 10 ** (MAX_DIGITS - 1)) + Fraction(1, 3)
+        assert len(str(3 * 10 ** (MAX_DIGITS - 1))) == MAX_DIGITS  # the lcm
+        assert parse_poly(f"(1/{self.TEN})*x1 + 2/7*x1").terms == {
+            (1,): Fraction(1, 10 ** (MAX_DIGITS - 1)) + Fraction(2, 7)
+        }
+
+    def test_lcm_past_max_digits_is_refused_at_the_term(self):
+        text = f"x1 + 1/{self.TEN} - 1/11*x1"
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(text)
+        assert err.value.position == text.index("1/11")
+        assert err.value.reason == (
+            f"the coefficients' denominators have a common multiple of more than "
+            f"{MAX_DIGITS} digits"
+        )
+
+    def test_one_term_and_products_are_bounded_too(self):
+        for text in (f"1/{self.TEN}/10*x1", f"(x1 + 1/7^3000)*(x1 + 1/11^3000)"):
+            with pytest.raises(ExprSyntaxError, match="common multiple") as err:
+                parse_poly(text)
+            assert err.value.position == 0
+        text = f"x1 + (1/{self.TEN} + 1/11)"
+        with pytest.raises(ExprSyntaxError, match="common multiple") as err:
+            parse_poly(text)
+        assert err.value.position == text.index("1/11")
+        with pytest.raises(ExprSyntaxError, match="common multiple"):
+            parse_unipoly(f"t^2/{self.TEN} + t/13")
+
+    def test_coprime_denominators_refused_before_any_sum(self, monkeypatch):
+        # 250 coefficients k/p^e with p^e about 10^3500 on one monomial took
+        # 11 s to add; the second term is refused before it is added
+        def refuse(*args):
+            raise AssertionError("a coefficient was added")
+
+        primes = [p for p in range(2, 1600) if all(p % q for q in range(2, p))][:250]
+        text = " + ".join(
+            f"{i + 1}/{p ** round(3500 / math.log10(p))}*x1^2" for i, p in enumerate(primes)
+        )
+        monkeypatch.setattr(Fraction, "__add__", refuse)
+        with pytest.raises(ExprSyntaxError, match="common multiple") as err:
+            parse_poly(text)
+        assert err.value.position == text.index(" + ") + 3
 
 
 class TestParseUniPoly:
@@ -273,7 +331,7 @@ class TestRoundTrip:
     @given(polys_st(1))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_dim1(self, p):
-        assert parse_poly(ExprSource(poly_to_text(p), expected_dim=1)) == p
+        assert parse_poly(poly_to_text(p), dim=1) == p
 
     def test_unipoly_round_trip(self):
         from cubeharm.poly import uni_to_text
@@ -285,27 +343,16 @@ class TestRoundTrip:
     @given(polys_st(3))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_dim3(self, p):
-        assert parse_poly(ExprSource(poly_to_text(p), expected_dim=3)) == p
+        assert parse_poly(poly_to_text(p), dim=3) == p
 
     @given(polys_st(3))
     @settings(max_examples=30, deadline=None)
     def test_serialization_is_stable(self, p):
         text = poly_to_text(p)
-        assert poly_to_text(parse_poly(ExprSource(text, expected_dim=3))) == text
+        assert poly_to_text(parse_poly(text, dim=3)) == text
 
 
 class TestValueClasses:
-    def test_expr_source(self):
-        check_value_class(
-            ExprSource("x1", 2),
-            ExprSource(text="x1", expected_dim=2),
-            ExprSource("x1"),
-            ("text", "expected_dim"),
-            "ExprSource(text='x1', expected_dim=2)",
-        )
-        assert ExprSource("x1").expected_dim is None
-        assert ExprSource(expected_dim=3, text="x2") == ExprSource("x2", 3)
-
     def test_token(self):
         check_value_class(
             parser._Token("int", "1", 0),

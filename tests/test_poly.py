@@ -306,7 +306,7 @@ class TestSparseProfile:
     def test_power_profile_has_one_term(self):
         from cubeharm.integrate import Weight
 
-        phi = Weight.power(999).profile
+        phi = Weight.power(999)
         assert phi.terms == {999: Fraction(1, math.factorial(999))}
         assert phi.derivative(2).terms == {997: Fraction(1, math.factorial(997))}
         assert (phi.degree, phi.coeff(998), phi.coeff(999)) == (999, 0, phi.terms[999])

@@ -32,6 +32,12 @@ so it is reported at one of three strengths:
 
 A certified f - h is a multiple of every (x_i - x_j)^2 (x_i + x_j)^2, so it
 and its gradient vanish on the diagonal set without a further check.
+
+The exact algebra behind a certificate lives in the private module
+`_proof`: the division by the pair-square product (`divide_exact`), the
+square-root test for the cofactor (`poly_sqrt`) and the Sturm sign test
+for the weight profile (`uni_negative_point`).  Only this module imports
+it, so no subcommand but `approx` compiles it.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
+from ._proof import divide_exact, poly_sqrt, uni_negative_point
 from .integrate import (
     CubeDomain,
     Weight,
@@ -50,17 +57,7 @@ from .integrate import (
 )
 from .kernel import is_polyharmonic
 from .lattice import lattice_row, lattice_terms
-from .poly import (
-    Poly,
-    UniPoly,
-    Value,
-    divide_exact,
-    partial,
-    poly_sqrt,
-    poly_to_text,
-    rational_to_text,
-    uni_negative_point,
-)
+from .poly import Poly, UniPoly, Value, partial, poly_to_text, rational_to_text
 
 CERTIFIED = "certified"
 HEURISTIC = "heuristic"

@@ -90,8 +90,12 @@ def test_cli_import_loads_common_and_poly_only():
             {"_cli_crosscheck", "parser", "integrate", "oracle"},
         ),
         (
+            ["approx", "--n", "2", "--f", "x1^2 + 1", "--h", "0"],
+            {"_cli_approx", "parser", "integrate", "kernel", "onesided", "_proof", "lattice", "json"},
+        ),
+        (
             ["approx", "--n", "2", "--f", "x1^2 + 1", "--h", "0", "--phi", "t^2/2"],
-            {"_cli_approx", "parser", "integrate", "kernel", "onesided", "lattice", "json"},
+            {"_cli_approx", "parser", "integrate", "kernel", "onesided", "_proof", "lattice", "json"},
         ),
         (
             ["grid", "--n", "2", "--f", "x1^2*x2^2", "--h", "x1*x2", "--res", "5"],
@@ -111,7 +115,7 @@ def test_cli_import_loads_common_and_poly_only():
         ),
     ],
     ids=[
-        "integrate", "basis", "basis-json", "crosscheck", "crosscheck-poly", "approx-phi",
+        "integrate", "basis", "basis-json", "crosscheck", "crosscheck-poly", "approx", "approx-phi",
         "grid", "verify", "verify-csv", "verify-poly",
     ],
 )
@@ -147,17 +151,22 @@ def test_benchmark_traces_every_name_it_reads():
     assert len(measured) == 23
 
 
+def _significant_tokens(path: Path) -> int:
+    with path.open("rb") as fh:
+        return sum(
+            tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+            for tok in tokenize.tokenize(fh.readline)
+        )
+
+
 def test_every_module_is_below_the_token_step():
     # CPython's parser grows its token buffer past 4096 tokens, and a module
     # above that step costs each process that compiles it about 0.26 MB more
     # peak memory; every CLI process compiles the modules it imports
-    counts = {}
-    for path in sorted(Path(SRC, "cubeharm").glob("*.py")):
-        with path.open("rb") as fh:
-            counts[path.name] = sum(
-                tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-                for tok in tokenize.tokenize(fh.readline)
-            )
+    counts = {
+        path.name: _significant_tokens(path)
+        for path in sorted(Path(SRC, "cubeharm").glob("*.py"))
+    }
     assert "poly.py" in counts
     assert {name: n for name, n in counts.items() if n >= 4096} == {}
 
@@ -177,6 +186,22 @@ def _imported_modules(path: Path) -> set[str]:
             names.add(module)
             names.update(f"{module}.{alias.name}" for alias in node.names)
     return names
+
+
+def test_certificate_algebra_stays_out_of_poly():
+    # every CLI process compiles `poly` from source, so the certificate
+    # algebra that only `approx` runs lives in `_proof`, which imports
+    # nothing of the package but `poly`, and `poly` keeps no copy or alias
+    # of it; 3,000 significant tokens is about what `poly` holds without it
+    from cubeharm import poly
+
+    package = Path(SRC, "cubeharm")
+    ours = {m for m in _imported_modules(package / "_proof.py") if m.split(".")[0] == "cubeharm"}
+    assert "cubeharm.poly" in ours
+    assert all(m.startswith("cubeharm.poly.") for m in ours - {"cubeharm.poly"}), ours
+    moved = {"_uni_divmod", "uni_negative_point", "divide_exact", "_fraction_sqrt", "poly_sqrt"}
+    assert moved & set(vars(poly)) == set()
+    assert _significant_tokens(package / "poly.py") < 3000
 
 
 def test_only_the_test_reference_imports_numpy():

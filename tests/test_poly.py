@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import check_round_trips, check_value_class, polys_st, pp
+from cubeharm._proof import divide_exact, poly_sqrt, uni_negative_point
 from cubeharm.parser import parse_unipoly
 from cubeharm.poly import (
     DimensionMismatchError,
     Poly,
     UniPoly,
-    divide_exact,
     evaluate,
     iterated_laplacian,
     laplacian,
     partial,
-    poly_sqrt,
     poly_to_text,
     rational_to_text,
-    uni_negative_point,
     uni_to_text,
 )
 

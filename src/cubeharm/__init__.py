@@ -34,7 +34,6 @@ _EXPORTS = {
     "BasisSet": "kernel",
     "graded_basis": "kernel",
     "homogeneous_kernel": "kernel",
-    "is_polyharmonic": "kernel",
     "ApproxCertificate": "onesided",
     "OneSidedness": "onesided",
     "certify_best_approx": "onesided",
@@ -45,8 +44,6 @@ _EXPORTS = {
     "QuadratureSpec": "oracle",
     "gauss_legendre": "oracle",
     "numeric_integrate_boundary": "oracle",
-    "numeric_integrate_cube": "oracle",
-    "numeric_integrate_diagonal": "oracle",
     "ExprSyntaxError": "parser",
     "parse_poly": "parser",
     "parse_unipoly": "parser",

@@ -26,7 +26,7 @@ def _uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Long division over Q: a = quotient * b + remainder, b nonzero, on a
     dense working list of a's coefficients."""
     deg = b.degree
-    rem = list(map(a.coeff, range(a.degree + 1)))
+    rem = [a.terms.get(i, 0) for i in range(a.degree + 1)]
     quot = {}
     while len(rem) > deg:
         shift = len(rem) - 1 - deg

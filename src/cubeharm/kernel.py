@@ -51,7 +51,6 @@ from .poly import (
     Value,
     _laplacian_terms,
     grlex_key,
-    iterated_laplacian,
 )
 
 # Exponent entries (n for each monomial of degree <= max_degree, times the
@@ -159,9 +158,9 @@ def _elements(n: int, d: int, m: int, chains: dict[Exponent, list[dict[Exponent,
 def homogeneous_kernel(n: int, d: int, m: int = 1) -> BasisSet:
     """Basis of homogeneous degree-d polynomials annihilated by the m-fold
     Laplacian: one element per free monomial (x1-exponent <= 2m - 1), in
-    descending graded-lex order."""
-    if n < 1 or d < 0 or m < 1:
-        raise ValueError(f"invalid kernel request n={n}, d={d}, m={m}")
+    descending graded-lex order.  Refused exactly when the graded basis of
+    degree <= d is (BasisRequest.validate)."""
+    BasisRequest(n, d, m).validate()
     return BasisSet(tuple(_elements(n, d, m, {})))
 
 
@@ -173,10 +172,3 @@ def graded_basis(req: BasisRequest) -> BasisSet:
     return BasisSet(
         tuple(p for d in range(req.max_degree + 1) for p in _elements(req.n, d, req.m, chains))
     )
-
-
-def is_polyharmonic(p: Poly, m: int) -> bool:
-    """True iff the m-fold Laplacian of p vanishes identically."""
-    if m < 1:
-        raise ValueError(f"polyharmonic order must be >= 1, got {m}")
-    return iterated_laplacian(p, m).is_zero

@@ -55,9 +55,8 @@ from .integrate import (
     _vanishing_failure,
     integrate_cube,
 )
-from .kernel import is_polyharmonic
 from .lattice import lattice_row, lattice_terms
-from .poly import Poly, UniPoly, Value, partial, poly_to_text, rational_to_text
+from .poly import Poly, UniPoly, Value, laplacian, partial, poly_to_text, rational_to_text
 
 CERTIFIED = "certified"
 HEURISTIC = "heuristic"
@@ -332,7 +331,7 @@ def certify_best_approx(
         f=f,
         h=h,
         domain=d,
-        harmonic_ok=is_polyharmonic(h, 1),
+        harmonic_ok=laplacian(h).is_zero,
         vanishes_on_diagonal=certified or vanishes_on_diagonal(diff, d),
         gradient_vanishes_on_diagonal=certified
         or gradient_vanishes_on_diagonal(diff, d),

@@ -24,7 +24,8 @@ Orszag 1980, J. Comput. Phys. 37):
     radial sums   R[e] = sum_t w_t t^(e + j) phi(r - t)
 
 with j = n - 1 on the cube cells and n - 2 on the diagonal sheets (the
-Jacobian of the box scaling); a face has the radial factor r^(e + n - 1).
+Jacobian of the box scaling).  A face is the third case of the same path:
+it is the cube cell's end t = r, whose radial table is R[e] = r^(e + n - 1).
 A cell with fixed axes S and signs sigma then sums to
 
     sum_alpha c_alpha * prod_(k in S) sigma_k^alpha_k * R[|alpha|]
@@ -178,14 +179,19 @@ def _cell_sums(
 
 
 def _weighted_sums(
-    p: Poly, d: CubeDomain, weights: list[UniPoly], spec: QuadratureSpec, fixed: int
+    p: Poly, d: CubeDomain, weights: list[UniPoly] | None, spec: QuadratureSpec, fixed: int
 ) -> list[float]:
     """Cube (fixed = 1) or diagonal (fixed = 2) integrals, one per weight
-    profile; the box scaling leaves the Jacobian t^(n - fixed)."""
+    profile; the box scaling leaves the Jacobian t^(n - fixed).  With
+    weights None and fixed = 1, the face integral alone, from the face
+    table R[e] = r^(e + n - 1)."""
     d.check_dim(p)
     terms, degrees = _even_terms(p)
-    q = spec.points_per_axis
-    radials = _radial_sums(weights, float(d.r), q, d.n - fixed, degrees)
+    q, r, jacobian = spec.points_per_axis, float(d.r), d.n - fixed
+    if weights is None:
+        radials = [{e: r ** (e + jacobian) for e in degrees}]
+    else:
+        radials = _radial_sums(weights, r, q, jacobian, degrees)
     return _cell_sums(terms, d.n, fixed, _box_moments(q, p.total_degree), radials)
 
 
@@ -197,20 +203,11 @@ def numeric_integrate_cube_many(
     return _weighted_sums(p, d, weights, spec, 1)
 
 
-def numeric_integrate_cube(
-    p: Poly, d: CubeDomain, w: UniPoly, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    return numeric_integrate_cube_many(p, d, [w], spec)[0]
-
-
 def numeric_integrate_boundary(
     p: Poly, d: CubeDomain, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """Surface integral of p over the 2n faces; a face is the cell end t = r."""
-    d.check_dim(p)
-    r, (terms, degrees) = float(d.r), _even_terms(p)
-    box = _box_moments(spec.points_per_axis, p.total_degree)
-    return _cell_sums(terms, d.n, 1, box, [{e: r ** (e + d.n - 1) for e in degrees}])[0]
+    return _weighted_sums(p, d, None, spec, 1)[0]
 
 
 def numeric_integrate_diagonal_many(
@@ -219,9 +216,3 @@ def numeric_integrate_diagonal_many(
     """Diagonal-set integrals (projected measure) against several weight
     profiles."""
     return _weighted_sums(p, d, weights, spec, 2)
-
-
-def numeric_integrate_diagonal(
-    p: Poly, d: CubeDomain, w: UniPoly, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    return numeric_integrate_diagonal_many(p, d, [w], spec)[0]

@@ -104,9 +104,10 @@ def rational_to_text(q: Fraction) -> str:
 
 
 class Poly(Value):
-    """Immutable sparse polynomial over Fraction coefficients."""
+    """Immutable sparse polynomial over Fraction coefficients, stored as
+    `terms`, a dict {exponent tuple: nonzero coefficient}."""
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, RationalLike] | None = None):
         if dim < 1:
@@ -123,7 +124,7 @@ class Poly(Value):
             if c:
                 clean[tuple(exps)] = c
         _set(self, "dim", dim)
-        _set(self, "_terms", clean)
+        _set(self, "terms", clean)
 
     @classmethod
     def _from_clean(cls, dim: int, terms: dict[Exponent, Fraction]) -> "Poly":
@@ -132,7 +133,7 @@ class Poly(Value):
         The map is taken as is, not checked or copied."""
         p = object.__new__(cls)
         _set(p, "dim", dim)
-        _set(p, "_terms", terms)
+        _set(p, "terms", terms)
         return p
 
     # -- constructors -------------------------------------------------------
@@ -161,27 +162,23 @@ class Poly(Value):
     # -- inspection ----------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        return self._terms
-
-    @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     @property
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max(map(sum, self._terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
-        if not self._terms:
+        if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self._terms, key=grlex_key)
-        return exps, self._terms[exps]
+        exps = max(self.terms, key=grlex_key)
+        return exps, self.terms[exps]
 
     # -- ring operations -----------------------------------------------------
 
@@ -196,8 +193,8 @@ class Poly(Value):
         a key only in other takes its (negated) coefficient, and a key whose
         sum cancels is dropped."""
         self._check_same_dim(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
             if exps not in out:
                 out[exps] = -coeff if sub else coeff
             elif value := out[exps] - coeff if sub else out[exps] + coeff:
@@ -207,14 +204,14 @@ class Poly(Value):
         return Poly._from_clean(self.dim, out)
 
     def __neg__(self) -> "Poly":
-        return Poly._from_clean(self.dim, {e: -c for e, c in self._terms.items()})
+        return Poly._from_clean(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_same_dim(other)
             out: dict[Exponent, Fraction] = {}
-            for ea, ca in self._terms.items():
-                for eb, cb in other._terms.items():
+            for ea, ca in self.terms.items():
+                for eb, cb in other.terms.items():
                     key = tuple(a + b for a, b in zip(ea, eb))
                     out[key] = out.get(key, 0) + ca * cb
             return Poly(self.dim, out)
@@ -230,7 +227,7 @@ class Poly(Value):
 
     def scale(self, c: RationalLike) -> "Poly":
         c = Fraction(c)
-        return Poly(self.dim, {e: c * v for e, v in self._terms.items()})
+        return Poly(self.dim, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = scale
 
@@ -321,8 +318,6 @@ def iterated_laplacian(p: Poly, m: int) -> Poly:
 
 # -- univariate profiles -----------------------------------------------------
 
-_ZERO = Fraction(0)  # UniPoly.coeff's one zero
-
 
 class UniPoly(Value):
     """Univariate polynomial with Fraction coefficients, stored sparse as
@@ -365,9 +360,6 @@ class UniPoly(Value):
         """Degree; -1 for the zero polynomial."""
         return max(self.terms or (-1,))  # max's default= keyword costs more
 
-    def coeff(self, power: int) -> Fraction:
-        return self.terms.get(power, _ZERO)
-
     def derivative(self, order: int = 1) -> "UniPoly":
         if order < 0:
             raise ValueError("derivative order must be >= 0")
@@ -378,7 +370,7 @@ class UniPoly(Value):
 
     def __call__(self, value: RationalLike) -> Fraction:
         v = Fraction(value)
-        total = _ZERO
+        total = Fraction(0)
         for b in range(self.degree, -1, -1):  # Horner over every power
             total = total * v + self.terms.get(b, 0)
         return total

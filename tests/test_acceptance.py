@@ -48,9 +48,7 @@ from cubeharm.kernel import BasisRequest, graded_basis
 from cubeharm.onesided import CERTIFIED, certify_best_approx
 from cubeharm.oracle import (
     numeric_integrate_boundary,
-    numeric_integrate_cube,
     numeric_integrate_cube_many,
-    numeric_integrate_diagonal,
     numeric_integrate_diagonal_many,
 )
 from cubeharm.poly import UniPoly, laplacian
@@ -156,9 +154,9 @@ def test_criterion_5_companion_recomputed_error_value():
     """The exact error is 128/75, confirmed by the quadrature oracle."""
     cert = _example2_certificate()
     assert cert.l1_error == Fraction(128, 75)
-    numeric = numeric_integrate_cube(
-        cert.f - cert.h, CubeDomain(2, Fraction(1)), Weight.power(0)
-    )
+    numeric = numeric_integrate_cube_many(
+        cert.f - cert.h, CubeDomain(2, Fraction(1)), [Weight.power(0)]
+    )[0]
     assert abs(numeric - 128 / 75) < 1e-10
     record(5, True, "companion: error exactly 128/75, oracle agrees to 1e-10")
 
@@ -215,9 +213,9 @@ def test_criterion_7_companion_recomputed_value():
     p = pp("x1^2", 2)
     residual = residual_volume_mean(p, d, 0)
     assert residual == Fraction(1, 6)
-    numeric = numeric_integrate_cube(p, d, Weight.power(0)) / float(
+    numeric = numeric_integrate_cube_many(p, d, [Weight.power(0)])[0] / float(
         measure(d, Region.CUBE, 0)
-    ) - numeric_integrate_diagonal(p, d, Weight.power(1)) / float(
+    ) - numeric_integrate_diagonal_many(p, d, [Weight.power(1)])[0] / float(
         measure(d, Region.DIAGONAL, 1)
     )
     assert abs(numeric - 1 / 6) < 1e-10

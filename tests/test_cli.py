@@ -950,8 +950,7 @@ class TestCrosscheck:
 
             monkeypatch.setattr(oracle, name, wrapper)
 
-        for name in ("numeric_integrate_cube", "numeric_integrate_diagonal",
-                     "numeric_integrate_cube_many", "numeric_integrate_diagonal_many",
+        for name in ("numeric_integrate_cube_many", "numeric_integrate_diagonal_many",
                      "numeric_integrate_boundary"):
             counted(name)
         code, _, _ = run_cli(
@@ -1439,6 +1438,33 @@ class TestDeterminism:
         assert err.startswith("error: [Errno ") and err.endswith(f": '{name}'\n")
         assert ".cubeharm-" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDefaults:
+    # cli.py spells its defaults as literals, so that building the parser
+    # imports no layer; each must equal the library default it stands for
+    def test_flag_defaults_are_the_library_defaults(self):
+        import inspect
+
+        from cubeharm._cli_common import _parse_exponents
+        from cubeharm.cli import build_parser
+        from cubeharm.identities import SuiteConfig
+        from cubeharm.kernel import BasisRequest
+        from cubeharm.onesided import DEFAULT_GRID
+        from cubeharm.oracle import QuadratureSpec
+        from cubeharm.sampling import random_poly
+
+        parse = build_parser().parse_args
+        approx = parse(["approx", "--n", "2", "--f", "1", "--h", "0"])
+        crosscheck = parse(["crosscheck", "--n", "2"])
+        verify = parse(["verify", "--n", "2"])
+        basis = parse(["basis", "--n", "2", "--deg", "3"])
+        assert approx.grid == DEFAULT_GRID
+        assert crosscheck.points_per_axis == QuadratureSpec().points_per_axis
+        max_degree = inspect.signature(random_poly).parameters["max_degree"].default
+        assert crosscheck.deg == max_degree
+        assert _parse_exponents(verify.k) == SuiteConfig().ks
+        assert verify.m == basis.m == SuiteConfig().m == BasisRequest(2, 3).m
 
 
 class TestHelp:

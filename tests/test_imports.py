@@ -91,11 +91,11 @@ def test_cli_import_loads_common_and_poly_only():
         ),
         (
             ["approx", "--n", "2", "--f", "x1^2 + 1", "--h", "0"],
-            {"_cli_approx", "parser", "integrate", "kernel", "onesided", "_proof", "lattice", "json"},
+            {"_cli_approx", "parser", "integrate", "onesided", "_proof", "lattice", "json"},
         ),
         (
             ["approx", "--n", "2", "--f", "x1^2 + 1", "--h", "0", "--phi", "t^2/2"],
-            {"_cli_approx", "parser", "integrate", "kernel", "onesided", "_proof", "lattice", "json"},
+            {"_cli_approx", "parser", "integrate", "onesided", "_proof", "lattice", "json"},
         ),
         (
             ["grid", "--n", "2", "--f", "x1^2*x2^2", "--h", "x1*x2", "--res", "5"],

@@ -24,9 +24,7 @@ from cubeharm.integrate import (
 from cubeharm.onesided import check_onesided, vanishes_on_diagonal
 from cubeharm.oracle import (
     numeric_integrate_boundary,
-    numeric_integrate_cube,
     numeric_integrate_cube_many,
-    numeric_integrate_diagonal,
     numeric_integrate_diagonal_many,
 )
 from cubeharm.parser import parse_unipoly
@@ -113,17 +111,22 @@ class TestWeight:
             Weight(UniPoly.monomial(2, Fraction(1, 2)))
         assert not hasattr(Weight, "from_profile")
 
-    # each weighted function as a function of (p, d, profile)
+    # each weighted function as a function of (p, d, profile); the oracle's
+    # take the profile alone, and second of two under the _many ids
     WEIGHTED = {
         "integrate_cube": integrate_cube,
         "integrate_diagonal": integrate_diagonal,
         "integral cube": lambda p, d, w: integral(d, Region.CUBE, w)(DegreeSums(p)),
         "integral diagonal": lambda p, d, w: integral(d, Region.DIAGONAL, w)(DegreeSums(p)),
-        "numeric_integrate_cube": numeric_integrate_cube,
-        "numeric_integrate_diagonal": numeric_integrate_diagonal,
-        "numeric_integrate_cube_many": lambda p, d, w: numeric_integrate_cube_many(p, d, [w])[0],
-        "numeric_integrate_diagonal_many": (
+        "numeric_integrate_cube": lambda p, d, w: numeric_integrate_cube_many(p, d, [w])[0],
+        "numeric_integrate_diagonal": (
             lambda p, d, w: numeric_integrate_diagonal_many(p, d, [w])[0]
+        ),
+        "numeric_integrate_cube_many": (
+            lambda p, d, w: numeric_integrate_cube_many(p, d, [Weight.power(3), w])[1]
+        ),
+        "numeric_integrate_diagonal_many": (
+            lambda p, d, w: numeric_integrate_diagonal_many(p, d, [Weight.power(3), w])[1]
         ),
     }
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from cubeharm.kernel import (
     BasisSet,
     graded_basis,
     homogeneous_kernel,
-    is_polyharmonic,
     monomials_of_degree,
 )
 from cubeharm.poly import Poly, iterated_laplacian, laplacian, poly_to_text
@@ -180,6 +180,25 @@ class TestHomogeneousKernel:
         basis = homogeneous_kernel(3, 4, 1)
         assert rank_of(list(basis.elements), 3, 4) == len(basis)
 
+    @pytest.mark.parametrize(
+        "n,d,m", [(3, 400, 1), (20, 10, 1), (2, 40, 30), (0, 3, 1), (2, -1, 1), (2, 3, 0)]
+    )
+    def test_refused_exactly_as_the_graded_basis(self, monkeypatch, n, d, m):
+        # one budget: a kernel is built only when the graded basis of its
+        # degree would be, and is refused with the same line before any work
+        with pytest.raises(ValueError) as graded:
+            graded_basis(BasisRequest(n, d, m))
+
+        def refuse(*args):
+            raise AssertionError("kernel built before the budget check")
+
+        monkeypatch.setattr(kernel, "_elements", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            homogeneous_kernel(n, d, m)
+        assert time.perf_counter() - start < 0.5
+        assert str(refused.value) == str(graded.value)
+
 
 class TestGradedBasis:
     def test_degree_one(self):
@@ -306,14 +325,10 @@ class TestValueClasses:
 
 class TestIsPolyharmonic:
     def test_quartic_harmonic(self):
-        assert is_polyharmonic(pp("-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4"), 1)
+        assert iterated_laplacian(pp("-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4"), 1).is_zero
 
     def test_square_is_not_harmonic(self):
-        assert not is_polyharmonic(pp("x1^2", 2), 1)
+        assert not iterated_laplacian(pp("x1^2", 2), 1).is_zero
 
     def test_biharmonic_quartic(self):
-        assert is_polyharmonic(pp("x1^4 - 3*x1^2*x2^2"), 2)
-
-    def test_rejects_zero_order(self):
-        with pytest.raises(ValueError):
-            is_polyharmonic(pp("x1", 2), 0)
+        assert iterated_laplacian(pp("x1^4 - 3*x1^2*x2^2"), 2).is_zero

@@ -44,6 +44,8 @@ _EXPORTS = {
     "QuadratureSpec": "oracle",
     "gauss_legendre": "oracle",
     "numeric_integrate_boundary": "oracle",
+    "numeric_integrate_cube_many": "oracle",
+    "numeric_integrate_diagonal_many": "oracle",
     "ExprSyntaxError": "parser",
     "parse_poly": "parser",
     "parse_unipoly": "parser",

@@ -35,7 +35,7 @@ def _uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
             rem[shift + i] -= c * bc
         while rem and rem[-1] == 0:
             rem.pop()
-    return UniPoly(quot), UniPoly(rem)
+    return UniPoly(quot), UniPoly(dict(enumerate(rem)))
 
 
 def uni_negative_point(g: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:

@@ -127,10 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return importlib.import_module(f"cubeharm._cli_{args.command}").run(args)
     except (ValueError, OSError) as exc:
-        # an expression error comes only from a loaded parser; `basis` loads none
-        expr = sys.modules.get("cubeharm.parser")
-        invalid = expr is not None and isinstance(exc, expr.ExprSyntaxError)
-        print(f"error: {'invalid expression ' if invalid else ''}{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -74,9 +74,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .poly import DimensionMismatchError, Exponent, Poly, UniPoly, Value, _set
-
-RationalLike = Fraction | int | str
+from .poly import DimensionMismatchError, Exponent, Poly, RationalLike, UniPoly, Value, _set
 
 
 class CubeDomain(Value):
@@ -86,6 +84,8 @@ class CubeDomain(Value):
 
     def __init__(self, n: int, r: RationalLike):
         r = Fraction(r)
+        if type(n) is not int:
+            raise ValueError(f"dimension must be an int, got {n!r}")
         if n < 2:
             raise ValueError(f"dimension must be >= 2, got {n}")
         if r <= 0:
@@ -230,9 +230,9 @@ class DegreeSums(dict):
 
 
 # The degree sums of the last polynomial an integrate_* function saw.  It is
-# matched by identity: Poly is unhashable (its terms are a dict) and an
-# equality test would compare those dicts on every call.  The entry holds
-# the polynomial, so its id cannot be reused while it is cached.
+# matched by identity, which costs O(1), where hashing a Poly or testing it
+# for equality walks its terms on every call.  The entry holds the
+# polynomial, so its id cannot be reused while it is cached.
 _last: DegreeSums | None = None
 
 

@@ -88,9 +88,13 @@ class BasisRequest(Value):
     _defaults = {"m": 1}
 
     def validate(self) -> None:
-        """Refuse a request with a nonpositive n or m, a negative degree, or
-        more exponent entries than MAX_BASIS_EXPONENTS; nothing else bounds
-        its dimension or degree."""
+        """Refuse a request with a field that is not an int (a bool is not),
+        a nonpositive n or m, a negative degree, or more exponent entries
+        than MAX_BASIS_EXPONENTS; nothing else bounds its dimension or
+        degree."""
+        for name in self.__slots__:
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.max_degree < 0:

@@ -71,7 +71,7 @@ class QuadratureSpec(Value):
     __slots__ = ("points_per_axis",)
 
     def __init__(self, points_per_axis: int = 24):
-        if not 2 <= points_per_axis <= MAX_POINTS_PER_AXIS:
+        if type(points_per_axis) is not int or not 2 <= points_per_axis <= MAX_POINTS_PER_AXIS:
             raise ValueError(
                 f"points_per_axis must be in [2, {MAX_POINTS_PER_AXIS}], got {points_per_axis}"
             )

@@ -38,10 +38,6 @@ from fractions import Fraction
 
 from .poly import MAX_DIGITS, Poly, UniPoly, Value
 
-# Largest dimension read off the variable indices of a text given without
-# a dim; a caller that wants more passes dim.
-MAX_INFERRED_DIM = 8
-
 # The smallest lcm of a sum's coefficient denominators that is refused.
 _DENOMINATOR_LIMIT = 10**MAX_DIGITS
 
@@ -62,10 +58,11 @@ MAX_CONSTANT_BITS = 14_000
 
 
 class ExprSyntaxError(ValueError):
-    """Malformed expression; .position is the byte offset in the source."""
+    """Malformed expression; .position is the byte offset in the source and
+    .reason the message without it."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"at offset {position}: {message}")
+        super().__init__(f"invalid expression at offset {position}: {message}")
         self.position = position
         self.reason = message
 
@@ -302,24 +299,13 @@ def _index(name: str) -> int | None:
     return int(digits) if name[0] == "x" and digits.isascii() and digits.isdigit() else None
 
 
-def _max_var_index(tokens: list[_Token]) -> int:
-    return max((_index(tok.text) or 0 for tok in tokens if tok.kind == "var"), default=0)
-
-
-def _parse(text: str, dim: int | None, max_degree: int, univariate: bool = False) -> Poly:
-    """The polynomial of text in dimension dim, or in the dimension its
-    variable indices infer when dim is None; its empty text is refused
+def _parse(text: str, dim: int, max_degree: int, univariate: bool = False) -> Poly:
+    """The polynomial of text in dimension dim; its empty text is refused
     first and its degree checked against max_degree last."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     tokens = _tokenize(text)
-    if dim is None:
-        dim = max(1, _max_var_index(tokens))
-        if dim > MAX_INFERRED_DIM:
-            raise ExprSyntaxError(
-                f"variable index {dim} exceeds the configured limit {MAX_INFERRED_DIM}", 0
-            )
-    elif dim < 1:
+    if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     poly = _Parser(tokens, dim, univariate, max_degree).parse()
     if poly.total_degree > max_degree:
@@ -330,13 +316,8 @@ def _parse(text: str, dim: int | None, max_degree: int, univariate: bool = False
     return poly
 
 
-def parse_poly(text: str, *, dim: int | None = None, max_degree: int = 16) -> Poly:
-    """Parse a multivariate polynomial expression of degree <= max_degree.
-
-    The ambient dimension is dim when given, otherwise the largest variable
-    index appearing in the text (1 for pure constants), at most
-    MAX_INFERRED_DIM.
-    """
+def parse_poly(text: str, *, dim: int, max_degree: int = 16) -> Poly:
+    """Parse a polynomial in the variables x1..x<dim> of degree <= max_degree."""
     return _parse(text, dim, max_degree)
 
 

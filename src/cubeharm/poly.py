@@ -324,28 +324,21 @@ class UniPoly(Value):
     `terms`, a dict {power: nonzero coefficient}.
 
     Used for radial weight profiles in the variable t, which mostly have one
-    term.  Built from a dense sequence (index = power) or from such a dict,
-    whose powers must be nonnegative ints (a bool, float, Fraction or
-    negative power is refused); zero coefficients are dropped either way, so
-    representations are canonical.
+    term.  Built from such a dict, whose powers must be nonnegative ints (a
+    bool, float, Fraction or negative power is refused); zero coefficients
+    are dropped, so representations are canonical.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, coeffs: Iterable[RationalLike] | dict[int, RationalLike]):
-        if isinstance(coeffs, dict):
-            for i in coeffs:
-                if type(i) is not int or i < 0:
-                    raise ValueError(f"power {i!r} is not a nonnegative integer")
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        terms = {i: f for i, c in items if (f := c if type(c) is Fraction else Fraction(c))}
-        _set(self, "terms", terms)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls({})
+    def __init__(self, terms: dict[int, RationalLike]):
+        clean = {}
+        for i, c in terms.items():
+            if type(i) is not int or i < 0:
+                raise ValueError(f"power {i!r} is not a nonnegative integer")
+            if c := c if type(c) is Fraction else Fraction(c):
+                clean[i] = c
+        _set(self, "terms", clean)
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "UniPoly":

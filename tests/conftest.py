@@ -40,7 +40,7 @@ def check_round_trips(value) -> None:
         assert type(twin) is type(value) and twin == value
 
 
-def pp(text: str, n: int | None = None) -> Poly:
+def pp(text: str, n: int) -> Poly:
     return parse_poly(text, dim=n)
 
 

@@ -111,8 +111,8 @@ def test_criterion_3_weighted_quadrature_suite():
 
 def test_criterion_4_example1_certificate():
     """The quartic interpolant certificate reproduces the error 8/45."""
-    f = pp("x1^2*x2^2")
-    h = pp("-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4")
+    f = pp("x1^2*x2^2", 2)
+    h = pp("-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4", 2)
     cert = certify_best_approx(f, h, CubeDomain(2, Fraction(1)))
     assert cert.harmonic_ok
     assert cert.vanishes_on_diagonal
@@ -123,8 +123,8 @@ def test_criterion_4_example1_certificate():
 
 
 def _example2_certificate():
-    f = pp("x1^8 + 14*x1^4*x2^4 + x2^8")
-    h = pp("x1^8 + x2^8 - 28*(x1^6*x2^2 + x1^2*x2^6) + 70*x1^4*x2^4")
+    f = pp("x1^8 + 14*x1^4*x2^4 + x2^8", 2)
+    h = pp("x1^8 + x2^8 - 28*(x1^6*x2^2 + x1^2*x2^6) + 70*x1^4*x2^4", 2)
     return certify_best_approx(f, h, CubeDomain(2, Fraction(1)))
 
 
@@ -135,7 +135,7 @@ def test_criterion_5_example2_certified_factorization():
     assert cert.vanishes_on_diagonal
     assert cert.gradient_vanishes_on_diagonal
     assert cert.onesided.kind == CERTIFIED
-    assert cert.onesided.cofactor == pp("28*x1^2*x2^2")
+    assert cert.onesided.cofactor == pp("28*x1^2*x2^2", 2)
     record(5, True, "certified via cofactor 28*x1^2*x2^2 (value check split out)")
 
 
@@ -165,7 +165,7 @@ def test_criterion_5_companion_from_green_form():
     """128/75 from f alone, with no h: a harmonic minorant interpolating f on
     the diagonal set has error int_cube (f - h) = int_cube (1-M)^2/2 Lap f,
     the quadrature residual of f at phi = t^2/2."""
-    f = pp("x1^8 + 14*x1^4*x2^4 + x2^8")
+    f = pp("x1^8 + 14*x1^4*x2^4 + x2^8", 2)
     t2 = Weight.power(2)  # t^2/2
     error = residual_weighted_quadrature(f, CubeDomain(2, Fraction(1)), t2)
     assert error == Fraction(128, 75)

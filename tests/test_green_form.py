@@ -25,6 +25,22 @@ v_i = alpha_i + 1, E = sum v_i and B = prod 2/v_i,
   C_1(alpha)(E-1)(E-2) - 2 C_2(alpha)(E-2)
       = sum_i alpha_i(alpha_i-1) C_1(alpha - 2e_i)
       = B (E-2)(sum v_i^2 - E).
+
+The radial factors close the proof.  The factor of u^j/j! is
+R(A, j) = A! r^(A+j+1) / (A+j+1)!, which the engine's _radial matches at
+the points of the radial test.  The quadrature row of x^alpha is
+C_1(alpha) R(E-1, j-2) - 2 C_2(alpha) R(E-2, j-1), each term of
+Lap x^alpha carries R(E-3, j), and sympy proves, for symbolic E and j,
+
+  R(E-1, j-2) = (E-1)(E-2) R(E-3, j),    R(E-2, j-1) = (E-2) R(E-3, j).
+
+So the quadrature equality is the cell-factor identity times R(E-3, j):
+it holds for every even monomial (an odd one integrates to 0 on both
+sides) and every power profile with j >= 2, so for every degree, and by
+linearity for every profile that vanishes to order 2.  The Pizzetti row
+of order m is the sum over s < m of the quadrature equality for the
+profile phi^(2s) and Lap^(m-1-s) p, whose cube terms telescope to
+int_cube phi^(2m) p - int_cube phi Lap^m p.
 """
 
 from fractions import Fraction
@@ -46,6 +62,7 @@ from cubeharm.integrate import (
     Region,
     Weight,
     _cell_factors,
+    _radial,
     integral,
     integrate_cube,
     measure,
@@ -157,3 +174,20 @@ def test_cell_factor_identity_for_symbolic_exponents():
         for alpha in [(0,) * n, (2,) + (0,) * (n - 1), tuple(range(0, 2 * n, 2)), (8, 4) + (2,) * (n - 2)]:
             values = dict(zip(v, (a + 1 for a in alpha)))
             assert (c1.subs(values), c2.subs(values)) == _cell_factors(alpha)
+
+
+def test_radial_factor_identities_for_symbolic_degree():
+    import sympy as sp
+
+    e, j, r = sp.symbols("E j r", positive=True, integer=True)
+
+    def radial(a, j):
+        """R(A, j), the radial factor of u^j/j!."""
+        return sp.factorial(a) * r ** (a + j + 1) / sp.factorial(a + j + 1)
+
+    assert sp.gammasimp(radial(e - 1, j - 2) - (e - 1) * (e - 2) * radial(e - 3, j)) == 0
+    assert sp.gammasimp(radial(e - 2, j - 1) - (e - 2) * radial(e - 3, j)) == 0
+    # R is the engine's radial factor
+    for a, shift, q, k in [(0, 1, Fraction(1), 0), (4, 2, Fraction(3, 2), 3), (6, 3, Fraction(2, 7), 5)]:
+        value = _radial(a, shift, q, Weight.power(k), 1) * q ** (shift + 1)
+        assert value == radial(a + shift, k).subs(r, sp.Rational(q.numerator, q.denominator))

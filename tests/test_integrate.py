@@ -21,8 +21,10 @@ from cubeharm.integrate import (
     integrate_diagonal,
     measure,
 )
+from cubeharm.kernel import BasisRequest, graded_basis
 from cubeharm.onesided import check_onesided, vanishes_on_diagonal
 from cubeharm.oracle import (
+    QuadratureSpec,
     numeric_integrate_boundary,
     numeric_integrate_cube_many,
     numeric_integrate_diagonal_many,
@@ -94,6 +96,26 @@ class TestCubeDomain:
         assert str(err.value) == "polynomial dimension 3 does not match domain dimension 2"
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CubeDomain(2.0, 1), "dimension must be an int, got 2.0"),
+        (lambda: QuadratureSpec(24.5), "points_per_axis must be in [2, 256], got 24.5"),
+        (lambda: BasisRequest(2, 3.5).validate(), "max_degree must be an int, got 3.5"),
+        (lambda: BasisRequest(2, 3, 1.5).validate(), "m must be an int, got 1.5"),
+        (lambda: graded_basis(BasisRequest(2.0, 3)), "n must be an int, got 2.0"),
+        (lambda: graded_basis(BasisRequest(True, 3)), "n must be an int, got True"),
+    ],
+    ids=["domain-n", "quadrature-points", "basis-degree", "basis-m", "basis-n", "basis-n-bool"],
+)
+def test_count_that_is_not_an_int_refused_where_it_enters(build, message):
+    # each was accepted and failed later with an unrelated TypeError, or,
+    # for a bool, built a basis in "dimension" True
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestWeight:
     """A weight is its profile: Weight only names the power profiles, and
     every weighted function, exact and oracle, takes the profile itself."""
@@ -101,8 +123,8 @@ class TestWeight:
     def test_power_is_its_profile(self):
         for k in (0, 1, 2, 7):
             assert Weight.power(k) == UniPoly.monomial(k, Fraction(1, math.factorial(k)))
-        assert Weight.power(2) == UniPoly([0, 0, Fraction(1, 2)])
-        assert Weight.power(2) != UniPoly([0, 0, 1])
+        assert Weight.power(2) == UniPoly({2: Fraction(1, 2)})
+        assert Weight.power(2) != UniPoly({2: 1})
         with pytest.raises(ValueError, match="weight exponent must be >= 0, got -1"):
             Weight.power(-1)
 
@@ -139,7 +161,7 @@ class TestWeight:
             assert fn(p, d, Weight.power(k)) == fn(p, d, hand_built)
         # a multi-term profile, hand-built or parsed, weighs as the sum of its
         # power parts: u^2/2 - 3 u^4/4!
-        phi = UniPoly([0, 0, Fraction(1, 2), 0, Fraction(-1, 8)])
+        phi = UniPoly({2: Fraction(1, 2), 4: Fraction(-1, 8)})
         assert parse_unipoly("t^2/2 - t^4/8") == phi
         value, parts = fn(p, d, phi), fn(p, d, Weight.power(2)) - 3 * fn(p, d, Weight.power(4))
         if isinstance(value, float):
@@ -157,10 +179,10 @@ class TestCube:
         assert value == closed_form_mass(Region.CUBE, n, Fraction(2, 3), k)
 
     def test_product_of_squares(self):
-        assert integrate_cube(pp("x1^2*x2^2"), D21, Weight.power(0)) == Fraction(4, 9)
+        assert integrate_cube(pp("x1^2*x2^2", 2), D21, Weight.power(0)) == Fraction(4, 9)
 
     def test_example1_error_integral(self):
-        p = pp("1/4*(x1^2 - x2^2)^2")
+        p = pp("1/4*(x1^2 - x2^2)^2", 2)
         assert integrate_cube(p, D21, Weight.power(0)) == Fraction(8, 45)
 
     def test_weighted_fixture(self):
@@ -169,10 +191,10 @@ class TestCube:
         assert integrate_cube(p, D31, Weight.power(2)) == Fraction(4, 825)
 
     def test_odd_monomials_vanish(self):
-        assert integrate_cube(pp("x1^3*x2^2"), D21, Weight.power(1)) == 0
+        assert integrate_cube(pp("x1^3*x2^2", 2), D21, Weight.power(1)) == 0
 
     def test_zero_profile_integrates_to_zero(self):
-        zero = UniPoly([0])
+        zero = UniPoly({})
         assert integrate_cube(pp("x1^2 + 1", 2), D21, zero) == 0
         assert integrate_diagonal(pp("x1^2 + 1", 2), D21, zero) == 0
 
@@ -187,7 +209,7 @@ class TestBoundary:
 
     def test_harmonic_quadratic_cancels(self):
         # faces x1 = +-1 give 2*(2 - 2/3), faces x2 = +-1 give the negative
-        assert integrate_boundary(pp("x1^2 - x2^2"), D21) == 0
+        assert integrate_boundary(pp("x1^2 - x2^2", 2), D21) == 0
 
     def test_surface_area_n3_r2(self):
         assert integrate_boundary(Poly.const(3, 1), CubeDomain(3, Fraction(2))) == 96
@@ -290,7 +312,7 @@ class TestProperties:
 
     @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(3)])
     def test_homogeneous_scaling(self, r):
-        p = pp("x1^2*x2^2 - 2*x2^4")  # homogeneous of degree 4
+        p = pp("x1^2*x2^2 - 2*x2^4", 2)  # homogeneous of degree 4
         d_unit, d_r = D21, CubeDomain(2, r)
         w = Weight.power(0)
         assert integrate_cube(p, d_r, w) == r ** (2 + 4) * integrate_cube(p, d_unit, w)
@@ -488,7 +510,7 @@ class TestFoldedScale:
     @pytest.mark.parametrize("text", ODD_POLYS + ("x1^2 - x2^2", "1", "x1^4 + x2"))
     def test_public_integrals_return_fractions(self, text):
         p = pp(text, 2)
-        w = UniPoly([0, 0, Fraction(1, 2)])
+        w = UniPoly({2: Fraction(1, 2)})
         values = [
             integrate_cube(p, D21, w),
             integrate_diagonal(p, D21, w),
@@ -512,7 +534,7 @@ class TestCommonDenominator:
     PROFILES = {
         # t^2 (1 + t)^30, 31 nonzero coefficients; summing its one-coefficient
         # parts at r = 10^-240 is the slow sum that the common denominator avoids
-        "binomial": UniPoly([0, 0] + [math.comb(30, j) for j in range(31)]),
+        "binomial": UniPoly({j + 2: math.comb(30, j) for j in range(31)}),
         "three": parse_unipoly("t^2/2 - 3*t^3 + t^5/7"),
         "constant": parse_unipoly("1/3 + t/5 - 7/11*t^4"),
     }

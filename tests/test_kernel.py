@@ -135,7 +135,7 @@ class TestHomogeneousKernel:
         basis = homogeneous_kernel(2, 3, 1)
         assert len(basis) == 2
         # the classical pair spans the same 2-dimensional space
-        classical = [pp("x1^3 - 3*x1*x2^2"), pp("3*x1^2*x2 - x2^3")]
+        classical = [pp("x1^3 - 3*x1*x2^2", 2), pp("3*x1^2*x2 - x2^3", 2)]
         for extra in classical:
             assert rank_of(list(basis.elements) + [extra], 2, 3) == 2
 
@@ -325,10 +325,10 @@ class TestValueClasses:
 
 class TestIsPolyharmonic:
     def test_quartic_harmonic(self):
-        assert iterated_laplacian(pp("-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4"), 1).is_zero
+        assert iterated_laplacian(pp("-1/4*x1^4 + 3/2*x1^2*x2^2 - 1/4*x2^4", 2), 1).is_zero
 
     def test_square_is_not_harmonic(self):
         assert not iterated_laplacian(pp("x1^2", 2), 1).is_zero
 
     def test_biharmonic_quartic(self):
-        assert iterated_laplacian(pp("x1^4 - 3*x1^2*x2^2"), 2).is_zero
+        assert iterated_laplacian(pp("x1^4 - 3*x1^2*x2^2", 2), 2).is_zero

@@ -37,16 +37,16 @@ D31 = CubeDomain(3, Fraction(1))
 
 class TestVanishesOnDiagonal:
     def test_difference_of_squares(self):
-        assert vanishes_on_diagonal(pp("x1^2 - x2^2"), D21)
+        assert vanishes_on_diagonal(pp("x1^2 - x2^2", 2), D21)
 
     def test_example1_error_function(self):
-        assert vanishes_on_diagonal(pp("1/4*(x1^2 - x2^2)^2"), D21)
+        assert vanishes_on_diagonal(pp("1/4*(x1^2 - x2^2)^2", 2), D21)
 
     def test_single_variable_does_not(self):
         assert not vanishes_on_diagonal(pp("x1", 2), D21)
 
     def test_scaling_invariance(self):
-        p = pp("x1^2 - x2^2")
+        p = pp("x1^2 - x2^2", 2)
         q = pp("x1^2", 2)
         for c in (Fraction(3), Fraction(-7, 5)):
             assert vanishes_on_diagonal(p.scale(c), D21) == vanishes_on_diagonal(p, D21)
@@ -55,7 +55,7 @@ class TestVanishesOnDiagonal:
     @given(polys_st(2, max_degree=4, max_terms=4), polys_st(2, max_degree=4, max_terms=4))
     @settings(max_examples=15, deadline=None)
     def test_closed_under_sums(self, a, b):
-        factor = pp("x1^2 - x2^2")
+        factor = pp("x1^2 - x2^2", 2)
         p, q = a * factor, b * factor
         assert vanishes_on_diagonal(p, D21)
         assert vanishes_on_diagonal(q, D21)
@@ -127,10 +127,10 @@ class TestSubstitutionMatchesSquaredIntegral:
 
 class TestGradientVanishes:
     def test_squared_factor(self):
-        assert gradient_vanishes_on_diagonal(pp("1/4*(x1^2 - x2^2)^2"), D21)
+        assert gradient_vanishes_on_diagonal(pp("1/4*(x1^2 - x2^2)^2", 2), D21)
 
     def test_plain_factor_does_not(self):
-        assert not gradient_vanishes_on_diagonal(pp("x1^2 - x2^2"), D21)
+        assert not gradient_vanishes_on_diagonal(pp("x1^2 - x2^2", 2), D21)
 
     def test_zero(self):
         assert gradient_vanishes_on_diagonal(Poly.zero(2), D21)
@@ -138,15 +138,15 @@ class TestGradientVanishes:
 
 class TestCheckOnesided:
     def test_example1_certified(self):
-        result = check_onesided(pp("1/4*(x1^2 - x2^2)^2"), D21)
+        result = check_onesided(pp("1/4*(x1^2 - x2^2)^2", 2), D21)
         assert result.kind == CERTIFIED
         assert result.cofactor == Poly.const(2, Fraction(1, 4))
 
     def test_example2_certified(self):
-        diff = pp("28*x1^6*x2^2 - 56*x1^4*x2^4 + 28*x1^2*x2^6")
+        diff = pp("28*x1^6*x2^2 - 56*x1^4*x2^4 + 28*x1^2*x2^6", 2)
         result = check_onesided(diff, D21)
         assert result.kind == CERTIFIED
-        assert result.cofactor == pp("28*x1^2*x2^2")
+        assert result.cofactor == pp("28*x1^2*x2^2", 2)
 
     def test_negative_somewhere(self):
         result = check_onesided(pp("x1", 2), D21)
@@ -165,7 +165,7 @@ class TestCheckOnesided:
 
     def test_grid_cap_shrinks_resolution(self, monkeypatch):
         monkeypatch.setattr(onesided, "MAX_GRID_POINTS", 100)
-        result = check_onesided(pp("x1^2 + x2^2 + 1"), D21, grid_points_per_axis=41)
+        result = check_onesided(pp("x1^2 + x2^2 + 1", 2), D21, grid_points_per_axis=41)
         assert result.kind == HEURISTIC
         assert result.grid_points_per_axis == 10
 
@@ -232,7 +232,7 @@ class TestCheckOnesided:
         assert check_onesided(Poly.zero(7), d7).kind == CERTIFIED
 
     def test_square_cofactor_certified(self):
-        diff = pp("(x1 - x2)^2") * pair_square_product(2)
+        diff = pp("(x1 - x2)^2", 2) * pair_square_product(2)
         assert check_onesided(diff, D21).kind == CERTIFIED
 
     @pytest.mark.parametrize("seed", range(12))
@@ -455,7 +455,7 @@ class TestCertifyBestApprox:
         assert cert.vanishes_on_diagonal
         assert cert.gradient_vanishes_on_diagonal
         assert cert.onesided.kind == CERTIFIED
-        assert cert.onesided.cofactor == pp("28*x1^2*x2^2")
+        assert cert.onesided.cofactor == pp("28*x1^2*x2^2", 2)
 
     def test_example2_error_value(self, example2):
         # exact integral of 28 x1^2 x2^2 (x1^2 - x2^2)^2 over the unit square,
@@ -493,8 +493,8 @@ class TestCertifyBestApprox:
         assert not cert.optimality_certified
 
     def test_non_harmonic_candidate_flagged(self):
-        f = pp("x1^2*x2^2") + pair_square_product(2)
-        h = pp("x1^2*x2^2")
+        f = pp("x1^2*x2^2", 2) + pair_square_product(2)
+        h = pp("x1^2*x2^2", 2)
         cert = certify_best_approx(f, h, D21)
         assert not cert.harmonic_ok
         assert not cert.optimality_certified

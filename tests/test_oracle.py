@@ -137,7 +137,7 @@ class TestNumericIntegrals:
         assert abs(value - 4.0) < 1e-12
 
     def test_cube_product_of_squares(self):
-        value = numeric_integrate_cube_many(pp("x1^2*x2^2"), D21, [Weight.power(0)])[0]
+        value = numeric_integrate_cube_many(pp("x1^2*x2^2", 2), D21, [Weight.power(0)])[0]
         assert abs(value - 4 / 9) < 1e-10
 
     def test_cube_example1_error(self, example1):
@@ -165,13 +165,13 @@ class TestNumericIntegrals:
         # weight profile u + u^2 at u = 1 - max|x|; exact engine as reference
         from cubeharm.poly import UniPoly
 
-        phi_weight = UniPoly([0, 1, 1])
-        exact = integrate_cube(pp("x1^2*x2^2"), D21, phi_weight)
-        numeric = numeric_integrate_cube_many(pp("x1^2*x2^2"), D21, [phi_weight])[0]
+        phi_weight = UniPoly({1: 1, 2: 1})
+        exact = integrate_cube(pp("x1^2*x2^2", 2), D21, phi_weight)
+        numeric = numeric_integrate_cube_many(pp("x1^2*x2^2", 2), D21, [phi_weight])[0]
         assert rel_dev(exact, numeric) < 1e-12
 
     def test_determinism(self):
-        p = pp("x1^6 - 2*x2^4")
+        p = pp("x1^6 - 2*x2^4", 2)
         first = numeric_integrate_cube_many(p, D21, [Weight.power(1)])[0]
         second = numeric_integrate_cube_many(p, D21, [Weight.power(1)])[0]
         assert first == second
@@ -192,7 +192,7 @@ class TestOracleAgreement:
 
     def test_non_unit_radius(self):
         d = CubeDomain(2, Fraction(3, 2))
-        p = pp("x1^4*x2^2 + x2^2")
+        p = pp("x1^4*x2^2 + x2^2", 2)
         w = Weight.power(2)
         cube = numeric_integrate_cube_many(p, d, [w])[0]
         diagonal = numeric_integrate_diagonal_many(p, d, [w])[0]
@@ -278,7 +278,7 @@ REFERENCE_CASES = [
     ("x1^2*x2^2*x3^2 - x3^6 + x1*x2^2", 3),
     ("x1^5*x2^2*x3 + 7/3*x1^2*x3^4 - x2^3", 3),
 ]
-REFERENCE_WEIGHTS = [Weight.power(k) for k in (0, 1, 2)] + [UniPoly([0, Fraction(1, 2), 0, 3])]
+REFERENCE_WEIGHTS = [Weight.power(k) for k in (0, 1, 2)] + [UniPoly({1: Fraction(1, 2), 3: 3})]
 
 
 def close(value, reference):
